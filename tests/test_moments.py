@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -14,11 +15,12 @@ import pytest
 
 from lmoll.arith import RealCharacter, eval_rho, factor, kloosterman
 from lmoll.characters import build_group, enumerate_even_primitive, phi_plus
-from lmoll.lvalues import afe_central, oracle_L, oracle_product_at
+from lmoll.lvalues import afe_central, hurwitz_zeta_vec, oracle_L, oracle_product_at
 from lmoll.moments import (
     EulerProductFamily,
     MollifierTable,
     MomentReport,
+    _census_values,
     _kloosterman_row,
     build_mollifier,
     census,
@@ -129,9 +131,29 @@ class TestMoments:
             assert abs(row[w] - kloosterman(1, w, 13)) < 1e-10
 
 
+def census_values_by_loop(q, psi):
+    """Reference for _census_values: the whole modulus-qD Hurwitz sum at
+    once, then one length-q dot product per character."""
+    D = psi.D
+    a = np.arange(1, q, dtype=np.float64)
+    z_plain = hurwitz_zeta_vec(0.5, a / q)
+    b = np.arange(1, q * D, dtype=np.int64)
+    psivals = psi.values_array(b).astype(np.float64)
+    zb = hurwitz_zeta_vec(0.5, b.astype(np.float64) / (q * D))
+    grouped = np.zeros(q, dtype=np.float64)
+    np.add.at(grouped, b % q, psivals * zb)
+    twisted = grouped[1:]
+    plain, twist = [], []
+    for chi in enumerate_even_primitive(build_group(q)):
+        chivals = chi.values()[1:]
+        plain.append(q ** -0.5 * np.dot(chivals, z_plain))
+        twist.append((q * D) ** -0.5 * np.dot(chivals, twisted))
+    return np.array(plain), np.array(twist)
+
+
 class TestCensus:
-    def test_matches_per_character_oracle(self):
-        q = 13
+    @pytest.mark.parametrize("q", [13, 101])
+    def test_matches_per_character_oracle(self, q):
         counts = census(q, PSI5, 1e-8)
         nprod = nplain = 0
         for chi in enumerate_even_primitive(build_group(q)):
@@ -140,6 +162,34 @@ class TestCensus:
             if abs(oracle_product_at(0.5, chi, PSI5)) > 1e-8:
                 nprod += 1
         assert counts == (nprod, nplain)
+
+    @pytest.mark.parametrize("q,D", [(13, 5), (101, 5), (101, 13), (1009, 5),
+                                     (1009, 13)])
+    def test_fft_matches_per_character_loop(self, q, D):
+        psi = RealCharacter(D)
+        plain, twist = _census_values(q, psi)
+        ref_plain, ref_twist = census_values_by_loop(q, psi)
+        assert plain.shape == twist.shape == (phi_plus(q),)
+        assert np.max(np.abs(plain - ref_plain)) < 1e-12
+        assert np.max(np.abs(twist - ref_twist)) < 1e-12
+
+    def test_block_size_does_not_change_bits(self, monkeypatch):
+        psi = RealCharacter(13)
+        whole = _census_values(1009, psi)
+        monkeypatch.setattr("lmoll.moments._CENSUS_BLOCK", 1000)
+        blocked = _census_values(1009, psi)
+        assert all(np.array_equal(x, y) for x, y in zip(whole, blocked))
+
+    def test_memory_bounded_by_block(self):
+        # the modulus-qD range is 52012 long; held at once it peaks near 41 MB
+        psi = RealCharacter(13)
+        tracemalloc.start()
+        try:
+            census(4001, psi, 1e-8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
 
     def test_family_29_fully_nonvanishing(self):
         # empirical census at this modulus: every central value clears 1e-8
