@@ -1,9 +1,11 @@
 """Multiplicative arithmetic.
 
 Factorization, the real quadratic character psi(n) = (D/n) for a squarefree
-D = 1 (mod 4), the divisor-type sum (1*psi)(n) = sum_{d|n} psi(d), its
-Dirichlet inverse rho, Ramanujan sums, Kloosterman sums, and the long
-partial sums sum_{n<=x} (1*psi)(n)/n.
+D = 1 (mod 4), the principal character, the divisor-type sum
+(1*psi)(n) = sum_{d|n} psi(d), its Dirichlet inverse rho, the one
+Dirichlet-convolution sieve every divisor-sum table is built with,
+Ramanujan sums, Kloosterman sums, and the long partial sums
+sum_{n<=x} (1*psi)(n)/n.
 
 Everything here is exact integer arithmetic except the final partial sums,
 which use compensated summation in fixed ascending order.
@@ -251,8 +253,45 @@ class RealCharacter:
         return self.table()[np.mod(n, self.D)]
 
 
-def eval_psi(psi: RealCharacter, n: int) -> int:
-    return psi(n)
+@dataclass(frozen=True)
+class PrincipalCharacter:
+    """chi_0 mod m: 1 on units, 0 elsewhere.  The default modulus 1 gives the
+    character that is identically one."""
+
+    modulus: int = 1
+
+    is_trivial = True
+
+    def __call__(self, n: int) -> int:
+        return int(math.gcd(n, self.modulus) == 1)
+
+    def table(self) -> np.ndarray:
+        """chi_0(r) for residues r = 0..m-1, as int8."""
+        m = self.modulus
+        return np.array([math.gcd(r, m) == 1 for r in range(m)], dtype=np.int8)
+
+    def values(self) -> np.ndarray:
+        return self.table().astype(np.complex128)
+
+
+def dirichlet_convolution(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """(f*g)(n) = sum_{d|n} f(d) g(n/d) for n = 0..limit by a divisor sieve.
+
+    g is a table over 0..limit and f a table from 0 that counts as zero past
+    its end (entry 0 of both unused).  Terms are added in increasing d.  The
+    result takes their common dtype, so integer tables give exact integers.
+    """
+    limit = len(g) - 1
+    out = np.zeros(limit + 1, dtype=np.result_type(f, g))
+    for d in range(1, min(len(f), limit + 1)):
+        if f[d]:
+            out[d::d] += f[d] * g[1 : limit // d + 1]
+    return out
+
+
+def _cpow(n: int, z: complex) -> complex:
+    """n^z for a positive integer n and complex z."""
+    return cmath.exp(z * math.log(n))
 
 
 def one_star_psi(psi: RealCharacter, n: int) -> int:
@@ -272,14 +311,8 @@ def one_star_psi(psi: RealCharacter, n: int) -> int:
 
 def one_star_psi_table(psi: RealCharacter, limit: int) -> np.ndarray:
     """(1*psi)(n) for n = 0..limit by a divisor sieve (entry 0 unused)."""
-    table = np.zeros(limit + 1, dtype=np.int64)
-    psi_vals = psi.table()
-    for d in range(1, limit + 1):
-        v = int(psi_vals[d % psi.D])
-        if v:
-            table[d::d] += v
-    table[0] = 0
-    return table
+    psi_vals = np.tile(psi.table(), limit // psi.D + 1)[: limit + 1]
+    return dirichlet_convolution(psi_vals, np.ones(limit + 1, dtype=np.int64))
 
 
 def eval_rho(psi: RealCharacter, a: int) -> int:

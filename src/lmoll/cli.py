@@ -1,8 +1,9 @@
 """Batch command-line surface with machine-readable output.
 
-Every command is deterministic: no seeds, no environment configuration,
-thread count never changes a result.  Payloads are canonical JSON (sorted
-keys); census and moments also offer CSV.  With --out the payload is
+Every command is deterministic: no seeds, no environment configuration.
+Every command runs on one thread; --threads is still accepted and
+validated, but has no effect.  Payloads are canonical JSON (sorted keys);
+census and moments also offer CSV.  With --out the payload is
 written atomically (temp file in the target directory, then rename) and a
 one-line summary goes to stdout; without --out the payload itself is
 printed.  Exit codes: 0 success, 2 tolerance failure, 1 usage error.
@@ -37,7 +38,6 @@ from .offdiag import (
     brute_shifted_conv,
     main_term,
 )
-from .reduction import ordered_map
 from .special import SmoothBump
 from .voronoi import factor_character, voronoi_lhs, voronoi_rhs
 
@@ -150,9 +150,7 @@ def _cmd_moments(args) -> int:
     except ValueError as e:
         return _usage_error("--D", e)
     try:
-        report = mollified_moments(args.q, psi, args.X,
-                                   threshold=args.threshold,
-                                   threads=args.threads)
+        report = mollified_moments(args.q, psi, args.X, threshold=args.threshold)
     except ValueError as e:
         return _usage_error("--q/--X", e)
     if args.format == "csv":
@@ -175,13 +173,9 @@ def _cmd_afe_check(args) -> int:
     except ValueError as e:
         return _usage_error("--D", e)
     try:
-        group = build_group(args.q)
-        family = enumerate_even_primitive(group)
-
-        def residual(chi) -> float:
-            return abs(afe_central(chi, psi).L_central - oracle_product(chi, psi))
-
-        residuals = ordered_map(residual, family, threads=args.threads)
+        family = enumerate_even_primitive(build_group(args.q))
+        residuals = [abs(afe_central(chi, psi).L_central - oracle_product(chi, psi))
+                     for chi in family]
     except ValueError as e:
         return _usage_error("--q/--D", e)
     worst = max(residuals, default=0.0)
@@ -299,8 +293,11 @@ def _cmd_shifted_conv(args) -> int:
                                        sign=args.sign)
         except ValueError as e:
             return _usage_error("--a/--b/--q/--scales/--sign", e)
-        brute = brute_shifted_conv(params, threads=args.threads)
-        main, tail = main_term(params, args.L_max)
+        brute = brute_shifted_conv(params)
+        try:
+            main, tail = main_term(params, args.L_max)
+        except ValueError as e:
+            return _usage_error("--L-max", e)
         rel = abs(brute - main) / abs(brute) if brute != 0.0 else None
         rows.append({"M": scale, "N": scale, "brute": brute, "main": main,
                      "rel_deviation": rel, "tail": tail})
@@ -332,7 +329,7 @@ def _cmd_voronoi_check(args) -> int:
         return _usage_error("--bump-lo/--bump-hi", e)
     try:
         lhs = voronoi_lhs(case, g)
-        rhs = voronoi_rhs(case, g, m_max=args.m_max, threads=args.threads)
+        rhs = voronoi_rhs(case, g, m_max=args.m_max)
     except ValueError as e:
         return _usage_error("--bump-hi/--m-max", e)
     residual = abs(lhs - rhs.value)
@@ -356,7 +353,8 @@ def _cmd_voronoi_check(args) -> int:
 
 def _add_common(p: argparse.ArgumentParser, formats: bool = False) -> None:
     p.add_argument("--out", default=None, help="output file (atomic write)")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility; has no effect")
     if formats:
         p.add_argument("--format", choices=("json", "csv"), default="json")
     else:

@@ -19,8 +19,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import RealCharacter, one_star_psi_table
-from .characters import DirichletCharacter, epsilon, epsilon_product_direct
+from .arith import PrincipalCharacter, RealCharacter, one_star_psi_table
+from .characters import DirichletCharacter, epsilon, epsilon_product_direct, product_values
 from .special import (
     WeightFunction,
     _digamma_arr,
@@ -75,20 +75,6 @@ def hurwitz_zeta(s: complex, x: float, shift: int = _EM_SHIFT) -> complex:
     return complex(hurwitz_zeta_vec(s, np.array([x]), shift=shift)[0])
 
 
-@dataclass(frozen=True)
-class PrincipalCharacter:
-    """chi_0 mod m: 1 on units, 0 elsewhere.  Oracle-side convenience."""
-
-    modulus: int
-
-    is_trivial = True
-
-    def values(self) -> np.ndarray:
-        m = self.modulus
-        return np.array([1.0 if math.gcd(a, m) == 1 else 0.0 for a in range(m)],
-                        dtype=np.complex128)
-
-
 def _character_data(chi) -> tuple[int, np.ndarray, bool]:
     if isinstance(chi, RealCharacter):
         return chi.D, chi.table().astype(np.complex128), False
@@ -122,15 +108,6 @@ def oracle_L(s: complex, chi, shift: int = _EM_SHIFT) -> complex:
     return _dirichlet_L(s, modulus, values, shift=shift)
 
 
-def product_character_values(chi: DirichletCharacter, psi: RealCharacter) -> np.ndarray:
-    """(chi psi)(a) for a = 0..qD-1 by pointwise multiplicativity."""
-    q, D = chi.modulus, psi.D
-    if math.gcd(q, D) != 1:
-        raise ValueError("moduli must be coprime")
-    a = np.arange(q * D)
-    return chi.values()[a % q] * psi.table()[a % D]
-
-
 def oracle_product_at(s: complex, chi: DirichletCharacter, psi: RealCharacter,
                       shift: int = _EM_SHIFT) -> complex:
     """L(s,chi) L(s,chi psi), both factors by the Hurwitz route."""
@@ -138,7 +115,7 @@ def oracle_product_at(s: complex, chi: DirichletCharacter, psi: RealCharacter,
         raise ValueError("principal character rejected")
     first = oracle_L(s, chi, shift=shift)
     second = _dirichlet_L(s, chi.modulus * psi.D,
-                          product_character_values(chi, psi), shift=shift)
+                          product_values(chi, psi), shift=shift)
     return first * second
 
 

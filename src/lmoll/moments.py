@@ -14,7 +14,6 @@ functions evaluated here in closed form.
 """
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -25,6 +24,8 @@ import numpy as np
 
 from .arith import (
     RealCharacter,
+    _cpow,
+    dirichlet_convolution,
     divisors,
     eval_rho,
     factor,
@@ -40,7 +41,7 @@ from .characters import (
     phi_plus,
 )
 from .lvalues import AFEConfig, _afe_tables, afe_central, default_config, hurwitz_zeta_vec
-from .reduction import kahan_sum, kahan_sum_complex, ordered_map
+from .reduction import kahan_sum, kahan_sum_complex
 
 __all__ = [
     "MollifierTable",
@@ -145,8 +146,7 @@ def _moment_guards(q: int, psi: RealCharacter, X: int) -> None:
 
 def mollified_moments(q: int, psi: RealCharacter, X: int,
                       cfg: AFEConfig | None = None,
-                      threshold: float = 1e-8,
-                      threads: int = 1) -> MomentReport:
+                      threshold: float = 1e-8) -> MomentReport:
     """First and second mollified moments over the even primitive family.
 
     ratio is |S1|^2 / (phi_plus(q) S2), the Cauchy-Schwarz proportion; it is
@@ -160,15 +160,14 @@ def mollified_moments(q: int, psi: RealCharacter, X: int,
     table = build_mollifier(psi, X)
     family = enumerate_even_primitive(build_group(q))
 
-    def one(chi: DirichletCharacter) -> tuple[complex, float, int]:
-        pair = afe_central(chi, psi, cfg)
-        t = pair.L_central * eval_mollifier(table, chi)
-        return t, abs(t) ** 2, int(abs(pair.L_central) > threshold)
-
-    rows = ordered_map(one, family, threads=threads)
-    s1 = kahan_sum_complex([r[0] for r in rows])
-    s2 = kahan_sum([r[1] for r in rows])
-    nonzero = sum(r[2] for r in rows)
+    terms = []
+    nonzero = 0
+    for chi in family:
+        central = afe_central(chi, psi, cfg).L_central
+        terms.append(central * eval_mollifier(table, chi))
+        nonzero += int(abs(central) > threshold)
+    s1 = kahan_sum_complex(terms)
+    s2 = kahan_sum([abs(t) ** 2 for t in terms])
     denom = phi_plus(q) * s2
     ratio = abs(s1) ** 2 / denom if denom > 0 else 0.0
     ratio = min(max(ratio, 0.0), 1.0 + 1e-9)
@@ -307,17 +306,13 @@ class EulerProductFamily:
             raise ValueError("truncation must be positive")
 
 
-def _pow(p: int, z: complex) -> complex:
-    return cmath.exp(z * math.log(p))
-
-
 def euler_product(family: EulerProductFamily, psi: RealCharacter) -> complex:
     u, v = complex(family.u), complex(family.v)
     if family.which == "A":
         out = 1.0 + 0.0j
         for p, _ in factor(psi.D).factors:
-            out *= (1 + 1 / p - _pow(p, -(1 + u)) - _pow(p, -(1 + v))) \
-                / (1 - _pow(p, -(1 + u + v)))
+            out *= (1 + 1 / p - _cpow(p, -(1 + u)) - _cpow(p, -(1 + v))) \
+                / (1 - _cpow(p, -(1 + u + v)))
         return out
     if family.which == "B":
         if family.truncation < 10**3:
@@ -382,7 +377,7 @@ def _restricted_inverse_triple_sum(D: int, u: complex, v: complex) -> complex:
                 rg = eval_rho(psi, d * g)
                 if rg == 0:
                     continue
-                total += re * rg / (d * _pow(e, 1 + u) * _pow(g, 1 + v))
+                total += re * rg / (d * _cpow(e, 1 + u) * _cpow(g, 1 + v))
     return total
 
 
@@ -394,7 +389,7 @@ def restricted_divisor_product_check(D: int, u: complex, v: complex) -> float:
     lhs = _restricted_inverse_triple_sum(D, complex(u), complex(v))
     rhs = 1.0 + 0.0j
     for p, _ in f.factors:
-        rhs *= 1 + 1 / p - _pow(p, -(1 + complex(u))) - _pow(p, -(1 + complex(v)))
+        rhs *= 1 + 1 / p - _cpow(p, -(1 + complex(u))) - _cpow(p, -(1 + complex(v)))
     return abs(lhs - rhs)
 
 
@@ -402,16 +397,17 @@ def restricted_divisor_product_check(D: int, u: complex, v: complex) -> float:
 # the multiplicative family feeding the split-prime factor
 
 
+def _tau_table(limit: int) -> np.ndarray:
+    """tau = 1 * 1, the divisor count, for n = 0..limit."""
+    ones = np.ones(limit + 1, dtype=np.int64)
+    return dirichlet_convolution(ones, ones)
+
+
 @lru_cache(maxsize=8)
 def tau4_table(limit: int) -> np.ndarray:
     """tau4 = tau * tau by direct Dirichlet convolution, exact integers."""
-    tau = np.zeros(limit + 1, dtype=np.int64)
-    for d in range(1, limit + 1):
-        tau[d::d] += 1
-    out = np.zeros(limit + 1, dtype=np.int64)
-    for d in range(1, limit + 1):
-        out[d::d] += tau[d] * tau[1 : limit // d + 1]
-    return out
+    tau = _tau_table(limit)
+    return dirichlet_convolution(tau, tau)
 
 
 def tau4_prime_power(j: int) -> int:
@@ -442,33 +438,33 @@ def g_family_eval(name: str, p: int, j: int, u: complex, v: complex,
         if psi(p) == -1:
             return complex(1 - j % 2)
         s = 1 + u + v
-        return 1 + j * (_pow(p, s) - 1) / (_pow(p, s) + 1)
+        return 1 + j * (_cpow(p, s) - 1) / (_cpow(p, s) + 1)
     if name == "h2":
         return 1.0 / (1 + p**-2)
-    P = _pow(p, -(1 + u + v))
+    P = _cpow(p, -(1 + u + v))
     h2 = 1.0 / (1 + p**-2)
     if name == "h3":
         _require_split(name, psi, p)
         if j != 1:
             raise ValueError("h3 is evaluated on squarefree arguments only")
-        return 4 - (4 / p) * (_pow(p, -u) + _pow(p, -v)) / (1 + P)
+        return 4 - (4 / p) * (_cpow(p, -u) + _cpow(p, -v)) / (1 + P)
     if name == "g1":
         _require_split(name, psi, p)
         if j == 1:
-            return -4 * h2 * (_pow(p, -u) + _pow(p, -v)) / (1 + P)
+            return -4 * h2 * (_cpow(p, -u) + _cpow(p, -v)) / (1 + P)
         if j == 2:
-            return h2 * (3 - P) * (_pow(p, -2 * u) + _pow(p, -2 * v)) / (1 + P)
+            return h2 * (3 - P) * (_cpow(p, -2 * u) + _cpow(p, -2 * v)) / (1 + P)
         return 0.0 + 0.0j
     if name == "g2":
         _require_split(name, psi, p)
         if j == 1:
-            return 4 * h2 - 4 * h2 * (1 + 1 / p) * (_pow(p, -u) + _pow(p, -v)) / (1 + P)
+            return 4 * h2 - 4 * h2 * (1 + 1 / p) * (_cpow(p, -u) + _cpow(p, -v)) / (1 + P)
         if j == 2:
             return g_family_eval("g1", p, 2, u, v, psi)
         return 0.0 + 0.0j
     if name == "g3":
         _require_split(name, psi, p)
-        w = _pow(p, -(u + v))
+        w = _cpow(p, -(u + v))
         if j == 1:
             return g_family_eval("g2", p, 1, u, v, psi) + 4 * w
         g2_1 = g_family_eval("g2", p, 1, u, v, psi)
@@ -496,9 +492,7 @@ def lacunary_divisor_sum(psi: RealCharacter, A: int, k: int = 1) -> Fraction:
     if hi > 10**6:
         raise ValueError("range too large for exact summation")
     lo = D**4
-    tau = np.zeros(hi + 1, dtype=np.int64)
-    for d in range(1, hi + 1):
-        tau[d::d] += 1
+    tau = _tau_table(hi)
     ospi = one_star_psi_table(psi, hi)
     lcm = 1
     for n in range(lo + 1, hi + 1):

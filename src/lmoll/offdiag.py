@@ -14,7 +14,6 @@ increasing modulus order and never reordered.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -23,9 +22,17 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import rgamma
 
-from .arith import RealCharacter, divisors, factor, is_prime, one_star_psi_table, spf_table
+from .arith import (
+    RealCharacter,
+    _cpow,
+    dirichlet_convolution,
+    divisors,
+    factor,
+    is_prime,
+    one_star_psi_table,
+    spf_table,
+)
 from .lvalues import oracle_L
-from .reduction import ordered_map
 from .special import SmoothBump, gamma_complex
 
 __all__ = [
@@ -116,15 +123,11 @@ def _weight_arrays(p: ShiftedConvParams):
     return m_lo, m_hi, n_lo, n_hi, wm, wn
 
 
-_BLOCK = 4096
-
-
-def brute_shifted_conv(params: ShiftedConvParams, threads: int = 1) -> float:
+def brute_shifted_conv(params: ShiftedConvParams) -> float:
     """Exact lattice sum over the support of the two bumps.
 
     Terms are grouped by m; each group is summed exactly (math.fsum), as is
-    the final reduction over groups, so the result is independent of block
-    layout and thread count.  The sign "both" counts a pair once per
+    the final reduction over groups.  The sign "both" counts a pair once per
     congruence branch it satisfies, so it equals the "+" and "-" values
     added together.
     """
@@ -135,30 +138,23 @@ def brute_shifted_conv(params: ShiftedConvParams, threads: int = 1) -> float:
     q = p.q
     binv = pow(p.b, -1, q)
     branches = p.branches()
-
-    def block(start: int) -> np.ndarray:
-        stop = min(start + _BLOCK, m_hi + 1)
-        out = np.zeros(stop - start)
-        for m in range(start, stop):
-            w1 = wm[m - m_lo]
-            if w1 == 0.0:
-                continue
-            am = p.a * m
-            pieces = []
-            for sgn in branches:
-                t = (sgn * am * binv) % q
-                first = n_lo + (t - n_lo) % q
-                ns = np.arange(first, n_hi + 1, q)
-                ns = ns[p.b * ns != am]  # the diagonal is excluded in both branches
-                if ns.size:
-                    pieces.append(w1 * wn[ns - n_lo])
-            if pieces:
-                out[m - start] = math.fsum(np.concatenate(pieces))
-        return out
-
-    starts = list(range(m_lo, m_hi + 1, _BLOCK))
-    partials = ordered_map(block, starts, threads=threads)
-    return math.fsum(np.concatenate(partials)) if partials else 0.0
+    groups = np.zeros(m_hi - m_lo + 1)
+    for m in range(m_lo, m_hi + 1):
+        w1 = wm[m - m_lo]
+        if w1 == 0.0:
+            continue
+        am = p.a * m
+        pieces = []
+        for sgn in branches:
+            t = (sgn * am * binv) % q
+            first = n_lo + (t - n_lo) % q
+            ns = np.arange(first, n_hi + 1, q)
+            ns = ns[p.b * ns != am]  # the diagonal is excluded in both branches
+            if ns.size:
+                pieces.append(w1 * wn[ns - n_lo])
+        if pieces:
+            groups[m - m_lo] = math.fsum(np.concatenate(pieces))
+    return math.fsum(groups)
 
 
 def shifted_conv_r_decomposed(params: ShiftedConvParams) -> float:
@@ -213,12 +209,10 @@ def _mobius_table(limit: int) -> np.ndarray:
 
 def _ramanujan_column(r: int, limit: int) -> np.ndarray:
     """c_ell(r) for ell = 1..limit via sum_{d | (r,ell)} mu(ell/d) d."""
-    mu = _mobius_table(limit)
-    out = np.zeros(limit + 1, dtype=np.int64)
-    for d in divisors(abs(r)):
-        if d <= limit:
-            out[d::d] += d * mu[1 : limit // d + 1]
-    return out[1:]
+    divs = divisors(abs(r))
+    f = np.zeros(divs[-1] + 1, dtype=np.int64)
+    f[divs] = divs
+    return dirichlet_convolution(f, _mobius_table(limit))[1:]
 
 
 def _series_check(a: int, b: int, r: int, psi: RealCharacter) -> None:
@@ -229,11 +223,19 @@ def _series_check(a: int, b: int, r: int, psi: RealCharacter) -> None:
     del psi
 
 
-def _series_terms(a: int, b: int, r: int, psi: RealCharacter, limit: int) -> np.ndarray:
-    """Series terms for ell = 1..limit, in increasing-ell order.
+def _check_L_max(L_max: int) -> None:
+    if L_max < 1000:
+        raise ValueError("L_max below 1000 gives useless tails")
+    if L_max > 10**7:
+        raise ValueError("L_max above 10^7 exceeds the Mobius sieve cap")
 
-    Term: (psi(ell_a ell_b) + [D | (ell_a, ell_b)] D psi(a'b')) c_ell(r)
-    divided by ell_a ell_b, with ell_a = ell/(a,ell) and a' = a/(a,ell).
+
+def _series_coeff(a: int, b: int, psi: RealCharacter,
+                  limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """Shift-free numerator and denominator of the series terms, ell = 1..limit.
+
+    Numerator psi(ell_a ell_b) + [D | (ell_a, ell_b)] D psi(a'b'), denominator
+    ell_a ell_b, with ell_a = ell/(a,ell) and a' = a/(a,ell).
     """
     D = psi.D
     ell = np.arange(1, limit + 1, dtype=np.int64)
@@ -246,7 +248,14 @@ def _series_terms(a: int, b: int, r: int, psi: RealCharacter, limit: int) -> np.
     chi_red = tab[(a // ga) % D] * tab[(b // gb) % D]
     deep = np.gcd(ell_a, ell_b) % D == 0
     coeff = chi_ell + np.where(deep, D * chi_red, 0)
-    return coeff * _ramanujan_column(r, limit) / (ell_a * ell_b).astype(np.float64)
+    return coeff, (ell_a * ell_b).astype(np.float64)
+
+
+def _series_terms(a: int, b: int, r: int, psi: RealCharacter, limit: int) -> np.ndarray:
+    """Series terms coeff(ell) c_ell(r)/(ell_a ell_b) for ell = 1..limit, in
+    increasing-ell order."""
+    coeff, denom = _series_coeff(a, b, psi, limit)
+    return coeff * _ramanujan_column(r, limit) / denom
 
 
 def _series_tail(a: int, b: int, r: int, D: int, limit: int) -> float:
@@ -280,8 +289,7 @@ class SingularSeries:
 def singular_series(a: int, b: int, r: int, psi: RealCharacter,
                     L_max: int = 10000) -> SingularSeries:
     _series_check(a, b, r, psi)
-    if L_max < 1000:
-        raise ValueError("L_max below 1000 gives useless tails")
+    _check_L_max(L_max)
     value = math.fsum(_series_terms(a, b, r, psi, L_max))
     return SingularSeries(a, b, r, psi, L_max, value,
                           _series_tail(a, b, r, psi.D, L_max))
@@ -354,22 +362,6 @@ def _valuation(n: int, p: int) -> int:
     return v
 
 
-def _series_weights(a: int, b: int, psi: RealCharacter, limit: int) -> np.ndarray:
-    """Shift-free part of the series terms: coeff(ell)/(ell_a ell_b)."""
-    D = psi.D
-    ell = np.arange(1, limit + 1, dtype=np.int64)
-    ga = np.gcd(ell, a)
-    gb = np.gcd(ell, b)
-    ell_a = ell // ga
-    ell_b = ell // gb
-    tab = psi.table()
-    chi_ell = tab[ell_a % D] * tab[ell_b % D]
-    chi_red = tab[(a // ga) % D] * tab[(b // gb) % D]
-    deep = np.gcd(ell_a, ell_b) % D == 0
-    coeff = chi_ell + np.where(deep, D * chi_red, 0)
-    return coeff / (ell_a * ell_b).astype(np.float64)
-
-
 def singular_series_r_sum(a: int, b: int, R: int, psi: RealCharacter,
                           L_max: int = 10000) -> tuple[float, float]:
     """sum_{r=1..R} of the truncated shift series over r^2, with tail bound.
@@ -382,15 +374,14 @@ def singular_series_r_sum(a: int, b: int, R: int, psi: RealCharacter,
     _series_check(a, b, 1, psi)
     if R < 1:
         raise ValueError("R must be positive")
-    if L_max < 1000:
-        raise ValueError("L_max below 1000 gives useless tails")
-    w = _series_weights(a, b, psi, L_max)
-    mu = _mobius_table(L_max)
+    _check_L_max(L_max)
+    coeff, denom = _series_coeff(a, b, psi, L_max)
     h2 = np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1, R + 1, dtype=np.float64) ** 2)))
-    inner = np.zeros(L_max + 1)
-    for d in range(1, L_max + 1):
-        inner[d::d] += (h2[min(R // d, R)] / d) * mu[1 : L_max // d + 1]
-    value = math.fsum(w * inner[1:])
+    # f(d) = H2(R//d)/d, which vanishes for d > R
+    d = np.arange(1, min(R, L_max) + 1)
+    f = np.concatenate(([0.0], h2[R // d] / d))
+    inner = dirichlet_convolution(f, _mobius_table(L_max))
+    value = math.fsum(coeff / denom * inner[1:])
     # per-r tails summed against 1/r^2, regrouped by the divisor d:
     # sum_{r<=R} tail_r/r^2 = (1+D)ab sum_d cap(d) d^{-3} H2(R//d)
     d_arr = np.arange(1, R + 1)
@@ -427,10 +418,6 @@ def dirichlet_series_G(a: int, b: int, s: complex, psi: RealCharacter) -> comple
         piece1 *= l1
         piece2 *= l2
     return prefactor * (piece1 + piece2)
-
-
-def _cpow(p: int, z: complex) -> complex:
-    return cmath.exp(z * math.log(p))
 
 
 def _g_local_pair(p: int, alpha: int, beta: int, s: complex,
@@ -473,6 +460,7 @@ def main_term(params: ShiftedConvParams, L_max: int = 100000) -> tuple[float, fl
     by the bump supports.  The tail bound aggregates the series tails
     weighted by |integral|; the r-truncation itself is exact.
     """
+    _check_L_max(L_max)
     p = params
     a, b, q = p.a, p.b, p.q
     aM, bN = a * p.M, b * p.N

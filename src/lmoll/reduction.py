@@ -1,17 +1,12 @@
-"""Deterministic accumulation helpers.
+"""Compensated sums.
 
-All reductions in this package must be reproducible bit-for-bit across runs
-and across worker counts, so floating sums are compensated and parallel maps
-always gather results in input order before reducing.
+All reductions in this package must be reproducible bit-for-bit across runs,
+so floating sums are compensated and always taken in a fixed order.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
-
-T = TypeVar("T")
-R = TypeVar("R")
+from typing import Iterable
 
 
 class KahanSum:
@@ -51,12 +46,3 @@ def kahan_sum_complex(values: Iterable[complex]) -> complex:
         im.add(v.imag)
     return complex(re.value, im.value)
 
-
-def ordered_map(fn: Callable[[T], R], items: Sequence[T], threads: int = 1) -> list[R]:
-    """Map fn over items, possibly on a thread pool, returning results in
-    input order regardless of completion order.  threads=1 is a plain loop,
-    and any threads value yields the identical result list."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))

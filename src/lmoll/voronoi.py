@@ -23,14 +23,12 @@ from scipy.integrate import quad
 from scipy.special import k0 as bessel_k0
 from scipy.special import y0 as bessel_y0
 
-from .arith import RealCharacter, one_star_psi_table
+from .arith import PrincipalCharacter, RealCharacter, dirichlet_convolution, one_star_psi_table
 from .characters import gauss_sum_real
 from .lvalues import oracle_L
-from .reduction import ordered_map
 from .special import SmoothBump
 
 __all__ = [
-    "TrivialCharacter",
     "VoronoiCase",
     "VoronoiDual",
     "factor_character",
@@ -41,33 +39,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TrivialCharacter:
-    """The character mod 1: identically one, Gauss sum one by convention."""
-
-    @property
-    def modulus(self) -> int:
-        return 1
-
-    def __call__(self, n: int) -> int:
-        return 1
-
-    def table(self) -> np.ndarray:
-        return np.ones(1, dtype=np.int8)
-
-
-FactorCharacter = RealCharacter | TrivialCharacter
+# a factor slot of modulus 1 holds the principal character mod 1, which is
+# identically one
+FactorCharacter = RealCharacter | PrincipalCharacter
 
 
 def gauss_sum_any(chi: FactorCharacter) -> complex:
-    if isinstance(chi, TrivialCharacter):
+    """Gauss sum of a factor character; one for the character mod 1."""
+    if isinstance(chi, PrincipalCharacter):
         return 1.0 + 0j
     return gauss_sum_real(chi)
 
 
 def _character_for(modulus: int) -> FactorCharacter:
     if modulus == 1:
-        return TrivialCharacter()
+        return PrincipalCharacter()
     if modulus % 4 == 3:
         # the real primitive character mod this factor would be odd, and the
         # dual expansion below only covers the even case
@@ -124,15 +110,12 @@ def factor_character(psi: RealCharacter, c: int, a: int = 1) -> VoronoiCase:
 @lru_cache(maxsize=32)
 def _conv_table(d1: int, d2: int, limit: int) -> np.ndarray:
     """(psi1 * psi2)(m) for m = 1..limit by divisor sieve, index 0 unused."""
-    t1 = _character_for(d1).table().astype(np.float64)
+    # psi1 stays int8 to keep its table small; the float64 psi2 table makes
+    # the result float64
+    t1 = _character_for(d1).table()
     t2 = _character_for(d2).table().astype(np.float64)
-    out = np.zeros(limit + 1)
-    for d in range(1, limit + 1):
-        v1 = t1[d % d1]
-        if v1 != 0.0:
-            cof = np.arange(1, limit // d + 1)
-            out[d::d] += v1 * t2[cof % d2]
-    return out
+    return dirichlet_convolution(np.tile(t1, limit // d1 + 1)[: limit + 1],
+                                 np.tile(t2, limit // d2 + 1)[: limit + 1])
 
 
 def dual_coefficients(case: VoronoiCase, limit: int) -> np.ndarray:
@@ -247,8 +230,7 @@ class VoronoiDual:
     insufficient: bool
 
 
-def voronoi_rhs(case: VoronoiCase, g: SmoothBump, m_max: int = 100000,
-                threads: int = 1) -> VoronoiDual:
+def voronoi_rhs(case: VoronoiCase, g: SmoothBump, m_max: int = 100000) -> VoronoiDual:
     """Constant term plus Y0/K0 dual sums, with tail accounting.
 
     The Y0 sum stops after a run of negligible integrals; zero convolution
@@ -277,33 +259,25 @@ def voronoi_rhs(case: VoronoiCase, g: SmoothBump, m_max: int = 100000,
     conv = dual_coefficients(case, m_max)
     alpha0 = 4.0 * math.pi / (c * math.sqrt(D_c))
 
-    def y_one(mm: int) -> float:
-        if conv[mm] == 0.0:
-            return 0.0
-        return _oscillatory_integral(g, t0, t1, alpha0 * math.sqrt(mm))
-
     y_terms: list[complex] = []
     trailing = 0.0
     small_run = 0
     m_used_y = 0
     y_settled = False
-    m = 1
-    while m <= m_max and not y_settled:
-        block = list(range(m, min(m + 64, m_max + 1)))
-        for mm, integral in zip(block, ordered_map(y_one, block, threads=threads)):
-            m_used_y = mm
-            if conv[mm] == 0.0:
-                # contributes nothing; extends a run already under way but
-                # cannot start one, so a zero-density stretch never stops us
-                small_run = small_run + 1 if small_run > 0 else 0
-            else:
-                y_terms.append(conv[mm] * roots[-inv * mm % c] * integral)
-                trailing = max(trailing, abs(integral)) if small_run > 0 else abs(integral)
-                small_run = small_run + 1 if abs(integral) < _Y_EPS else 0
-            if small_run >= _settle_run(t0, alpha0, mm):
-                y_settled = True
-                break
-        m += 64
+    for mm in range(1, m_max + 1):
+        m_used_y = mm
+        if conv[mm] == 0.0:
+            # contributes nothing; extends a run already under way but
+            # cannot start one, so a zero-density stretch never stops us
+            small_run = small_run + 1 if small_run > 0 else 0
+        else:
+            integral = _oscillatory_integral(g, t0, t1, alpha0 * math.sqrt(mm))
+            y_terms.append(conv[mm] * roots[-inv * mm % c] * integral)
+            trailing = max(trailing, abs(integral)) if small_run > 0 else abs(integral)
+            small_run = small_run + 1 if abs(integral) < _Y_EPS else 0
+        if small_run >= _settle_run(t0, alpha0, mm):
+            y_settled = True
+            break
     # superpolynomial decay with divisor-sized coefficients: the unreached
     # terms are scored at the stopping level times an m log^2 m envelope
     y_tail = m_used_y * math.log(m_used_y + 2.0) ** 2 * max(trailing, _Y_EPS)
@@ -313,16 +287,10 @@ def voronoi_rhs(case: VoronoiCase, g: SmoothBump, m_max: int = 100000,
     beta = alpha0 * t0
     m_stop_k = min(m_max, int((50.0 / beta) ** 2) + 1)
 
-    def k_block(start: int) -> np.ndarray:
-        stop = min(start + 64, m_stop_k + 1)
-        out = np.zeros((stop - start, 2))
-        for i, mm in enumerate(range(start, stop)):
-            if conv[mm] != 0.0:
-                out[i] = _decaying_integral(g, t0, t1, alpha0 * math.sqrt(mm))
-        return out
-
-    k_rows = ordered_map(k_block, list(range(1, m_stop_k + 1, 64)), threads=threads)
-    k_vals = np.concatenate(k_rows) if k_rows else np.zeros((0, 2))
+    k_vals = np.zeros((m_stop_k, 2))
+    for mm in range(1, m_stop_k + 1):
+        if conv[mm] != 0.0:
+            k_vals[mm - 1] = _decaying_integral(g, t0, t1, alpha0 * math.sqrt(mm))
     k_terms = [conv[mm] * roots[inv * mm % c] * k_vals[mm - 1, 0]
                for mm in range(1, m_stop_k + 1)]
     dual_k = pref_k * complex(math.fsum(t.real for t in k_terms),

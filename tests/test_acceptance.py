@@ -195,7 +195,7 @@ def test_c09_twisted_summation_grid():
                     (65, 3, 1), (65, 10, 3), (65, 65, 2)):
         case = factor_character(RealCharacter(D), c, a)
         for g in (g_wide, g_mid):
-            rhs = voronoi_rhs(case, g, threads=4)
+            rhs = voronoi_rhs(case, g)
             assert not rhs.insufficient, (D, c, a)
             worst = max(worst, abs(voronoi_lhs(case, g) - rhs.value))
     elapsed = time.time() - t0
@@ -211,7 +211,7 @@ def test_c10_shifted_convolution_trend():
     devs = []
     for scale in (2500.0, 5000.0, 10000.0):
         p = ShiftedConvParams(a=1, b=1, q=101, M=scale, N=scale, psi=PSI5)
-        brute = brute_shifted_conv(p, threads=4)
+        brute = brute_shifted_conv(p)
         main, _ = main_term(p)
         devs.append(abs(brute - main) / abs(brute))
     rises = [(a, b) for a, b in zip(devs, devs[1:]) if b > a]
@@ -239,7 +239,7 @@ def test_c11_lacunarity():
                    reason="the first-moment ratio misses the bound at desk "
                           "scale; see the project notes for the margin scan")
 def test_c12_first_moment_ratio():
-    rep = mollified_moments(101, PSI5, 25, threads=4)
+    rep = mollified_moments(101, PSI5, 25)
     dev = abs(rep.s1.real / phi_plus(101) - 1.0)
     report("12a", dev < 0.2, f"|S1/family - 1| = {dev:.6f} vs 0.2")
     assert dev < 0.2

@@ -8,10 +8,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lmoll.arith import (
     FactoredInt,
+    PrincipalCharacter,
     RealCharacter,
+    dirichlet_convolution,
     divisors,
     euler_phi,
     eval_rho,
@@ -152,6 +156,55 @@ def test_one_star_psi_table_matches_pointwise():
     table = one_star_psi_table(psi, 2000)
     for n in range(1, 2001):
         assert table[n] == one_star_psi(psi, n)
+
+
+# squarefree D = 1 (mod 4): the moduli of the even real characters
+SQUAREFREE_D = [D for D in range(5, 400, 4) if factor(D).is_squarefree()]
+
+
+@st.composite
+def character_split(draw):
+    """Character tables mod shared = (c, D) and mod D/shared over 0..limit, as
+    in the Voronoi dual.  Splits whose factors carry odd characters (moduli
+    3 mod 4) are left out; a factor of modulus 1 is the principal character."""
+    D = draw(st.sampled_from(SQUAREFREE_D))
+    shared = draw(st.sampled_from([d for d in divisors(D) if d % 4 == 1]))
+    limit = draw(st.integers(1, 3000))
+    dtype = draw(st.sampled_from((np.int64, np.float64)))
+    n = np.arange(limit + 1)
+    tables = []
+    for m in (shared, D // shared):
+        chi = PrincipalCharacter() if m == 1 else RealCharacter(m)
+        tables.append(chi.table().astype(dtype)[n % m])
+    return tables[0], tables[1]
+
+
+@settings(max_examples=30, deadline=None)
+@given(character_split())
+def test_dirichlet_convolution_is_pointwise_divisor_sum(fg):
+    f, g = fg
+    got = dirichlet_convolution(f, g)
+    assert got.dtype == f.dtype and len(got) == len(f)
+    for n in range(1, len(f)):
+        assert got[n] == sum(f[d] * g[n // d] for d in divisors(n))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(SQUAREFREE_D), st.integers(1, 3000))
+def test_one_star_psi_table_matches_pointwise_random_D(D, limit):
+    psi = RealCharacter(D)
+    table = one_star_psi_table(psi, limit)
+    assert table.tolist() == [0] + [one_star_psi(psi, n) for n in range(1, limit + 1)]
+
+
+def test_principal_character():
+    chi0 = PrincipalCharacter(12)
+    assert chi0.table().tolist() == [0, 1, 0, 0, 0, 1, 0, 1, 0, 0, 0, 1]
+    assert chi0.values().dtype == np.complex128
+    assert [chi0(n) for n in (-1, 5, 6, 25)] == [1, 1, 0, 1]
+    trivial = PrincipalCharacter()
+    assert trivial.modulus == 1 and trivial.is_trivial
+    assert trivial(0) == trivial(-7) == 1
 
 
 def test_eval_rho_values():

@@ -3,15 +3,35 @@
 Numerical values are covered by the module suites; here we check the
 plumbing contract: usage errors exit 1 and name the flag, tolerance
 failures exit 2, output files are written atomically and byte-identical
-across reruns.
+across reruns and to the frozen payloads in tests/golden/cli_payloads.json.
 """
 from __future__ import annotations
 
 import json
+import pathlib
+import sys
+import tempfile
 
 import pytest
 
 from lmoll.cli import main
+
+GOLDEN_PAYLOADS = pathlib.Path(__file__).parent / "golden" / "cli_payloads.json"
+
+# one small run of each command, plus the CSV form of the two table commands
+GOLDEN_ARGVS = {
+    "census": ["census", "--q", "29", "--D", "5"],
+    "census-csv": ["census", "--q", "29", "--D", "5", "--format", "csv"],
+    "moments": ["moments", "--q", "29", "--D", "5", "--X", "10"],
+    "moments-csv": ["moments", "--q", "29", "--D", "5", "--X", "10",
+                    "--format", "csv"],
+    "afe-check": ["afe-check", "--q", "13", "--D", "5"],
+    "identity-suite": ["identity-suite", "--max-q", "11", "--max-D", "20"],
+    "shifted-conv": ["shifted-conv", "--a", "1", "--b", "1", "--q", "101",
+                     "--D", "5", "--scales", "200,300"],
+    "voronoi-check": ["voronoi-check", "--D", "5", "--c", "3", "--a", "2",
+                      "--bump-lo", "50", "--bump-hi", "4850"],
+}
 
 
 def run_cli(argv):
@@ -24,6 +44,11 @@ def run_cli(argv):
 def payload_of(capsys):
     out = capsys.readouterr().out.splitlines()
     return json.loads("\n".join(out[1:]))
+
+
+def payload_bytes(argv, out_path: pathlib.Path) -> tuple[int, bytes]:
+    rc = run_cli(list(argv) + ["--out", str(out_path)])
+    return rc, out_path.read_bytes()
 
 
 class TestPlumbing:
@@ -56,6 +81,30 @@ class TestPlumbing:
         rc = run_cli(["census", "--q", "29", "--D", "5", "--threads", "0"])
         assert rc == 1
         assert "--threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("L_max", ["10", "20000000"])
+    def test_L_max_out_of_range_named(self, L_max, capsys):
+        rc = run_cli(["shifted-conv", "--a", "1", "--b", "1", "--q", "101",
+                      "--D", "5", "--scales", "200", "--L-max", L_max])
+        assert rc == 1
+        assert "--L-max" in capsys.readouterr().err
+
+
+class TestGoldenPayloads:
+    """Payload bytes of GOLDEN_ARGVS, frozen at an earlier commit, so a change
+    that moves any bit of any command's output fails here.  Regenerate only
+    at a commit whose outputs are trusted:
+
+        PYTHONPATH=src python tests/test_cli.py
+    """
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_ARGVS))
+    def test_payload_bytes(self, name, tmp_path, capsys):
+        argv = GOLDEN_ARGVS[name]
+        golden = json.loads(GOLDEN_PAYLOADS.read_text())
+        rc, got = payload_bytes(argv, tmp_path / "payload")
+        assert rc == 0
+        assert got == golden[" ".join(argv)].encode()
 
 
 class TestCensus:
@@ -169,3 +218,19 @@ class TestVoronoiCheck:
                       "--bump-lo", "50", "--bump-hi", "4850"])
         assert rc == 1
         assert "--c/--a" in capsys.readouterr().err
+
+
+def write_golden_payloads() -> None:
+    payloads = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv in GOLDEN_ARGVS.values():
+            rc, got = payload_bytes(argv, pathlib.Path(tmp) / "payload")
+            if rc != 0:
+                raise SystemExit(f"{' '.join(argv)}: exit {rc}")
+            payloads[" ".join(argv)] = got.decode()
+    GOLDEN_PAYLOADS.write_text(json.dumps(payloads, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    write_golden_payloads()
+    print(f"wrote {GOLDEN_PAYLOADS}", file=sys.stderr)

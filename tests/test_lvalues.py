@@ -9,11 +9,10 @@ import pathlib
 
 import pytest
 
-from lmoll.arith import RealCharacter
+from lmoll.arith import PrincipalCharacter, RealCharacter
 from lmoll.characters import build_group, enumerate_even_primitive
 from lmoll.lvalues import (
     AFEConfig,
-    PrincipalCharacter,
     afe_central,
     afe_tail_bound,
     default_config,

@@ -114,11 +114,6 @@ class TestMoments:
         assert 0.0 <= rep.ratio <= 1.0 + 1e-9
         assert rep.census_nonzero <= phi_plus(q)
 
-    def test_threads_do_not_change_bits(self):
-        a = mollified_moments(29, PSI5, 10, threads=1)
-        b = mollified_moments(29, PSI5, 10, threads=4)
-        assert a.s1 == b.s1 and a.s2 == b.s2 and a.ratio == b.ratio
-
     @pytest.mark.parametrize("q,X", [(53, 10), (53, 25), (101, 10), (101, 25)])
     def test_first_moment_two_routes(self, q, X):
         s1_characters = mollified_moments(q, PSI5, X).s1

@@ -17,12 +17,11 @@ from scipy.integrate import quad
 from scipy.special import k0 as bessel_k0
 from scipy.special import y0 as bessel_y0
 
-from lmoll.arith import RealCharacter, one_star_psi_table
+from lmoll.arith import PrincipalCharacter, RealCharacter, one_star_psi_table
 from lmoll.characters import gauss_sum_real
 from lmoll.lvalues import oracle_L
 from lmoll.special import SmoothBump
 from lmoll.voronoi import (
-    TrivialCharacter,
     VoronoiCase,
     _decaying_integral,
     _k0_sum_tail,
@@ -57,14 +56,14 @@ def coeff_oracle(n: int) -> int:
 class TestFactorCharacter:
     def test_coprime_regime(self):
         case = factor_character(PSI5, 7, 1)
-        assert isinstance(case.psi1, TrivialCharacter)
+        assert isinstance(case.psi1, PrincipalCharacter)
         assert isinstance(case.psi2, RealCharacter) and case.psi2.D == 5
         assert case.shared == 1 and case.D_c == 5
 
     def test_divisible_regime(self):
         case = factor_character(PSI5, 10, 1)
         assert isinstance(case.psi1, RealCharacter) and case.psi1.D == 5
-        assert isinstance(case.psi2, TrivialCharacter)
+        assert isinstance(case.psi2, PrincipalCharacter)
         assert case.shared == 5 and case.D_c == 1
 
     def test_intermediate_regime(self):
@@ -77,7 +76,7 @@ class TestFactorCharacter:
     def test_full_modulus(self):
         case = factor_character(PSI65, 65, 2)
         assert isinstance(case.psi1, RealCharacter) and case.psi1.D == 65
-        assert isinstance(case.psi2, TrivialCharacter)
+        assert isinstance(case.psi2, PrincipalCharacter)
         assert case.D_c == 1
 
     @pytest.mark.parametrize("D,c", [(21, 3), (21, 7), (33, 3)])
@@ -86,7 +85,7 @@ class TestFactorCharacter:
             factor_character(RealCharacter(D), c, 1)
 
     def test_trivial_character(self):
-        triv = TrivialCharacter()
+        triv = PrincipalCharacter()
         assert triv.modulus == 1
         assert triv(0) == triv(7) == 1
         assert triv.table().tolist() == [1]
@@ -114,11 +113,11 @@ class TestCaseValidation:
     def test_shared_must_match_gcd(self):
         with pytest.raises(ValueError, match="gcd"):
             VoronoiCase(c=7, a=1, psi=PSI5, psi1=RealCharacter(5),
-                        psi2=TrivialCharacter(), shared=5, D_c=1)
+                        psi2=PrincipalCharacter(), shared=5, D_c=1)
 
     def test_factor_moduli_checked(self):
         with pytest.raises(ValueError, match="wrong moduli"):
-            VoronoiCase(c=10, a=1, psi=PSI65, psi1=TrivialCharacter(),
+            VoronoiCase(c=10, a=1, psi=PSI65, psi1=PrincipalCharacter(),
                         psi2=RealCharacter(65), shared=5, D_c=13)
 
 
@@ -242,16 +241,9 @@ class TestRhs:
     def test_agreement_intermediate(self):
         case = factor_character(PSI65, 3, 1)
         lhs = voronoi_lhs(case, G_WIDE)
-        rhs = voronoi_rhs(case, G_WIDE, threads=2)
+        rhs = voronoi_rhs(case, G_WIDE)
         assert not rhs.insufficient
         assert abs(lhs - rhs.value) < 1e-6
-
-    def test_threads_bit_identical(self):
-        case = factor_character(PSI5, 3, 2)
-        one = voronoi_rhs(case, G_WIDE, threads=1)
-        four = voronoi_rhs(case, G_WIDE, threads=4)
-        assert one.value == four.value
-        assert one.m_used_y == four.m_used_y
 
     def test_main_term_divisible_branch(self):
         case = factor_character(PSI5, 10, 1)
@@ -269,8 +261,8 @@ class TestRhs:
         assert abs(got - expect) < 1e-12 * abs(expect)
 
     def test_conjugation(self):
-        lo = voronoi_rhs(factor_character(PSI65, 10, 3), G_WIDE, threads=4)
-        hi = voronoi_rhs(factor_character(PSI65, 10, 7), G_WIDE, threads=4)
+        lo = voronoi_rhs(factor_character(PSI65, 10, 3), G_WIDE)
+        hi = voronoi_rhs(factor_character(PSI65, 10, 7), G_WIDE)
         assert abs(hi.value - lo.value.conjugate()) < 1e-8
 
     def test_insufficient_flag(self):
