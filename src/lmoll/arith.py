@@ -8,7 +8,7 @@ Ramanujan sums, Kloosterman sums, and the long partial sums
 sum_{n<=x} (1*psi)(n)/n.
 
 Everything here is exact integer arithmetic except the final partial sums,
-which use compensated summation in fixed ascending order.
+which are exactly rounded by math.fsum.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-
-from .reduction import KahanSum
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -371,14 +369,9 @@ def kloosterman(m: int, n: int, c: int, twist=None) -> complex:
 
 
 def lacunary_partial_sum(psi: RealCharacter, x: float) -> float:
-    """sum_{n<=x} (1*psi)(n)/n, compensated, ascending n."""
+    """sum_{n<=x} (1*psi)(n)/n, exactly rounded."""
     if x < 1:
         raise ValueError("x must be at least 1")
     limit = int(math.floor(x))
     table = one_star_psi_table(psi, limit)
-    acc = KahanSum()
-    for n in range(1, limit + 1):
-        t = table[n]
-        if t:
-            acc.add(t / n)
-    return acc.value
+    return math.fsum(table[1:] / np.arange(1, limit + 1))

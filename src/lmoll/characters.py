@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import RealCharacter, euler_phi, factor, is_prime, kloosterman
+from .arith import PrincipalCharacter, RealCharacter, euler_phi, factor, is_prime, kloosterman
 
 
 class CharacterGroup:
@@ -132,17 +132,22 @@ def even_family_pair_sum(group: CharacterGroup, m: int, n: int) -> int:
     return int(nearest)
 
 
+def _gauss_sum(table: np.ndarray) -> complex:
+    """sum_a table[a] e(a/m) over a = 0..m-1, m = len(table): the frequency-1
+    DFT of a residue table, which is the Gauss sum of the character it holds."""
+    m = len(table)
+    return complex(np.dot(table, np.exp(2j * np.pi * np.arange(m) / m)))
+
+
 def gauss_sum(chi: DirichletCharacter) -> complex:
     """tau(chi) = sum_a chi(a) e(a/q)."""
-    q = chi.modulus
-    a = np.arange(q)
-    return complex(np.dot(chi.values(), np.exp(2j * np.pi * a / q)))
+    return _gauss_sum(chi.values())
 
 
-def gauss_sum_real(psi: RealCharacter) -> complex:
-    D = psi.D
-    a = np.arange(D)
-    return complex(np.dot(psi.table().astype(np.float64), np.exp(2j * np.pi * a / D)))
+def gauss_sum_real(psi: RealCharacter | PrincipalCharacter) -> complex:
+    """Gauss sum of a character given by its integer residue table; one for
+    the principal character mod 1."""
+    return _gauss_sum(psi.table())
 
 
 def epsilon(chi: DirichletCharacter) -> complex:
@@ -164,10 +169,7 @@ def product_values(chi: DirichletCharacter, psi: RealCharacter) -> np.ndarray:
 
 def epsilon_product_direct(chi: DirichletCharacter, psi: RealCharacter) -> complex:
     """eps(chi psi) straight from the mod-qD Gauss sum, no factorization."""
-    q, D = chi.modulus, psi.D
-    a = np.arange(q * D)
-    tau = np.dot(product_values(chi, psi), np.exp(2j * np.pi * a / (q * D)))
-    return complex(tau) / math.sqrt(q * D)
+    return _gauss_sum(product_values(chi, psi)) / math.sqrt(chi.modulus * psi.D)
 
 
 def epsilon_product_factored(chi: DirichletCharacter, psi: RealCharacter) -> complex:

@@ -190,17 +190,16 @@ def afe_tail_bound(kind: str, cfg: AFEConfig) -> float:
 
 @lru_cache(maxsize=32)
 def _afe_tables(q: int, D: int, n_max: int, Q: float):
-    """Shared per-(q,D) arrays: coefficients and the four weight columns."""
+    """Shared per-(q,D) arrays: the coefficients times each weight.  V1 and V2
+    are the same function, so one V column serves both sides of the AFE."""
     psi = RealCharacter(D)
     coeff = one_star_psi_table(psi, n_max)[1:].astype(np.float64)
     n = np.arange(1, n_max + 1, dtype=np.float64)
     coeff /= np.sqrt(n)
     logQ = math.log(Q)
     xs = n / Q
-    cols = {}
-    for kind in ("V1", "V2", "W1", "W2"):
-        cols[kind] = coeff * eval_weight_many(WeightFunction(kind, logQ), xs)
-    return cols
+    return {col: coeff * eval_weight_many(WeightFunction(kind, logQ), xs)
+            for col, kind in (("V", "V1"), ("W1", "W1"), ("W2", "W2"))}
 
 
 def afe_central(chi: DirichletCharacter, psi: RealCharacter,
@@ -221,7 +220,7 @@ def afe_central(chi: DirichletCharacter, psi: RealCharacter,
         cfg = default_config(q, D)
     if abs(cfg.Q - q * math.sqrt(D) / math.pi) > 1e-9 * cfg.Q:
         raise ValueError("cfg.Q inconsistent with q sqrt(D)/pi")
-    for kind in ("V1", "V2", "W1", "W2"):
+    for kind in ("V1", "W1", "W2"):
         t = afe_tail_bound(kind, cfg)
         if t > cfg.tail_budget:
             raise ValueError(
@@ -230,8 +229,8 @@ def afe_central(chi: DirichletCharacter, psi: RealCharacter,
     cols = _afe_tables(q, D, cfg.n_max, cfg.Q)
     chivals = chi.values_at(np.arange(1, cfg.n_max + 1))
     eps = epsilon(chi) * epsilon_product_direct(chi, psi)
-    s_v1 = complex(np.dot(cols["V1"], chivals))
-    s_v2 = complex(np.dot(cols["V2"], np.conj(chivals)))
+    s_v1 = complex(np.dot(cols["V"], chivals))
+    s_v2 = complex(np.dot(cols["V"], np.conj(chivals)))
     s_w1 = complex(np.dot(cols["W1"], chivals))
     s_w2 = complex(np.dot(cols["W2"], np.conj(chivals)))
     return CentralValuePair(

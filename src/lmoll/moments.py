@@ -41,7 +41,7 @@ from .characters import (
     phi_plus,
 )
 from .lvalues import AFEConfig, _afe_tables, afe_central, default_config, hurwitz_zeta_vec
-from .reduction import kahan_sum, kahan_sum_complex
+from .reduction import fsum_complex
 
 __all__ = [
     "MollifierTable",
@@ -166,8 +166,8 @@ def mollified_moments(q: int, psi: RealCharacter, X: int,
         central = afe_central(chi, psi, cfg).L_central
         terms.append(central * eval_mollifier(table, chi))
         nonzero += int(abs(central) > threshold)
-    s1 = kahan_sum_complex(terms)
-    s2 = kahan_sum([abs(t) ** 2 for t in terms])
+    s1 = fsum_complex(terms)
+    s2 = math.fsum([abs(t) ** 2 for t in terms])
     denom = phi_plus(q) * s2
     ratio = abs(s1) ** 2 / denom if denom > 0 else 0.0
     ratio = min(max(ratio, 0.0), 1.0 + 1e-9)
@@ -178,16 +178,14 @@ def mollified_moments(q: int, psi: RealCharacter, X: int,
 # ---------------------------------------------------------------------------
 # orthogonality route for the first moment
 
-# S(1, w; q) for w = 0..q-1; one shared inverse table, vectorized over x.
 @lru_cache(maxsize=16)
 def _kloosterman_row(q: int) -> np.ndarray:
-    inv = np.array([0] + [pow(x, -1, q) for x in range(1, q)], dtype=np.int64)
-    xs = np.arange(1, q, dtype=np.int64)
-    row = np.empty(q, dtype=np.float64)
-    for w in range(q):
-        phases = (xs + w * inv[1:]) % q
-        row[w] = np.exp(2j * np.pi * phases / q).sum().real
-    return row
+    """S(1, w; q) for w = 0..q-1.  S(1, w; q) = sum_y e(ybar/q) e(wy/q) is the
+    inverse DFT of f(y) = e(ybar/q), f(0) = 0, so one FFT gives the row."""
+    inv = np.array([pow(y, -1, q) for y in range(1, q)], dtype=np.float64)
+    f = np.zeros(q, dtype=np.complex128)
+    f[1:] = np.exp(2j * np.pi * inv / q)
+    return np.fft.ifft(f, norm="forward").real
 
 
 def first_moment_by_orthogonality(q: int, psi: RealCharacter, X: int,
@@ -205,7 +203,7 @@ def first_moment_by_orthogonality(q: int, psi: RealCharacter, X: int,
     if cfg is None:
         cfg = default_config(q, D)
     cols = _afe_tables(q, D, cfg.n_max, cfg.Q)
-    v1col, v2col = cols["V1"], cols["V2"]
+    vcol = cols["V"]
     n_mod = np.arange(1, cfg.n_max + 1, dtype=np.int64) % q
     unit = n_mod != 0
     kl = _kloosterman_row(q)
@@ -218,13 +216,13 @@ def first_moment_by_orthogonality(q: int, psi: RealCharacter, X: int,
             continue
         an_mod = (a * n_mod) % q
         hit = ((an_mod == 1) | (an_mod == q - 1)).astype(np.float64)
-        t1 = v1col * (0.5 * phi_q * hit - 1.0)
+        t1 = vcol * (0.5 * phi_q * hit - 1.0)
         ainv = pow(D * a, -1, q)
         w = (n_mod * ainv) % q
-        t2 = v2col * (c_eps * (phi_q * (kl[w] + kl[(q - w) % q]) - 2.0))
+        t2 = vcol * (c_eps * (phi_q * (kl[w] + kl[(q - w) % q]) - 2.0))
         contrib = complex(np.sum((t1 + t2)[unit]))
         parts.append(table.coeffs[a] / math.sqrt(a) * contrib)
-    return kahan_sum_complex(parts)
+    return fsum_complex(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +332,7 @@ def euler_product(family: EulerProductFamily, psi: RealCharacter) -> complex:
     factors = (1 - np.exp(-2 * (1 + u + v) * logs)) * (1 + ps**-2.0)
     prod = complex(np.prod(factors))
     terms = _split_smooth_terms(psi, X, u, v)
-    return prod * kahan_sum_complex([t for _, t in terms])
+    return prod * fsum_complex([t for _, t in terms])
 
 
 def _split_smooth_terms(psi: RealCharacter, X: int, u: complex, v: complex):

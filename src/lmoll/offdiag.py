@@ -247,7 +247,8 @@ def _series_coeff(a: int, b: int, psi: RealCharacter,
     chi_ell = tab[ell_a % D] * tab[ell_b % D]
     chi_red = tab[(a // ga) % D] * tab[(b // gb) % D]
     deep = np.gcd(ell_a, ell_b) % D == 0
-    coeff = chi_ell + np.where(deep, D * chi_red, 0)
+    # int64 before the product: D * chi_red overflows int8 once D >= 128
+    coeff = chi_ell + np.where(deep, D * chi_red.astype(np.int64), 0)
     return coeff, (ell_a * ell_b).astype(np.float64)
 
 

@@ -1,6 +1,7 @@
 """Special functions for the central-value machinery.
 
-Gamma and digamma by a fixed Lanczos approximation with reflection.  The
+Gamma and digamma by a fixed Lanczos approximation with reflection, one
+array implementation each (the scalar forms call it on one element).  The
 six smooth weights V1, V2, dV1, dV2, W1, W2 are inverse Mellin transforms
 
     weight(x) = (1/2 pi i) int K(s) x^{-s} ds
@@ -26,7 +27,6 @@ Also here: Y0/K0 Bessel kernels and a C-infinity bump template.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -58,32 +58,14 @@ def gamma_complex(s: complex) -> complex:
     """Gamma(s) by Lanczos (g=7, 9 terms), reflection for Re(s) < 1/2."""
     if _is_nonpositive_integer(s):
         raise ValueError(f"gamma pole at s={s}")
-    s = complex(s)
-    if s.real < 0.5:
-        return math.pi / (cmath.sin(math.pi * s) * gamma_complex(1 - s))
-    z = s - 1
-    a = _LANCZOS_C[0]
-    for k in range(1, 9):
-        a += _LANCZOS_C[k] / (z + k)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * a
+    return complex(_gamma_arr(np.array([s], dtype=np.complex128))[0])
 
 
 def digamma_complex(s: complex) -> complex:
     """digamma(s) from the same Lanczos data; reflection for Re(s) < 1/2."""
     if _is_nonpositive_integer(s):
         raise ValueError(f"digamma pole at s={s}")
-    s = complex(s)
-    if s.real < 0.5:
-        return digamma_complex(1 - s) - math.pi / cmath.tan(math.pi * s)
-    z = s - 1
-    a = _LANCZOS_C[0]
-    da = 0j
-    for k in range(1, 9):
-        a += _LANCZOS_C[k] / (z + k)
-        da -= _LANCZOS_C[k] / (z + k) ** 2
-    t = z + _LANCZOS_G + 0.5
-    return cmath.log(t) + (z + 0.5) / t - 1 + da / a
+    return complex(_digamma_arr(np.array([s], dtype=np.complex128))[0])
 
 
 def _gamma_arr(s: np.ndarray) -> np.ndarray:

@@ -26,13 +26,13 @@ from scipy.special import y0 as bessel_y0
 from .arith import PrincipalCharacter, RealCharacter, dirichlet_convolution, one_star_psi_table
 from .characters import gauss_sum_real
 from .lvalues import oracle_L
+from .reduction import fsum_complex
 from .special import SmoothBump
 
 __all__ = [
     "VoronoiCase",
     "VoronoiDual",
     "factor_character",
-    "gauss_sum_any",
     "dual_coefficients",
     "voronoi_lhs",
     "voronoi_rhs",
@@ -42,13 +42,6 @@ __all__ = [
 # a factor slot of modulus 1 holds the principal character mod 1, which is
 # identically one
 FactorCharacter = RealCharacter | PrincipalCharacter
-
-
-def gauss_sum_any(chi: FactorCharacter) -> complex:
-    """Gauss sum of a factor character; one for the character mod 1."""
-    if isinstance(chi, PrincipalCharacter):
-        return 1.0 + 0j
-    return gauss_sum_real(chi)
 
 
 def _character_for(modulus: int) -> FactorCharacter:
@@ -137,7 +130,7 @@ def voronoi_lhs(case: VoronoiCase, g: SmoothBump) -> complex:
     n = np.arange(n_lo, n_hi + 1)
     roots = np.exp(2j * np.pi * np.arange(case.c) / case.c)
     terms = tab[n] * g(n.astype(np.float64)) * roots[(case.a % case.c) * n % case.c]
-    return complex(math.fsum(terms.real), math.fsum(terms.imag))
+    return fsum_complex(terms)
 
 
 # ------------------------------------------------------------------ integrals
@@ -238,6 +231,8 @@ def voronoi_rhs(case: VoronoiCase, g: SmoothBump, m_max: int = 100000) -> Vorono
     The K0 sum runs to where its analytic tail bound clears 1e-10.  Hitting
     m_max first sets the insufficient flag instead of raising.
     """
+    if m_max < 1:
+        raise ValueError(f"m_max must be at least 1, got {m_max}")
     c, D = case.c, case.psi.D
     D_c = case.D_c
     t0, t1 = math.sqrt(g.lo), math.sqrt(g.hi)
@@ -249,7 +244,7 @@ def voronoi_rhs(case: VoronoiCase, g: SmoothBump, m_max: int = 100000) -> Vorono
         rho = complex(case.psi(c)) / c
     main = rho * oracle_L(1.0, case.psi).real * g_mass
 
-    tau2 = gauss_sum_any(case.psi2)
+    tau2 = gauss_sum_real(case.psi2)
     psi2_c = case.psi2(c)
     pref_y = -2.0 * math.pi * tau2 * case.psi1(-case.a) * psi2_c / (c * D_c)
     pref_k = 4.0 * tau2 * case.psi1(case.a) * psi2_c / (c * D_c)
@@ -281,8 +276,7 @@ def voronoi_rhs(case: VoronoiCase, g: SmoothBump, m_max: int = 100000) -> Vorono
     # superpolynomial decay with divisor-sized coefficients: the unreached
     # terms are scored at the stopping level times an m log^2 m envelope
     y_tail = m_used_y * math.log(m_used_y + 2.0) ** 2 * max(trailing, _Y_EPS)
-    dual_y = pref_y * complex(math.fsum(t.real for t in y_terms),
-                              math.fsum(t.imag for t in y_terms))
+    dual_y = pref_y * fsum_complex(y_terms)
 
     beta = alpha0 * t0
     m_stop_k = min(m_max, int((50.0 / beta) ** 2) + 1)
@@ -293,8 +287,7 @@ def voronoi_rhs(case: VoronoiCase, g: SmoothBump, m_max: int = 100000) -> Vorono
             k_vals[mm - 1] = _decaying_integral(g, t0, t1, alpha0 * math.sqrt(mm))
     k_terms = [conv[mm] * roots[inv * mm % c] * k_vals[mm - 1, 0]
                for mm in range(1, m_stop_k + 1)]
-    dual_k = pref_k * complex(math.fsum(t.real for t in k_terms),
-                              math.fsum(t.imag for t in k_terms))
+    dual_k = pref_k * fsum_complex(k_terms)
     k_cut = float(np.dot(np.arange(1, m_stop_k + 1), k_vals[:, 1]))
     k_tail = _k0_sum_tail(beta, m_stop_k, g_mass) + k_cut
 

@@ -229,6 +229,15 @@ def test_rho_is_dirichlet_inverse():
             assert s == (1 if n == 1 else 0), n
 
 
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(SQUAREFREE_D), st.integers(1, 2000))
+def test_rho_inverts_one_star_psi_by_convolution(D, limit):
+    psi = RealCharacter(D)
+    rho = np.array([0] + [eval_rho(psi, a) for a in range(1, limit + 1)], dtype=np.int64)
+    delta = dirichlet_convolution(rho, one_star_psi_table(psi, limit))
+    assert delta.tolist() == [0, 1] + [0] * (limit - 1)
+
+
 def test_ramanujan_closed_forms():
     assert ramanujan_sum(1, 6) == mobius(6)
     assert ramanujan_sum(0, 6) == euler_phi(6)

@@ -7,8 +7,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from lmoll.arith import RealCharacter
+from lmoll.arith import RealCharacter, factor, primes_up_to
 from lmoll.characters import (
     build_group,
     enumerate_even_primitive,
@@ -125,6 +127,32 @@ def test_real_character_gauss_sum_is_sqrt_d():
         tau = gauss_sum_real(psi)
         assert abs(tau - math.sqrt(D)) < 1e-10
         assert abs(epsilon_real(psi) - 1) < 1e-10
+
+
+PRIMES = [p for p in primes_up_to(500) if p >= 5]
+SQUAREFREE_D = [D for D in range(5, 500, 4) if factor(D).is_squarefree()]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(PRIMES), st.data())
+def test_gauss_sum_square_is_modulus_random(q, data):
+    chi = build_group(q).character(data.draw(st.integers(1, q - 2)))
+    assert abs(abs(gauss_sum(chi)) ** 2 - q) < 1e-10 * q
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SQUAREFREE_D))
+def test_real_gauss_sum_square_is_modulus_random(D):
+    assert abs(abs(gauss_sum_real(RealCharacter(D))) ** 2 - D) < 1e-10 * D
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(PRIMES), st.sampled_from(SQUAREFREE_D), st.data())
+def test_epsilon_factorization_random(q, D, data):
+    assume(D % q != 0)
+    chi = build_group(q).character(data.draw(st.integers(1, q - 2)))
+    psi = RealCharacter(D)
+    assert abs(epsilon_product_direct(chi, psi) - epsilon_product_factored(chi, psi)) < 1e-10
 
 
 def test_epsilon_factorization():

@@ -8,6 +8,7 @@ across reruns and to the frozen payloads in tests/golden/cli_payloads.json.
 from __future__ import annotations
 
 import json
+import math
 import pathlib
 import sys
 import tempfile
@@ -88,6 +89,13 @@ class TestPlumbing:
                       "--D", "5", "--scales", "200", "--L-max", L_max])
         assert rc == 1
         assert "--L-max" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("m_max", ["0", "-5"])
+    def test_m_max_out_of_range_named(self, m_max, capsys):
+        rc = run_cli(["voronoi-check", "--D", "5", "--c", "3", "--a", "2",
+                      "--bump-lo", "50", "--bump-hi", "4850", "--m-max", m_max])
+        assert rc == 1
+        assert "--m-max" in capsys.readouterr().err
 
 
 class TestGoldenPayloads:
@@ -188,6 +196,13 @@ class TestShiftedConv:
             assert set(row) == {"M", "N", "brute", "main", "tail",
                                 "rel_deviation"}
             assert row["tail"] >= 0.0
+
+    def test_discriminant_above_int8(self, capsys):
+        # D = 129 once overflowed the int8 character table in the series
+        rc = run_cli(["shifted-conv", "--a", "1", "--b", "1", "--q", "101",
+                      "--D", "129", "--scales", "200"])
+        assert rc == 0
+        assert math.isfinite(payload_of(capsys)["scales"][0]["main"])
 
     def test_bad_scales_named(self, capsys):
         rc = run_cli(["shifted-conv", "--a", "1", "--b", "1", "--q", "101",

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.special
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lmoll.special import (
     DIGAMMA_QUARTER,
@@ -59,6 +61,16 @@ def test_gamma_matches_reference_on_disk():
         if abs(ref) == 0 or not np.isfinite(abs(ref)):
             continue
         assert abs(gamma_complex(s) - ref) / abs(ref) < 1e-12, s
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(-50, 50), st.floats(-50, 50))
+def test_gamma_matches_reference_random(re, im):
+    # away from the poles, where the reflection sine loses relative accuracy
+    assume(abs(complex(re, im)) <= 50 and (re >= 0.5 or abs(im) >= 0.5))
+    ref = scipy.special.gamma(complex(re, im))
+    assume(0 < abs(ref) < math.inf)
+    assert abs(gamma_complex(complex(re, im)) - ref) / abs(ref) < 1e-12
 
 
 def test_digamma_matches_reference():

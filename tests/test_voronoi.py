@@ -28,7 +28,6 @@ from lmoll.voronoi import (
     _oscillatory_integral,
     dual_coefficients,
     factor_character,
-    gauss_sum_any,
     voronoi_lhs,
     voronoi_rhs,
 )
@@ -89,7 +88,7 @@ class TestFactorCharacter:
         assert triv.modulus == 1
         assert triv(0) == triv(7) == 1
         assert triv.table().tolist() == [1]
-        assert gauss_sum_any(triv) == 1.0 + 0j
+        assert gauss_sum_real(triv) == 1.0 + 0j
 
     @pytest.mark.parametrize("D,c,expect", [
         (5, 7, math.sqrt(5.0)),
@@ -98,7 +97,7 @@ class TestFactorCharacter:
     ])
     def test_second_factor_gauss_sum(self, D, c, expect):
         case = factor_character(RealCharacter(D), c, 1)
-        assert abs(gauss_sum_any(case.psi2) - expect) < 1e-10
+        assert abs(gauss_sum_real(case.psi2) - expect) < 1e-10
 
 
 class TestCaseValidation:
