@@ -21,13 +21,7 @@ import numpy as np
 
 from .arith import PrincipalCharacter, RealCharacter, one_star_psi_table
 from .characters import DirichletCharacter, epsilon, epsilon_product_direct, product_values
-from .special import (
-    WeightFunction,
-    _digamma_arr,
-    eval_weight_many,
-    gamma_complex,
-    kernel_abs_moment,
-)
+from .special import _digamma_arr, eval_weight_many, gamma_complex, kernel_abs_moment
 
 # ---------------------------------------------------------------- oracle side
 
@@ -190,16 +184,16 @@ def afe_tail_bound(kind: str, cfg: AFEConfig) -> float:
 
 @lru_cache(maxsize=32)
 def _afe_tables(q: int, D: int, n_max: int, Q: float):
-    """Shared per-(q,D) arrays: the coefficients times each weight.  V1 and V2
-    are the same function, so one V column serves both sides of the AFE."""
+    """Shared per-(q,D) arrays: the coefficients times each weight, all three
+    weights from one quadrature pass.  V1 serves both sides of the AFE."""
     psi = RealCharacter(D)
     coeff = one_star_psi_table(psi, n_max)[1:].astype(np.float64)
     n = np.arange(1, n_max + 1, dtype=np.float64)
     coeff /= np.sqrt(n)
     logQ = math.log(Q)
     xs = n / Q
-    return {col: coeff * eval_weight_many(WeightFunction(kind, logQ), xs)
-            for col, kind in (("V", "V1"), ("W1", "W1"), ("W2", "W2"))}
+    v, w1, w2 = eval_weight_many(("V1", "W1", "W2"), logQ, xs)
+    return {"V": coeff * v, "W1": coeff * w1, "W2": coeff * w2}
 
 
 def afe_central(chi: DirichletCharacter, psi: RealCharacter,

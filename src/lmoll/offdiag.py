@@ -252,11 +252,10 @@ def _series_coeff(a: int, b: int, psi: RealCharacter,
     return coeff, (ell_a * ell_b).astype(np.float64)
 
 
-def _series_terms(a: int, b: int, r: int, psi: RealCharacter, limit: int) -> np.ndarray:
-    """Series terms coeff(ell) c_ell(r)/(ell_a ell_b) for ell = 1..limit, in
-    increasing-ell order."""
-    coeff, denom = _series_coeff(a, b, psi, limit)
-    return coeff * _ramanujan_column(r, limit) / denom
+def _series_terms(coeff: np.ndarray, denom: np.ndarray, r: int) -> np.ndarray:
+    """Series terms coeff(ell) c_ell(r)/(ell_a ell_b) for ell = 1..len(coeff),
+    in increasing-ell order, from the shift-free parts of _series_coeff."""
+    return coeff * _ramanujan_column(r, len(coeff)) / denom
 
 
 def _series_tail(a: int, b: int, r: int, D: int, limit: int) -> float:
@@ -291,7 +290,7 @@ def singular_series(a: int, b: int, r: int, psi: RealCharacter,
                     L_max: int = 10000) -> SingularSeries:
     _series_check(a, b, r, psi)
     _check_L_max(L_max)
-    value = math.fsum(_series_terms(a, b, r, psi, L_max))
+    value = math.fsum(_series_terms(*_series_coeff(a, b, psi, L_max), r))
     return SingularSeries(a, b, r, psi, L_max, value,
                           _series_tail(a, b, r, psi.D, L_max))
 
@@ -301,7 +300,7 @@ def singular_series_term(a: int, b: int, r: int, psi: RealCharacter, ell: int) -
     _series_check(a, b, r, psi)
     if ell < 1:
         raise ValueError("ell must be positive")
-    return float(_series_terms(a, b, r, psi, ell)[-1])
+    return float(_series_terms(*_series_coeff(a, b, psi, ell), r)[-1])
 
 
 def _local_term_sum(p: int, alpha: int, beta: int, vr: int, psi_p: int,
@@ -468,6 +467,7 @@ def main_term(params: ShiftedConvParams, L_max: int = 100000) -> tuple[float, fl
     L1 = oracle_L(1.0, p.psi).real
     pref = L1 * L1 / (a * b)
     r_cap = int(4 * (aM + bN) / q) + 1
+    coeff, denom = _series_coeff(a, b, p.psi, L_max)
     terms: list[float] = []
     tail = 0.0
     for sgn in p.branches():
@@ -492,9 +492,9 @@ def main_term(params: ShiftedConvParams, L_max: int = 100000) -> tuple[float, fl
             # density argument is r, not the lattice offset q*r: the two agree
             # only as q grows, so at fixed q this choice floors the relative
             # deviation from the brute sum near 1/q
-            ss = singular_series(a, b, r, p.psi, L_max)
-            terms.append(pref * ss.value * integral)
-            tail += pref * ss.tail_bound * abs(integral)
+            ss = math.fsum(_series_terms(coeff, denom, r))
+            terms.append(pref * ss * integral)
+            tail += pref * _series_tail(a, b, r, p.psi.D, L_max) * abs(integral)
     return math.fsum(terms), tail
 
 

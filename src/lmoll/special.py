@@ -2,27 +2,30 @@
 
 Gamma and digamma by a fixed Lanczos approximation with reflection, one
 array implementation each (the scalar forms call it on one element).  The
-six smooth weights V1, V2, dV1, dV2, W1, W2 are inverse Mellin transforms
+five smooth weights V1, dV1, dV2, W1, W2 are inverse Mellin transforms
 
     weight(x) = (1/2 pi i) int K(s) x^{-s} ds
 
 whose kernels K are explicit in terms of B(s) = Gamma(1/4+s/2)^2/Gamma(1/4)^2:
 
-    V1 = V2:  B(s)/s
+    V1:       B(s)/s
     dV1:      (digamma(1/4+s/2) - digamma(1/4)) B(s)/s
     dV2:      (-digamma(1/4+s/2) - digamma(1/4)) B(s)/s
     W1:       (B(s)/2) [ (1 - c/logQ)/s + 1/(logQ s^2) ]
     W2:       (B(s)/2) [ (1 - c/logQ)/s - 1/(logQ s^2) ]
 
-with c = digamma(1/4).  The W kernels come from combining the V kernels
-with d/ds acting on x^{-s}; the 1/s^2 sign is the only difference between
-the two.  Quadrature runs on a vertical line: Re(s) = 1 for x > 1, and
-Re(s) = -1/4 plus the residue at s = 0 for x <= 1, which keeps the line
-integral O(x^{1/4}) and leaves the constant term to the exactly-known
-residue.  Kernels decay like e^{-pi|t|/4}, so |t| <= 60 at step 1/64 is
-far below double precision.
+with c = digamma(1/4).  V1 serves both sides of the functional equation.
+The W kernels come from combining the V kernels with d/ds acting on
+x^{-s}; the 1/s^2 sign is the only difference between the two.
+Quadrature runs on a vertical line: Re(s) = 1 for x > 1, and Re(s) = -1/4
+plus the residue at s = 0 for x <= 1, which keeps the line integral
+O(x^{1/4}) and leaves the constant term to the exactly-known residue.
+Kernels decay like e^{-pi|t|/4}, so |t| <= 60 at step 1/64 is far below
+double precision.  One routine, eval_weight_many, evaluates any set of
+kinds: per x it computes the rotation row x^{-it} on the t-grid once and
+dots it with each kind's cached kernel samples.
 
-Also here: Y0/K0 Bessel kernels and a C-infinity bump template.
+Also here: a C-infinity bump template.
 """
 
 from __future__ import annotations
@@ -32,8 +35,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import k0 as _scipy_k0
-from scipy.special import y0 as _scipy_y0
 
 _LANCZOS_G = 7.0
 _LANCZOS_C = (
@@ -100,7 +101,7 @@ GAMMA_QUARTER = 3.6256099082219083  # Gamma(1/4)
 DIGAMMA_QUARTER = -4.227453533376265  # digamma(1/4) = Gamma'(1/4)/Gamma(1/4)
 
 
-WEIGHT_KINDS = ("V1", "V2", "dV1", "dV2", "W1", "W2")
+WEIGHT_KINDS = ("V1", "dV1", "dV2", "W1", "W2")
 
 
 @dataclass(frozen=True)
@@ -128,16 +129,9 @@ def _b_arr(s: np.ndarray) -> np.ndarray:
     return (_gamma_arr(0.25 + s / 2) / GAMMA_QUARTER) ** 2
 
 
-def mellin_V(s: complex) -> complex:
-    """Mellin transform of V1 (= of V2): B(s)/s."""
-    if s == 0:
-        raise ValueError("pole at s=0")
-    return complex((gamma_complex(0.25 + s / 2) / GAMMA_QUARTER) ** 2) / s
-
-
 def _kernel_arr(kind: str, logQ: float, s: np.ndarray) -> np.ndarray:
     b = _b_arr(s)
-    if kind in ("V1", "V2"):
+    if kind == "V1":
         return b / s
     if kind == "dV1":
         return (_digamma_arr(0.25 + s / 2) - DIGAMMA_QUARTER) * b / s
@@ -152,7 +146,7 @@ def _kernel_arr(kind: str, logQ: float, s: np.ndarray) -> np.ndarray:
 
 
 def mellin_weight(w: WeightFunction, s: complex) -> complex:
-    """Closed-form Mellin transform of any of the six weights."""
+    """Closed-form Mellin transform of any of the five weights."""
     if s == 0:
         raise ValueError("pole at s=0")
     return complex(_kernel_arr(w.kind, w.logQ, np.array([s], dtype=complex))[0])
@@ -161,7 +155,7 @@ def mellin_weight(w: WeightFunction, s: complex) -> complex:
 def mellin_principal_part(w: WeightFunction) -> MellinPrincipalPart:
     c = DIGAMMA_QUARTER
     L = w.logQ
-    if w.kind in ("V1", "V2"):
+    if w.kind == "V1":
         return MellinPrincipalPart(0, 1)
     if w.kind == "dV1":
         return MellinPrincipalPart(0, 0)
@@ -174,67 +168,54 @@ def mellin_principal_part(w: WeightFunction) -> MellinPrincipalPart:
 
 _QUAD_T_MAX = 60.0
 _QUAD_STEP = 1.0 / 64.0
+_QUAD_T = np.arange(-_QUAD_T_MAX, _QUAD_T_MAX + _QUAD_STEP / 2, _QUAD_STEP)
 
 
 @lru_cache(maxsize=256)
-def _line_kernel(kind: str, logQ: float, sigma: float):
-    """Kernel samples K(sigma + it) on the fixed t-grid, with the t-grid."""
-    t = np.arange(-_QUAD_T_MAX, _QUAD_T_MAX + _QUAD_STEP / 2, _QUAD_STEP)
-    s = sigma + 1j * t
-    return t, _kernel_arr(kind, logQ, s)
+def _line_kernel(kind: str, logQ: float, sigma: float) -> np.ndarray:
+    """Kernel samples K(sigma + it) on the fixed t-grid _QUAD_T."""
+    return _kernel_arr(kind, logQ, sigma + 1j * _QUAD_T)
 
 
-def _residue_at_zero(w: WeightFunction, x: float) -> float:
-    pp = mellin_principal_part(w)
-    return float((pp.c1 - pp.c2 * math.log(x)).real)
+def eval_weight_many(kinds: tuple[str, ...], logQ: float, xs: np.ndarray) -> np.ndarray:
+    """weight(x) for each kind at each x, one row per kind; absolute accuracy
+    far below 1e-10 on [1e-8, 1e3].
+
+    For x <= 1 the contour sits at Re(s) = -1/4 (staying right of the
+    Gamma^2 poles at s = -1/2) and the s=0 residue is added exactly.  The
+    rotation row x^{-it} is computed once per x and shared by every kind.
+    """
+    ws = [WeightFunction(kind, logQ) for kind in kinds]
+    pps = [mellin_principal_part(w) for w in ws]
+    xs = np.asarray(xs, dtype=np.float64)
+    if not np.all(xs > 0):
+        raise ValueError("x must be positive")
+    out = np.empty((len(ws),) + xs.shape, dtype=np.float64)
+    rows = out.reshape(len(ws), -1)
+    for i, x in enumerate(xs.ravel().tolist()):
+        sigma = 1.0 if x > 1 else -0.25
+        lx = math.log(x)
+        rot = np.exp(-1j * _QUAD_T * lx)
+        for row, w, pp in zip(rows, ws, pps):
+            kern = _line_kernel(w.kind, w.logQ, sigma)
+            val = _QUAD_STEP / (2 * math.pi) * float(np.sum(kern * rot).real) * x**-sigma
+            if x <= 1:
+                val += float((pp.c1 - pp.c2 * lx).real)
+            row[i] = val
+    return out
 
 
 def eval_weight(w: WeightFunction, x: float) -> float:
-    """weight(x), absolute accuracy far below 1e-10 on [1e-8, 1e3].
-
-    For x <= 1 the contour sits at Re(s) = -1/4 (staying right of the
-    Gamma^2 poles at s = -1/2) and the s=0 residue is added exactly.
-    """
-    if not x > 0:
-        raise ValueError("x must be positive")
-    sigma = 1.0 if x > 1 else -0.25
-    t, kern = _line_kernel(w.kind, w.logQ, sigma)
-    lx = math.log(x)
-    integrand = kern * np.exp(-1j * t * lx)
-    val = _QUAD_STEP / (2 * math.pi) * float(np.sum(integrand).real) * x**-sigma
-    if x <= 1:
-        val += _residue_at_zero(w, x)
-    return val
-
-
-def eval_weight_many(w: WeightFunction, xs: np.ndarray) -> np.ndarray:
-    xs = np.asarray(xs, dtype=np.float64)
-    out = np.empty(xs.shape, dtype=np.float64)
-    flat = xs.ravel()
-    res = out.ravel()
-    for i, x in enumerate(flat):
-        res[i] = eval_weight(w, float(x))
-    return out
+    """weight(x) of one weight at one point: eval_weight_many on one element."""
+    return float(eval_weight_many((w.kind,), w.logQ, [x])[0, 0])
 
 
 @lru_cache(maxsize=256)
 def kernel_abs_moment(kind: str, logQ: float, sigma: float) -> float:
     """(1/2pi) int |K(sigma+it)| dt, so |weight(x)| <= moment * x^{-sigma}
     for x > 1 and any sigma > 0 (no pole crossed)."""
-    _, kern = _line_kernel(kind, logQ, sigma)
+    kern = _line_kernel(kind, logQ, sigma)
     return _QUAD_STEP / (2 * math.pi) * float(np.sum(np.abs(kern)))
-
-
-def bessel_Y0(x: float):
-    if np.any(np.asarray(x) <= 0):
-        raise ValueError("Y0 requires x > 0")
-    return _scipy_y0(x)
-
-
-def bessel_K0(x: float):
-    if np.any(np.asarray(x) <= 0):
-        raise ValueError("K0 requires x > 0")
-    return _scipy_k0(x)
 
 
 class SmoothBump:

@@ -229,10 +229,13 @@ def voronoi_rhs(case: VoronoiCase, g: SmoothBump, m_max: int = 100000) -> Vorono
     The Y0 sum stops after a run of negligible integrals; zero convolution
     coefficients are skipped outright and extend a run already in progress.
     The K0 sum runs to where its analytic tail bound clears 1e-10.  Hitting
-    m_max first sets the insufficient flag instead of raising.
+    m_max first sets the insufficient flag instead of raising.  m_max lies
+    in [1, 10^6]: the dual coefficients are sieved up to m_max up front.
     """
     if m_max < 1:
         raise ValueError(f"m_max must be at least 1, got {m_max}")
+    if m_max > 10**6:
+        raise ValueError(f"m_max must be at most 10^6, got {m_max}")
     c, D = case.c, case.psi.D
     D_c = case.D_c
     t0, t1 = math.sqrt(g.lo), math.sqrt(g.hi)

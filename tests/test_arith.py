@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lmoll.arith import (
@@ -236,6 +236,15 @@ def test_rho_inverts_one_star_psi_by_convolution(D, limit):
     rho = np.array([0] + [eval_rho(psi, a) for a in range(1, limit + 1)], dtype=np.int64)
     delta = dirichlet_convolution(rho, one_star_psi_table(psi, limit))
     assert delta.tolist() == [0, 1] + [0] * (limit - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SQUAREFREE_D), st.integers(1, 10**6), st.integers(1, 10**6))
+def test_one_star_psi_and_rho_multiplicative_random(D, m, n):
+    assume(math.gcd(m, n) == 1)
+    psi = RealCharacter(D)
+    assert one_star_psi(psi, m * n) == one_star_psi(psi, m) * one_star_psi(psi, n)
+    assert eval_rho(psi, m * n) == eval_rho(psi, m) * eval_rho(psi, n)
 
 
 def test_ramanujan_closed_forms():

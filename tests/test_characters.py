@@ -155,6 +155,27 @@ def test_epsilon_factorization_random(q, D, data):
     assert abs(epsilon_product_direct(chi, psi) - epsilon_product_factored(chi, psi)) < 1e-10
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(PRIMES), st.data())
+def test_character_completely_multiplicative_random(q, data):
+    # all integers, so multiples of q (value 0) and negatives are covered
+    chi = build_group(q).character(data.draw(st.integers(0, q - 2)))
+    m = data.draw(st.integers(-10**6, 10**6))
+    n = data.draw(st.integers(-10**6, 10**6))
+    assert abs(chi(m * n) - chi(m) * chi(n)) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(PRIMES), st.data())
+def test_even_family_orthogonality_random(q, data):
+    # n is sometimes a lift of +-m, so both delta terms are exercised
+    m = data.draw(st.integers(1, 10**6).filter(lambda v: v % q != 0))
+    n = data.draw(st.integers(1, 10**6).filter(lambda v: v % q != 0)
+                  | st.sampled_from((m, q - m % q)).map(lambda v: v + q * 17))
+    want = (q - 1) // 2 * int((m - n) % q == 0 or (m + n) % q == 0) - 1
+    assert even_family_pair_sum(build_group(q), m, n) == want
+
+
 def test_epsilon_factorization():
     for q in (7, 11, 13, 29):
         G = build_group(q)

@@ -90,7 +90,7 @@ class TestPlumbing:
         assert rc == 1
         assert "--L-max" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("m_max", ["0", "-5"])
+    @pytest.mark.parametrize("m_max", ["0", "-5", "2000000"])
     def test_m_max_out_of_range_named(self, m_max, capsys):
         rc = run_cli(["voronoi-check", "--D", "5", "--c", "3", "--a", "2",
                       "--bump-lo", "50", "--bump-hi", "4850", "--m-max", m_max])

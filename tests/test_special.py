@@ -1,5 +1,5 @@
-"""Gamma/digamma, the Mellin-inversion weights and their transforms,
-Bessel kernels, and the bump template."""
+"""Gamma/digamma, the Mellin-inversion weights and their transforms, the
+Bessel kernels the Voronoi side evaluates, and the bump template."""
 
 from __future__ import annotations
 
@@ -15,20 +15,19 @@ from hypothesis import strategies as st
 from lmoll.special import (
     DIGAMMA_QUARTER,
     GAMMA_QUARTER,
+    WEIGHT_KINDS,
     MellinPrincipalPart,
     SmoothBump,
     WeightFunction,
-    bessel_K0,
-    bessel_Y0,
     digamma_complex,
     eval_weight,
     eval_weight_many,
     gamma_complex,
     kernel_abs_moment,
     mellin_principal_part,
-    mellin_V,
     mellin_weight,
 )
+from lmoll.voronoi import bessel_k0, bessel_y0
 
 LOGQ = math.log(13 * math.sqrt(5) / math.pi)
 
@@ -86,16 +85,17 @@ def test_digamma_matches_reference():
 
 
 def test_mellin_V_closed_values():
+    v = WeightFunction("V1", LOGQ)
     g34 = gamma_complex(0.75)
-    assert abs(mellin_V(1) - g34**2 / GAMMA_QUARTER**2) < 1e-13
-    assert abs(mellin_V(0.5) - 2 * math.pi / GAMMA_QUARTER**2) < 1e-13
+    assert abs(mellin_weight(v, 1) - g34**2 / GAMMA_QUARTER**2) < 1e-13
+    assert abs(mellin_weight(v, 0.5) - 2 * math.pi / GAMMA_QUARTER**2) < 1e-13
     # s*transform(s) = B(s) = 1 + digamma(1/4) s + O(s^2), so the limit is 1
     # but the approach is linear in s
-    assert abs(1e-9 * mellin_V(1e-9) - 1) < 1e-8
+    assert abs(1e-9 * mellin_weight(v, 1e-9) - 1) < 1e-8
     s = 1e-4
-    assert abs(s * mellin_V(s) - 1) < 2 * abs(DIGAMMA_QUARTER) * s
+    assert abs(s * mellin_weight(v, s) - 1) < 2 * abs(DIGAMMA_QUARTER) * s
     with pytest.raises(ValueError):
-        mellin_V(0)
+        mellin_weight(v, 0)
 
 
 def test_weight_function_validation():
@@ -105,13 +105,6 @@ def test_weight_function_validation():
         WeightFunction("V1", 0.0)
     with pytest.raises(ValueError):
         eval_weight(WeightFunction("V1", LOGQ), -1.0)
-
-
-def test_v1_equals_v2():
-    w1 = WeightFunction("V1", LOGQ)
-    w2 = WeightFunction("V2", LOGQ)
-    for x in (0.1, 1.0, 10.0):
-        assert abs(eval_weight(w1, x) - eval_weight(w2, x)) < 1e-10
 
 
 def test_v_small_x_limit():
@@ -154,7 +147,7 @@ def test_mellin_inversion_consistency_shifted_line():
 
         def integrand(t, x=x):
             s = sigma + 1j * t
-            return (mellin_V(s) * x ** (-s)).real / (2 * math.pi)
+            return (mellin_weight(w, s) * x ** (-s)).real / (2 * math.pi)
 
         val, err = scipy.integrate.quad(
             integrand, -60, 60, limit=400, epsabs=1e-11, epsrel=1e-11
@@ -224,22 +217,36 @@ def test_w1_transform_closed_form_vs_numerical_mellin():
 
 def test_w2_production_matches_composition():
     L = LOGQ
-    v2 = WeightFunction("V2", L)
+    v1 = WeightFunction("V1", L)
     dv2 = WeightFunction("dV2", L)
     w2 = WeightFunction("W2", L)
     for x in (0.01, 0.5, 1.0, 2.0, 30.0):
-        composed = (0.5 + math.log(x) / (2 * L)) * eval_weight(v2, x) + eval_weight(
+        composed = (0.5 + math.log(x) / (2 * L)) * eval_weight(v1, x) + eval_weight(
             dv2, x
         ) / (2 * L)
         assert abs(eval_weight(w2, x) - composed) < 1e-11, x
 
 
 def test_eval_weight_many_matches_scalar():
-    w = WeightFunction("W1", LOGQ)
+    # both contour branches: Re(s) = -1/4 with the residue for x <= 1,
+    # Re(s) = 1 beyond
     xs = np.array([1e-6, 0.1, 1.0, 7.0, 300.0])
-    many = eval_weight_many(w, xs)
-    for x, v in zip(xs, many):
-        assert v == eval_weight(w, float(x))
+    many = eval_weight_many(WEIGHT_KINDS, LOGQ, xs)
+    assert many.shape == (len(WEIGHT_KINDS), len(xs))
+    for kind, row in zip(WEIGHT_KINDS, many):
+        for x, v in zip(xs, row):
+            assert v == eval_weight(WeightFunction(kind, LOGQ), float(x))
+    assert eval_weight_many(("W2",), LOGQ, xs.reshape(5, 1)).shape == (1, 5, 1)
+
+
+def test_eval_weight_many_shared_rotation_is_bit_identical():
+    # the AFE columns share one rotation row per x; each row must carry the
+    # bits of its kind evaluated alone
+    xs = np.array([3e-7, 0.02, 0.5, 1.0, 1.5, 13.0, 80.0, 900.0])
+    kinds = ("V1", "W1", "W2")
+    rows = eval_weight_many(kinds, LOGQ, xs)
+    for kind, row in zip(kinds, rows):
+        assert row.tobytes() == eval_weight_many((kind,), LOGQ, xs)[0].tobytes()
 
 
 def _bessel_series(x: float, which: str) -> float:
@@ -264,27 +271,23 @@ def _bessel_series(x: float, which: str) -> float:
 
 def test_bessel_against_series_oracle():
     for x in (0.3, 1.0, 2.5, 5.0):
-        assert abs(bessel_Y0(x) - _bessel_series(x, "Y0")) < 1e-11
-        assert abs(bessel_K0(x) - _bessel_series(x, "K0")) < 1e-11
+        assert abs(bessel_y0(x) - _bessel_series(x, "Y0")) < 1e-11
+        assert abs(bessel_k0(x) - _bessel_series(x, "K0")) < 1e-11
 
 
 def test_k0_integral_representation():
     val, err = scipy.integrate.quad(lambda t: math.exp(-math.cosh(t)), 0, 20)
     assert err < 1e-8
-    assert abs(bessel_K0(1.0) - val) < 1e-11
+    assert abs(bessel_k0(1.0) - val) < 1e-11
     assert abs(val - 0.421024438240708) < 1e-11
 
 
 def test_bessel_limits_and_bounds():
     x = 1e-4
     small = 2 / math.pi * (math.log(x / 2) + 0.5772156649015329)
-    assert abs(bessel_Y0(x) - small) < 1e-6
+    assert abs(bessel_y0(x) - small) < 1e-6
     for x in (2.0, 5.0, 10.0, 50.0):
-        assert bessel_K0(x) < math.exp(-x)
-    with pytest.raises(ValueError):
-        bessel_Y0(0.0)
-    with pytest.raises(ValueError):
-        bessel_K0(-1.0)
+        assert bessel_k0(x) < math.exp(-x)
 
 
 def test_bump_shape():
