@@ -276,14 +276,23 @@ def dirichlet_convolution(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """(f*g)(n) = sum_{d|n} f(d) g(n/d) for n = 0..limit by a divisor sieve.
 
     g is a table over 0..limit and f a table from 0 that counts as zero past
-    its end (entry 0 of both unused).  Terms are added in increasing d.  The
-    result takes their common dtype, so integer tables give exact integers.
+    its end (entry 0 of both unused).  The result takes their common dtype,
+    so integer tables give exact integers.  Float terms are added in
+    increasing d.  Integer sums do not depend on the order, so they split
+    the pairs d*k <= limit at s = isqrt(limit): one row per d <= s, then one
+    column per k <= limit/(s+1) over the d > s, in O(sqrt(limit)) steps.
     """
     limit = len(g) - 1
     out = np.zeros(limit + 1, dtype=np.result_type(f, g))
-    for d in range(1, min(len(f), limit + 1)):
+    s = math.isqrt(limit) if np.issubdtype(out.dtype, np.integer) else limit
+    for d in range(1, min(len(f), s + 1)):
         if f[d]:
             out[d::d] += f[d] * g[1 : limit // d + 1]
+    if len(f) > s + 1:
+        for k in range(1, limit // (s + 1) + 1):
+            if g[k]:
+                d_hi = min(len(f) - 1, limit // k)
+                out[(s + 1) * k : d_hi * k + 1 : k] += g[k] * f[s + 1 : d_hi + 1]
     return out
 
 

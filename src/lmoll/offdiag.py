@@ -30,7 +30,7 @@ from .arith import (
     factor,
     is_prime,
     one_star_psi_table,
-    spf_table,
+    primes_up_to,
 )
 from .lvalues import oracle_L
 from .special import SmoothBump, gamma_complex
@@ -198,12 +198,17 @@ def shifted_conv_r_decomposed(params: ShiftedConvParams) -> float:
 
 @lru_cache(maxsize=8)
 def _mobius_table(limit: int) -> np.ndarray:
-    spf = spf_table(limit)
+    """mu(n) for n = 0..limit (entry 0 unused), sieved by the primes up to
+    sqrt(limit).  `small` collects the product of those primes dividing n;
+    a squarefree n with small < n has one prime factor above sqrt(limit)
+    left, which flips its sign once more."""
     mu = np.ones(limit + 1, dtype=np.int64)
-    for n in range(2, limit + 1):
-        p = int(spf[n])
-        m = n // p
-        mu[n] = 0 if m % p == 0 else -mu[m]
+    small = np.ones(limit + 1, dtype=np.int64)
+    for p in primes_up_to(math.isqrt(limit)):
+        mu[p::p] *= -1
+        small[p::p] *= p
+        mu[p * p :: p * p] = 0
+    mu[small < np.arange(limit + 1)] *= -1
     return mu
 
 
@@ -290,7 +295,7 @@ def singular_series(a: int, b: int, r: int, psi: RealCharacter,
                     L_max: int = 10000) -> SingularSeries:
     _series_check(a, b, r, psi)
     _check_L_max(L_max)
-    value = math.fsum(_series_terms(*_series_coeff(a, b, psi, L_max), r))
+    value = math.fsum(memoryview(_series_terms(*_series_coeff(a, b, psi, L_max), r)))
     return SingularSeries(a, b, r, psi, L_max, value,
                           _series_tail(a, b, r, psi.D, L_max))
 
@@ -492,7 +497,10 @@ def main_term(params: ShiftedConvParams, L_max: int = 100000) -> tuple[float, fl
             # density argument is r, not the lattice offset q*r: the two agree
             # only as q grows, so at fixed q this choice floors the relative
             # deviation from the brute sum near 1/q
-            ss = math.fsum(_series_terms(coeff, denom, r))
+            # fsum is exactly rounded, so any order gives the same sum; the
+            # memoryview hands it Python floats one at a time, faster than
+            # numpy scalars and without a list of L_max floats
+            ss = math.fsum(memoryview(_series_terms(coeff, denom, r)))
             terms.append(pref * ss * integral)
             tail += pref * _series_tail(a, b, r, p.psi.D, L_max) * abs(integral)
     return math.fsum(terms), tail

@@ -231,6 +231,15 @@ class SmoothBump:
         self.hi = float(hi)
 
     def __call__(self, x):
+        if isinstance(x, float):
+            # the array path's operations on one float, without the array
+            # overhead (scalar quad integrands call this once per node);
+            # np.exp, since math.exp rounds some of these inputs differently
+            y = 1.0 + (x - self.lo) / (self.hi - self.lo)
+            if not 1.0 < y < 2.0:
+                return 0.0
+            v = 2.0 * y - 3.0
+            return float(np.exp(1.0 + 1.0 / (v * v - 1.0)))
         x = np.asarray(x, dtype=np.float64)
         y = 1.0 + (x - self.lo) / (self.hi - self.lo)
         out = np.zeros_like(y)

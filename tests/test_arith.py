@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lmoll.arith import (
@@ -187,6 +187,29 @@ def test_dirichlet_convolution_is_pointwise_divisor_sum(fg):
     assert got.dtype == f.dtype and len(got) == len(f)
     for n in range(1, len(f)):
         assert got[n] == sum(f[d] * g[n // d] for d in divisors(n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(limit=st.integers(1, 3000), f_len=st.integers(1, 3100), seed=st.integers(0, 2**32 - 1))
+@example(limit=1, f_len=2, seed=0)
+@example(limit=2, f_len=3, seed=1)
+@example(limit=3, f_len=4, seed=2)
+@example(limit=4, f_len=5, seed=3)
+@example(limit=2500, f_len=2501, seed=4)
+@example(limit=2024, f_len=2025, seed=5)  # 45^2 - 1: the split just below a square
+@example(limit=2025, f_len=46, seed=6)    # f ends at isqrt(limit) + 1
+@example(limit=2025, f_len=47, seed=7)
+def test_dirichlet_convolution_dense_int_is_pointwise_divisor_sum(limit, f_len, seed):
+    """The integer path splits the pairs d*k <= limit at isqrt(limit); every
+    entry must still be the full divisor sum, with f zero past its end."""
+    rng = np.random.default_rng(seed)
+    f = rng.integers(-5, 6, size=f_len)
+    g = rng.integers(-5, 6, size=limit + 1)
+    got = dirichlet_convolution(f, g)
+    assert got.dtype == np.int64 and len(got) == limit + 1
+    fl, gl = f.tolist(), g.tolist()
+    for n in range(1, limit + 1):
+        assert got[n] == sum(fl[d] * gl[n // d] for d in divisors(n) if d < f_len)
 
 
 @settings(max_examples=20, deadline=None)

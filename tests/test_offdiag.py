@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 from scipy.special import zeta
 
-from lmoll.arith import RealCharacter, ramanujan_sum
+from lmoll.arith import RealCharacter, ramanujan_sum, spf_table
 from lmoll.offdiag import (
     ShiftedConvParams,
+    _mobius_table,
     _ramanujan_column,
     brute_shifted_conv,
     dirichlet_series_G,
@@ -133,6 +134,19 @@ class TestSingularSeries:
         col = _ramanujan_column(12, 50)
         for ell in range(1, 51):
             assert col[ell - 1] == ramanujan_sum(12, ell)
+
+    def test_mobius_table_matches_smallest_prime_factor_recursion(self):
+        limit = 10**5
+        spf = spf_table(limit)
+        mu = np.ones(limit + 1, dtype=np.int64)
+        for n in range(2, limit + 1):
+            p = int(spf[n])
+            m = n // p
+            mu[n] = 0 if m % p == 0 else -mu[m]
+        got = _mobius_table(limit)
+        assert got.dtype == mu.dtype and np.array_equal(got, mu)
+        for small in range(1, 50):
+            assert np.array_equal(_mobius_table(small), mu[: small + 1])
 
     def test_truncations_consistent(self):
         s1 = singular_series(1, 1, 1, PSI5, L_max=10000)

@@ -290,6 +290,22 @@ def test_bessel_limits_and_bounds():
         assert bessel_k0(x) < math.exp(-x)
 
 
+@pytest.mark.parametrize("lo,hi", [(10.0, 100.0), (50.0, 4850.0), (1.0, 2.0), (1.0, 1.5)])
+def test_bump_scalar_path_is_bit_identical_to_array(lo, hi):
+    b = SmoothBump(lo, hi)
+    edges = [lo, hi, math.nextafter(lo, -math.inf), math.nextafter(lo, math.inf),
+             math.nextafter(hi, -math.inf), math.nextafter(hi, math.inf),
+             0.5 * lo, 2.0 * hi, -hi, 0.0, 0.5 * (lo + hi), math.inf, math.nan]
+    inner = np.random.default_rng(0).uniform(lo, hi, 2000).tolist()
+    xs = edges + inner
+    arr = b(np.array(xs))
+    for x, want in zip(xs, arr.tolist()):
+        got = b(x)
+        assert type(got) is float
+        assert got.hex() == want.hex(), x
+        assert b(np.float64(x)).hex() == want.hex()
+
+
 def test_bump_shape():
     b = SmoothBump(10.0, 100.0)
     assert b(10.0) == 0.0 and b(100.0) == 0.0 and b(5.0) == 0.0 and b(200.0) == 0.0

@@ -22,10 +22,16 @@ from lmoll.characters import gauss_sum_real
 from lmoll.lvalues import oracle_L
 from lmoll.special import SmoothBump
 from lmoll.voronoi import (
+    _GL_NODES,
+    _GL_WEIGHTS,
     VoronoiCase,
+    _character_for,
+    _conv_table,
     _decaying_integral,
     _k0_sum_tail,
-    _oscillatory_integral,
+    _oscillatory_panels,
+    _panel_integral,
+    _panels,
     dual_coefficients,
     factor_character,
     voronoi_lhs,
@@ -133,6 +139,16 @@ class TestDualCoefficients:
                          for d in range(1, m + 1) if m % d == 0)
             assert conv[m] == direct
 
+    @pytest.mark.parametrize("d1,d2", [(1, 1), (1, 5), (5, 1), (5, 13), (13, 5), (1, 65)])
+    def test_conv_table_is_pointwise_convolution(self, d1, d2):
+        psi1, psi2 = _character_for(d1), _character_for(d2)
+        limit = 1500
+        conv = _conv_table(d1, d2, limit)
+        assert conv.dtype == np.float64 and len(conv) == limit + 1
+        for m in range(1, limit + 1):
+            direct = sum(psi1(d) * psi2(m // d) for d in range(1, m + 1) if m % d == 0)
+            assert conv[m] == direct
+
     def test_coprime_regime_reduces_to_weights(self):
         case = factor_character(PSI5, 7, 1)
         conv = dual_coefficients(case, 2000)
@@ -189,7 +205,8 @@ class TestIntegrals:
     ])
     def test_oscillatory_against_quad(self, g, alpha):
         t0, t1 = math.sqrt(g.lo), math.sqrt(g.hi)
-        mine = _oscillatory_integral(g, t0, t1, alpha)
+        panels = _panels(g, t0, t1, _oscillatory_panels(t0, t1, alpha))
+        mine = _panel_integral(panels, alpha, bessel_y0)
         ref = quad(lambda t: 2.0 * t * float(g(t * t)) * bessel_y0(alpha * t),
                    t0, t1, epsabs=1e-12, epsrel=1e-12, limit=2000)[0]
         assert abs(mine - ref) <= 1e-9 * max(1.0, abs(ref))
@@ -204,6 +221,28 @@ class TestIntegrals:
                    t0, t1, epsabs=1e-14, epsrel=1e-14, limit=2000)[0]
         assert rem >= 0.0
         assert abs(value - ref) <= rem + 1e-12
+
+    @staticmethod
+    def _inline_panel_integral(g, t0, t1, alpha, bessel, panels):
+        # the panel rule written out in one expression, nodes rebuilt per call
+        edges = np.linspace(t0, t1, panels + 1)
+        mids = 0.5 * (edges[1:] + edges[:-1])[:, None]
+        halfs = 0.5 * (edges[1:] - edges[:-1])[:, None]
+        t = mids + halfs * _GL_NODES[None, :]
+        vals = 2.0 * t * g(t * t) * bessel(alpha * t)
+        return float((vals * (halfs * _GL_WEIGHTS[None, :])).sum())
+
+    @pytest.mark.parametrize("bessel", [bessel_y0, bessel_k0])
+    @pytest.mark.parametrize("g,panels", [(G_WIDE, 40), (G_WIDE, 1337), (G_NARROW, 40),
+                                          (G_MID, 4000)])
+    def test_panel_table_is_bit_identical_to_inline_rule(self, bessel, g, panels):
+        t0, t1 = math.sqrt(g.lo), math.sqrt(g.hi)
+        table = _panels(g, t0, t1, panels)
+        # one table serves every alpha: its scratch row must not leak between calls
+        for alpha in (0.05, 0.8, 3.0, 0.8, 17.5):
+            got = _panel_integral(table, alpha, bessel)
+            want = self._inline_panel_integral(g, t0, t1, alpha, bessel, panels)
+            assert got.hex() == want.hex()
 
     def test_decaying_truncation_engages(self):
         t0, t1 = math.sqrt(G_WIDE.lo), math.sqrt(G_WIDE.hi)
