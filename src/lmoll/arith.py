@@ -36,20 +36,6 @@ def primes_up_to(limit: int) -> tuple[int, ...]:
     return tuple(int(p) for p in np.nonzero(sieve)[0])
 
 
-@lru_cache(maxsize=4)
-def spf_table(limit: int) -> np.ndarray:
-    """Smallest-prime-factor table for 0..limit (limit capped at 10^7)."""
-    if limit > 10**7:
-        raise ValueError("spf table capped at 10^7")
-    spf = np.zeros(limit + 1, dtype=np.int64)
-    spf[1:] = np.arange(1, limit + 1)
-    for p in range(2, int(limit**0.5) + 1):
-        if spf[p] == p:  # p prime
-            block = spf[p * p :: p]
-            np.minimum(block, p, out=block)
-    return spf
-
-
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid for all 64-bit n."""
     if n < 2:

@@ -432,6 +432,14 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.threads < 1:
         return _usage_error("--threads", ValueError("must be at least 1"))
+    # nan or inf would reach the payload as invalid JSON (NaN, Infinity)
+    tol = getattr(args, "tol", 1.0)
+    if not (math.isfinite(tol) and tol > 0):
+        return _usage_error("--tol", ValueError(f"must be finite and positive, got {tol}"))
+    threshold = getattr(args, "threshold", 0.0)
+    if not (math.isfinite(threshold) and threshold >= 0):
+        return _usage_error("--threshold",
+                            ValueError(f"must be finite and non-negative, got {threshold}"))
     return args.run(args)
 
 

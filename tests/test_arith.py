@@ -29,7 +29,6 @@ from lmoll.arith import (
     one_star_psi_table,
     primes_up_to,
     ramanujan_sum,
-    spf_table,
 )
 
 
@@ -71,12 +70,6 @@ def test_factor_multiplicativity_exhaustive():
             assert is_prime(p)
             prod *= p**e
         assert prod == n
-
-
-def test_spf_table_agrees_with_factor():
-    spf = spf_table(10**4)
-    for n in range(2, 10**4 + 1):
-        assert spf[n] == factor(n).factors[0][0]
 
 
 def test_divisor_and_phi_helpers():

@@ -97,6 +97,23 @@ class TestPlumbing:
         assert rc == 1
         assert "--m-max" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+    @pytest.mark.parametrize("command", ["afe-check", "voronoi-check"])
+    def test_tol_must_be_finite_and_positive(self, command, value, tmp_path, capsys):
+        out = tmp_path / "payload"
+        assert run_cli(GOLDEN_ARGVS[command] + ["--tol", value, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("usage error: --tol: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("command", ["census", "moments"])
+    def test_threshold_must_be_finite_and_nonnegative(self, command, value, tmp_path,
+                                                      capsys):
+        out = tmp_path / "payload"
+        assert run_cli(GOLDEN_ARGVS[command] + ["--threshold", value, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("usage error: --threshold: ")
+        assert not out.exists()
+
 
 class TestGoldenPayloads:
     """Payload bytes of GOLDEN_ARGVS, frozen at an earlier commit, so a change

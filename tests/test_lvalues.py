@@ -7,12 +7,14 @@ import csv
 import math
 import pathlib
 
+import numpy as np
 import pytest
 
-from lmoll.arith import PrincipalCharacter, RealCharacter
+from lmoll.arith import PrincipalCharacter, RealCharacter, one_star_psi_table
 from lmoll.characters import build_group, enumerate_even_primitive
 from lmoll.lvalues import (
     AFEConfig,
+    _afe_tables,
     afe_central,
     afe_tail_bound,
     default_config,
@@ -23,6 +25,7 @@ from lmoll.lvalues import (
     oracle_product_at,
     oracle_product_derivative,
 )
+from lmoll.special import eval_weight_many
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "central_values.csv"
 
@@ -118,6 +121,25 @@ def test_afe_rejects_bad_characters():
         afe_central(G.character(3), psi)  # odd
     with pytest.raises(ValueError):
         afe_central(build_group(5).character(2), RealCharacter(5))  # shared modulus
+
+
+@pytest.mark.parametrize("q,D", [(13, 5), (29, 5), (101, 5), (101, 13)])
+def test_afe_tables_equal_coefficients_times_every_weight(q, D):
+    # the weights are evaluated only where (1*psi)(n) != 0; the columns must
+    # still equal coeff * weight at every n, to the bit where coeff != 0
+    cfg = default_config(q, D)
+    cols = _afe_tables(q, D, cfg.n_max, cfg.Q)
+    coeff = one_star_psi_table(RealCharacter(D), cfg.n_max)[1:].astype(np.float64)
+    n = np.arange(1, cfg.n_max + 1, dtype=np.float64)
+    coeff /= np.sqrt(n)
+    nonzero = coeff != 0
+    assert 0 < np.count_nonzero(nonzero) < cfg.n_max
+    full = eval_weight_many(("V1", "W1", "W2"), math.log(cfg.Q), n / cfg.Q)
+    for key, weight in zip(("V", "W1", "W2"), full):
+        want = coeff * weight
+        assert cols[key].shape == (cfg.n_max,)
+        assert np.array_equal(cols[key], want)
+        assert cols[key][nonzero].tobytes() == want[nonzero].tobytes()
 
 
 def test_afe_tail_certificate_blocks_short_truncation():

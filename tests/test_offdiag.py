@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.special import zeta
 
-from lmoll.arith import RealCharacter, ramanujan_sum, spf_table
+from lmoll.arith import RealCharacter, factor, ramanujan_sum
 from lmoll.offdiag import (
     ShiftedConvParams,
     _mobius_table,
@@ -38,6 +38,20 @@ GOLDEN = dict(a=1, b=1, q=101, M=500.0, N=500.0, psi=PSI5)
 GOLDEN_BOTH = 235.3561859024497
 GOLDEN_PLUS = 67.97703012877889
 GOLDEN_MINUS = 167.37915577367082
+
+
+def spf_table(limit: int) -> np.ndarray:
+    """Smallest-prime-factor table for 0..limit (limit capped at 10^7): the
+    sieve the Moebius table was once built from, kept as its oracle."""
+    if limit > 10**7:
+        raise ValueError("spf table capped at 10^7")
+    spf = np.zeros(limit + 1, dtype=np.int64)
+    spf[1:] = np.arange(1, limit + 1)
+    for p in range(2, int(limit**0.5) + 1):
+        if spf[p] == p:  # p prime
+            block = spf[p * p :: p]
+            np.minimum(block, p, out=block)
+    return spf
 
 
 def dense_oracle(p: ShiftedConvParams) -> float:
@@ -134,6 +148,11 @@ class TestSingularSeries:
         col = _ramanujan_column(12, 50)
         for ell in range(1, 51):
             assert col[ell - 1] == ramanujan_sum(12, ell)
+
+    def test_spf_oracle_agrees_with_factor(self):
+        spf = spf_table(10**4)
+        for n in range(2, 10**4 + 1):
+            assert spf[n] == factor(n).factors[0][0]
 
     def test_mobius_table_matches_smallest_prime_factor_recursion(self):
         limit = 10**5

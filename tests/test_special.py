@@ -9,16 +9,20 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.special
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lmoll.special import (
+    _MID,
+    _QUAD_STEP,
+    _QUAD_T,
     DIGAMMA_QUARTER,
     GAMMA_QUARTER,
     WEIGHT_KINDS,
     MellinPrincipalPart,
     SmoothBump,
     WeightFunction,
+    _line_kernel,
     digamma_complex,
     eval_weight,
     eval_weight_many,
@@ -247,6 +251,43 @@ def test_eval_weight_many_shared_rotation_is_bit_identical():
     rows = eval_weight_many(kinds, LOGQ, xs)
     for kind, row in zip(kinds, rows):
         assert row.tobytes() == eval_weight_many((kind,), LOGQ, xs)[0].tobytes()
+
+
+def test_quad_grid_is_mirror_symmetric():
+    # the half rotation row relies on it: t and -t are both nodes, exactly
+    assert np.array_equal(_QUAD_T[::-1], -_QUAD_T)
+    assert _QUAD_T[_MID] == 0.0 and len(_QUAD_T) == 2 * _MID + 1
+
+
+def _full_row_weights(kinds, logQ: float, x: float) -> list[float]:
+    """eval_weight_many as written before the half rotation row: np.exp over
+    the whole t-grid.  The oracle the half row must match bit for bit."""
+    sigma = 1.0 if x > 1 else -0.25
+    lx = math.log(x)
+    rot = np.exp(-1j * _QUAD_T * lx)
+    vals = []
+    for kind in kinds:
+        pp = mellin_principal_part(WeightFunction(kind, logQ))
+        kern = _line_kernel(kind, logQ, sigma)
+        val = _QUAD_STEP / (2 * math.pi) * float(np.sum(kern * rot).real) * x**-sigma
+        if x <= 1:
+            val += float((pp.c1 - pp.c2 * lx).real)
+        vals.append(val)
+    return vals
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(1e-8, 1e3),
+       st.sampled_from([LOGQ, math.log(101 * math.sqrt(5) / math.pi)]))
+@example(1.0, LOGQ)
+@example(math.nextafter(1.0, 0.0), LOGQ)
+@example(math.nextafter(1.0, 2.0), LOGQ)
+@example(1e-8, LOGQ)
+@example(1e3, LOGQ)
+def test_half_rotation_row_is_bit_identical_to_full_row(x, logQ):
+    got = eval_weight_many(WEIGHT_KINDS, logQ, np.array([x]))[:, 0].tolist()
+    want = _full_row_weights(WEIGHT_KINDS, logQ, x)
+    assert [v.hex() for v in got] == [v.hex() for v in want], x
 
 
 def _bessel_series(x: float, which: str) -> float:
