@@ -191,7 +191,11 @@ def _afe_tables(q: int, D: int, n_max: int, Q: float):
     power, so the weights are evaluated only where the coefficient is nonzero
     (about a fifth of n <= n_max at D = 5) and the cost is proportional to
     that count.  The other entries are +0.0; the columns keep their full
-    length, so every dot product over them sums in the same order."""
+    length, so every dot product over them sums in the same order.
+
+    "tails" holds the certified tail bound of each weight.  The bounds
+    depend only on Q and n_max, so they are computed here once per entry;
+    afe_central compares them with its config's budget."""
     psi = RealCharacter(D)
     coeff = one_star_psi_table(psi, n_max)[1:].astype(np.float64)
     n = np.arange(1, n_max + 1, dtype=np.float64)
@@ -202,7 +206,9 @@ def _afe_tables(q: int, D: int, n_max: int, Q: float):
     weights = np.zeros((3, n_max))
     weights[:, nonzero] = eval_weight_many(("V1", "W1", "W2"), logQ, xs[nonzero])
     v, w1, w2 = weights
-    return {"V": coeff * v, "W1": coeff * w1, "W2": coeff * w2}
+    cfg = AFEConfig(Q=Q, n_max=n_max)
+    tails = {kind: afe_tail_bound(kind, cfg) for kind in ("V1", "W1", "W2")}
+    return {"V": coeff * v, "W1": coeff * w1, "W2": coeff * w2, "tails": tails}
 
 
 def afe_central(chi: DirichletCharacter, psi: RealCharacter,
@@ -223,13 +229,12 @@ def afe_central(chi: DirichletCharacter, psi: RealCharacter,
         cfg = default_config(q, D)
     if abs(cfg.Q - q * math.sqrt(D) / math.pi) > 1e-9 * cfg.Q:
         raise ValueError("cfg.Q inconsistent with q sqrt(D)/pi")
-    for kind in ("V1", "W1", "W2"):
-        t = afe_tail_bound(kind, cfg)
+    cols = _afe_tables(q, D, cfg.n_max, cfg.Q)
+    for kind, t in cols["tails"].items():
         if t > cfg.tail_budget:
             raise ValueError(
                 f"certified {kind} tail {t:.3e} exceeds budget {cfg.tail_budget:.3e}"
             )
-    cols = _afe_tables(q, D, cfg.n_max, cfg.Q)
     chivals = chi.values_at(np.arange(1, cfg.n_max + 1))
     eps = epsilon(chi) * epsilon_product_direct(chi, psi)
     s_v1 = complex(np.dot(cols["V"], chivals))

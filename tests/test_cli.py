@@ -114,6 +114,17 @@ class TestPlumbing:
         assert capsys.readouterr().err.startswith("usage error: --threshold: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("q,D", [("5", "5"), ("13", "65")])
+    def test_shifted_conv_rejects_q_dividing_D(self, q, D, tmp_path, capsys):
+        out = tmp_path / "payload"
+        rc = run_cli(["shifted-conv", "--a", "1", "--b", "1", "--q", q, "--D", D,
+                      "--scales", "200", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: --a/--b/--q/--scales/--sign: ")
+        assert "q must not divide D" in err
+        assert not out.exists()
+
 
 class TestGoldenPayloads:
     """Payload bytes of GOLDEN_ARGVS, frozen at an earlier commit, so a change

@@ -10,6 +10,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from lmoll import lvalues
 from lmoll.arith import PrincipalCharacter, RealCharacter, one_star_psi_table
 from lmoll.characters import build_group, enumerate_even_primitive
 from lmoll.lvalues import (
@@ -25,6 +26,7 @@ from lmoll.lvalues import (
     oracle_product_at,
     oracle_product_derivative,
 )
+from lmoll.moments import mollified_moments
 from lmoll.special import eval_weight_many
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "central_values.csv"
@@ -145,8 +147,41 @@ def test_afe_tables_equal_coefficients_times_every_weight(q, D):
 def test_afe_tail_certificate_blocks_short_truncation():
     cfg_short = AFEConfig(Q=default_config(13, 5).Q, n_max=math.ceil(default_config(13, 5).Q))
     assert afe_tail_bound("V1", cfg_short) > 1e-10
-    with pytest.raises(ValueError):
-        afe_central(build_group(13).character(2), RealCharacter(5), cfg_short)
+    for _ in range(2):  # the second call finds its table entry cached
+        with pytest.raises(ValueError):
+            afe_central(build_group(13).character(2), RealCharacter(5), cfg_short)
+
+
+def test_afe_tail_bounds_computed_once_per_config(monkeypatch):
+    # the three certified tails depend on Q and n_max alone, so a whole
+    # moments run (every character of the family) computes them once
+    calls = []
+    real = lvalues.afe_tail_bound
+
+    def counting(kind, cfg):
+        calls.append((kind, cfg.Q, cfg.n_max))
+        return real(kind, cfg)
+
+    monkeypatch.setattr(lvalues, "afe_tail_bound", counting)
+    _afe_tables.cache_clear()
+    cfg = default_config(29, 5)
+    mollified_moments(29, RealCharacter(5), 10)
+    assert sorted(calls) == [(kind, cfg.Q, cfg.n_max) for kind in ("V1", "W1", "W2")]
+    tails = _afe_tables(29, 5, cfg.n_max, cfg.Q)["tails"]
+    assert tails == {kind: real(kind, cfg) for kind in ("V1", "W1", "W2")}
+
+
+def test_afe_tail_budget_checked_against_cached_tails():
+    # the table entry is shared by every budget: a tighter budget on the
+    # same (Q, n_max) must still raise after a call that passed
+    psi = RealCharacter(5)
+    chi = build_group(13).character(2)
+    cfg = default_config(13, 5)
+    afe_central(chi, psi, cfg)
+    worst = max(afe_tail_bound(kind, cfg) for kind in ("V1", "W1", "W2"))
+    tight = AFEConfig(Q=cfg.Q, n_max=cfg.n_max, tail_budget=worst / 2)
+    with pytest.raises(ValueError, match="exceeds budget"):
+        afe_central(chi, psi, tight)
 
 
 def test_afe_truncation_doubling_stability():

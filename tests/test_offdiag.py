@@ -10,13 +10,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.special import zeta
 
 from lmoll.arith import RealCharacter, factor, ramanujan_sum
+from lmoll.lvalues import oracle_L
 from lmoll.offdiag import (
     ShiftedConvParams,
     _mobius_table,
     _ramanujan_column,
+    _series_coeff,
+    _series_sum,
+    _series_tail,
     brute_shifted_conv,
     dirichlet_series_G,
     H_kernel,
@@ -33,6 +40,8 @@ from lmoll.offdiag import (
 from lmoll.special import SmoothBump
 
 PSI5 = RealCharacter(5)
+# squarefree D = 1 mod 4 below 200
+SQUAREFREE_D = [D for D in range(5, 200, 4) if factor(D).is_squarefree()]
 
 GOLDEN = dict(a=1, b=1, q=101, M=500.0, N=500.0, psi=PSI5)
 GOLDEN_BOTH = 235.3561859024497
@@ -52,6 +61,43 @@ def spf_table(limit: int) -> np.ndarray:
             block = spf[p * p :: p]
             np.minimum(block, p, out=block)
     return spf
+
+
+def per_r_main_term(params: ShiftedConvParams, L_max: int) -> tuple[float, float]:
+    """main_term as a plain per-r loop: every series rebuilt for each
+    (branch, r) and summed over all its terms, zeros included."""
+    p = params
+    a, b, q = p.a, p.b, p.q
+    aM, bN = a * p.M, b * p.N
+    L1 = oracle_L(1.0, p.psi).real
+    pref = L1 * L1 / (a * b)
+    r_cap = int(4 * (aM + bN) / q) + 1
+    coeff, denom = _series_coeff(a, b, p.psi, L_max)
+    terms: list[float] = []
+    tail = 0.0
+    for sgn in p.branches():
+        lo1, hi1 = p.omega1.lo * aM, p.omega1.hi * aM
+        for r in range(-r_cap, r_cap + 1):
+            if r == 0:
+                continue
+            if sgn == 1:
+                lo2, hi2 = q * r + p.omega2.lo * bN, q * r + p.omega2.hi * bN
+            else:
+                lo2, hi2 = q * r - p.omega2.hi * bN, q * r - p.omega2.lo * bN
+            lo, hi = max(lo1, lo2), min(hi1, hi2)
+            if hi <= lo:
+                continue
+
+            def integrand(x: float, _r=r, _sgn=sgn) -> float:
+                first = p.omega1(x / aM)
+                second = p.omega2((x - q * _r) / bN if _sgn == 1 else (q * _r - x) / bN)
+                return float(first) * float(second)
+
+            integral = quad(integrand, lo, hi, epsabs=1e-10, epsrel=1e-10, limit=200)[0]
+            ss = math.fsum(memoryview(coeff * _ramanujan_column(r, L_max) / denom))
+            terms.append(pref * ss * integral)
+            tail += pref * _series_tail(a, b, r, p.psi.D, L_max) * abs(integral)
+    return math.fsum(terms), tail
 
 
 def dense_oracle(p: ShiftedConvParams) -> float:
@@ -91,6 +137,10 @@ class TestParams:
             ShiftedConvParams(1, 1, 10, 50.0, 50.0, PSI5)    # composite q
         with pytest.raises(ValueError):
             ShiftedConvParams(3, 101, 101, 50.0, 50.0, PSI5)  # q | ab
+        with pytest.raises(ValueError, match="q must not divide D"):
+            ShiftedConvParams(1, 1, 5, 50.0, 50.0, PSI5)      # q = D
+        with pytest.raises(ValueError, match="q must not divide D"):
+            ShiftedConvParams(1, 1, 13, 50.0, 50.0, RealCharacter(65))  # q | D
         with pytest.raises(ValueError):
             ShiftedConvParams(1, 1, 7, 0.0, 50.0, PSI5)
         with pytest.raises(ValueError):
@@ -183,10 +233,38 @@ class TestSingularSeries:
         assert abs(direct.value - singular_series_factored(a, b, r, psi)) <= direct.tail_bound
 
     def test_factored_route_preconditions(self):
+        # r = 4 (not squarefree) and r = 5 (shares a factor with D) are valid
+        for r in (4, 5):
+            direct = singular_series(1, 1, r, PSI5, L_max=100000)
+            assert abs(direct.value - singular_series_factored(1, 1, r, PSI5)) <= direct.tail_bound
         with pytest.raises(ValueError):
-            singular_series_factored(1, 1, 4, PSI5)    # r not squarefree
-        with pytest.raises(ValueError):
-            singular_series_factored(1, 1, 5, PSI5)    # r shares a factor with D
+            singular_series_factored(1, 1, 0, PSI5)
+
+    @settings(max_examples=25, deadline=None)
+    @given(a=st.integers(1, 40), b=st.integers(1, 40),
+           r=st.integers(1, 400), negate=st.booleans(), D=st.sampled_from(SQUAREFREE_D))
+    @example(a=4, b=9, r=72, negate=False, D=5)
+    @example(a=10, b=3, r=125, negate=True, D=5)
+    @example(a=1, b=1, r=360, negate=False, D=13)
+    def test_factored_route_within_direct_tail(self, a, b, r, negate, D):
+        # the factored value is exact; the direct sum truncated at L_max must
+        # lie within its certified tail of it, for every nonzero r
+        if math.gcd(a, b) != 1:
+            a, b = a // math.gcd(a, b), b // math.gcd(a, b)
+        r = -r if negate else r
+        psi = RealCharacter(D)
+        direct = singular_series(a, b, r, psi, L_max=100000)
+        assert abs(direct.value - singular_series_factored(a, b, r, psi)) <= direct.tail_bound
+
+    @pytest.mark.parametrize("a,b,D", [(1, 1, 5), (2, 3, 13)])
+    def test_series_sum_equals_fsum_over_all_terms(self, a, b, D):
+        # zero terms are skipped; the sum must still be the fsum over every
+        # term, for r and -r
+        coeff, denom = _series_coeff(a, b, RealCharacter(D), 100000)
+        for r in (1, 2, 7, 12, 36, 60, 97, 120, 210, 240, 243, 360, 384, 400):
+            want = math.fsum(coeff * _ramanujan_column(r, len(coeff)) / denom)
+            assert _series_sum(coeff, denom, r).hex() == want.hex()
+            assert _series_sum(coeff, denom, -r).hex() == want.hex()
 
     def test_guards(self):
         with pytest.raises(ValueError):
@@ -302,6 +380,17 @@ class TestMainTerm:
         value, tail = main_term(p)
         assert abs(brute - value) / brute < 0.02
         assert 0.0 < tail < 0.01 * brute
+
+    @pytest.mark.parametrize("sign", ["+", "-", "both"])
+    @pytest.mark.parametrize("a,b,D", [(1, 1, 5), (2, 3, 5), (1, 1, 13), (2, 3, 13), (1, 5, 13)])
+    def test_bits_equal_per_r_loop(self, sign, a, b, D):
+        # one series per |r|, summed over its nonzero terms, against the
+        # plain per-r loop: value and tail must agree to the last bit
+        p = ShiftedConvParams(a, b, 11, 40.0, 30.0, RealCharacter(D), sign=sign)
+        got = main_term(p, L_max=5000)
+        want = per_r_main_term(p, L_max=5000)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+        assert got[0] != 0.0
 
     def test_custom_bumps(self):
         narrow = SmoothBump(1.0, 1.5)
