@@ -8,7 +8,7 @@ Ramanujan sums, Kloosterman sums, and the long partial sums
 sum_{n<=x} (1*psi)(n)/n.
 
 Everything here is exact integer arithmetic except the final partial sums,
-which are exactly rounded by math.fsum.
+which are exactly rounded by reduction.exact_sum.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+
+from .reduction import exact_sum
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -369,4 +371,4 @@ def lacunary_partial_sum(psi: RealCharacter, x: float) -> float:
         raise ValueError("x must be at least 1")
     limit = int(math.floor(x))
     table = one_star_psi_table(psi, limit)
-    return math.fsum(table[1:] / np.arange(1, limit + 1))
+    return exact_sum(table[1:] / np.arange(1, limit + 1))

@@ -211,6 +211,18 @@ def _afe_tables(q: int, D: int, n_max: int, Q: float):
     return {"V": coeff * v, "W1": coeff * w1, "W2": coeff * w2, "tails": tails}
 
 
+def _budgeted_tables(q: int, D: int, cfg: AFEConfig):
+    """_afe_tables for cfg, raising when a certified tail exceeds
+    cfg.tail_budget, so no truncated sum leaves without its bound."""
+    cols = _afe_tables(q, D, cfg.n_max, cfg.Q)
+    for kind, t in cols["tails"].items():
+        if t > cfg.tail_budget:
+            raise ValueError(
+                f"certified {kind} tail {t:.3e} exceeds budget {cfg.tail_budget:.3e}"
+            )
+    return cols
+
+
 def afe_central(chi: DirichletCharacter, psi: RealCharacter,
                 cfg: AFEConfig | None = None) -> CentralValuePair:
     """Central value and derivative combination for L(s,chi)L(s,chi psi).
@@ -229,12 +241,7 @@ def afe_central(chi: DirichletCharacter, psi: RealCharacter,
         cfg = default_config(q, D)
     if abs(cfg.Q - q * math.sqrt(D) / math.pi) > 1e-9 * cfg.Q:
         raise ValueError("cfg.Q inconsistent with q sqrt(D)/pi")
-    cols = _afe_tables(q, D, cfg.n_max, cfg.Q)
-    for kind, t in cols["tails"].items():
-        if t > cfg.tail_budget:
-            raise ValueError(
-                f"certified {kind} tail {t:.3e} exceeds budget {cfg.tail_budget:.3e}"
-            )
+    cols = _budgeted_tables(q, D, cfg)
     chivals = chi.values_at(np.arange(1, cfg.n_max + 1))
     eps = epsilon(chi) * epsilon_product_direct(chi, psi)
     s_v1 = complex(np.dot(cols["V"], chivals))

@@ -40,8 +40,8 @@ from .characters import (
     epsilon_real,
     phi_plus,
 )
-from .lvalues import AFEConfig, _afe_tables, afe_central, default_config, hurwitz_zeta_vec
-from .reduction import fsum_complex
+from .lvalues import AFEConfig, _budgeted_tables, afe_central, default_config, hurwitz_zeta_vec
+from .reduction import exact_sum, fsum_complex
 
 __all__ = [
     "MollifierTable",
@@ -167,7 +167,7 @@ def mollified_moments(q: int, psi: RealCharacter, X: int,
         terms.append(central * eval_mollifier(table, chi))
         nonzero += int(abs(central) > threshold)
     s1 = fsum_complex(terms)
-    s2 = math.fsum([abs(t) ** 2 for t in terms])
+    s2 = exact_sum([abs(t) ** 2 for t in terms])
     denom = phi_plus(q) * s2
     ratio = abs(s1) ** 2 / denom if denom > 0 else 0.0
     ratio = min(max(ratio, 0.0), 1.0 + 1e-9)
@@ -196,13 +196,14 @@ def first_moment_by_orthogonality(q: int, psi: RealCharacter, X: int,
     conditions an = +-1 mod q, and summing eps(chi)eps(chi psi) chi(a/n)
     reduces, through the square of the Gauss sum, to Kloosterman values
     S(1, +-n/(Da); q).  Truncations match afe_central exactly, so the two
-    routes differ only by floating-point reordering.
+    routes differ only by floating-point reordering, and like afe_central
+    this raises when a certified tail exceeds cfg.tail_budget.
     """
     _moment_guards(q, psi, X)
     D = psi.D
     if cfg is None:
         cfg = default_config(q, D)
-    cols = _afe_tables(q, D, cfg.n_max, cfg.Q)
+    cols = _budgeted_tables(q, D, cfg)
     vcol = cols["V"]
     n_mod = np.arange(1, cfg.n_max + 1, dtype=np.int64) % q
     unit = n_mod != 0

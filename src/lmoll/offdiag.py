@@ -33,6 +33,7 @@ from .arith import (
     primes_up_to,
 )
 from .lvalues import oracle_L
+from .reduction import exact_sum
 from .special import SmoothBump, gamma_complex
 
 __all__ = [
@@ -130,7 +131,7 @@ def _weight_arrays(p: ShiftedConvParams):
 def brute_shifted_conv(params: ShiftedConvParams) -> float:
     """Exact lattice sum over the support of the two bumps.
 
-    Terms are grouped by m; each group is summed exactly (math.fsum), as is
+    Terms are grouped by m; each group is summed exactly (exact_sum), as is
     the final reduction over groups.  The sign "both" counts a pair once per
     congruence branch it satisfies, so it equals the "+" and "-" values
     added together.
@@ -157,8 +158,8 @@ def brute_shifted_conv(params: ShiftedConvParams) -> float:
             if ns.size:
                 pieces.append(w1 * wn[ns - n_lo])
         if pieces:
-            groups[m - m_lo] = math.fsum(np.concatenate(pieces))
-    return math.fsum(groups)
+            groups[m - m_lo] = exact_sum(np.concatenate(pieces))
+    return exact_sum(groups)
 
 
 def shifted_conv_r_decomposed(params: ShiftedConvParams) -> float:
@@ -193,8 +194,8 @@ def shifted_conv_r_decomposed(params: ShiftedConvParams) -> float:
             for i in np.nonzero(ok)[0]:
                 m = int(m_all[i])
                 per_m.setdefault(m, []).append(float(wm[i] * wn[n[i] - n_lo]))
-    groups = [math.fsum(per_m[m]) for m in sorted(per_m)]
-    return math.fsum(groups)
+    groups = [exact_sum(per_m[m]) for m in sorted(per_m)]
+    return exact_sum(groups)
 
 
 # ------------------------------------------------------------------ series
@@ -268,17 +269,8 @@ def _series_terms(coeff: np.ndarray, denom: np.ndarray, r: int) -> np.ndarray:
 
 
 def _series_sum(coeff: np.ndarray, denom: np.ndarray, r: int) -> float:
-    """math.fsum of _series_terms over its nonzero terms only.
-
-    c_ell(r) = 0 whenever ell/(ell, r) is not squarefree, about 30% of
-    ell <= 10^5 for small r, and each such term is an exact 0.0.  fsum is
-    exactly rounded, so leaving exact zeros out cannot change its value.
-    np.compress picks them out about twice as fast as a boolean index, and
-    the memoryview hands fsum Python floats one at a time, faster than numpy
-    scalars and without a list of L_max floats.
-    """
-    terms = _series_terms(coeff, denom, r)
-    return math.fsum(memoryview(np.compress(terms != 0, terms)))
+    """exact_sum of _series_terms: math.fsum's double for every r."""
+    return exact_sum(_series_terms(coeff, denom, r))
 
 
 def _series_tail(a: int, b: int, r: int, D: int, limit: int) -> float:
@@ -403,7 +395,7 @@ def singular_series_r_sum(a: int, b: int, R: int, psi: RealCharacter,
     d = np.arange(1, min(R, L_max) + 1)
     f = np.concatenate(([0.0], h2[R // d] / d))
     inner = dirichlet_convolution(f, _mobius_table(L_max))
-    value = math.fsum(coeff / denom * inner[1:])
+    value = exact_sum(coeff / denom * inner[1:])
     # per-r tails summed against 1/r^2, regrouped by the divisor d:
     # sum_{r<=R} tail_r/r^2 = (1+D)ab sum_d cap(d) d^{-3} H2(R//d)
     d_arr = np.arange(1, R + 1)
@@ -484,11 +476,11 @@ def main_term(params: ShiftedConvParams, L_max: int = 100000) -> tuple[float, fl
 
     The series and its tail piece are computed once per |r| and reused for
     -r and across both branches: c_ell(r) is built from the divisors of |r|,
-    so r and -r give the same doubles.  Each series is summed over its
-    nonzero terms only (_series_sum); fsum is exactly rounded, so dropping
-    exact zeros leaves every bit as it was.  Terms are still appended per
-    (branch, r) in the same order, so the final fsum and the tail are the
-    same floating-point operations as a per-r loop.
+    so r and -r give the same doubles.  Each series and the final sum are
+    exactly rounded (exact_sum), so they are math.fsum's doubles whatever
+    the order of summation inside.  Terms are still appended per
+    (branch, r) in the same order, so the tail is the same floating-point
+    operations as a per-r loop.
     """
     _check_L_max(L_max)
     p = params
@@ -529,7 +521,7 @@ def main_term(params: ShiftedConvParams, L_max: int = 100000) -> tuple[float, fl
             ss, ss_tail = series[abs(r)]
             terms.append(pref * ss * integral)
             tail += pref * ss_tail * abs(integral)
-    return math.fsum(terms), tail
+    return exact_sum(terms), tail
 
 
 # ------------------------------------------------------------------ H kernel

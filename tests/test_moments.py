@@ -15,7 +15,14 @@ import pytest
 
 from lmoll.arith import RealCharacter, eval_rho, factor, kloosterman
 from lmoll.characters import build_group, enumerate_even_primitive, phi_plus
-from lmoll.lvalues import afe_central, hurwitz_zeta_vec, oracle_L, oracle_product_at
+from lmoll.lvalues import (
+    AFEConfig,
+    afe_central,
+    default_config,
+    hurwitz_zeta_vec,
+    oracle_L,
+    oracle_product_at,
+)
 from lmoll.moments import (
     EulerProductFamily,
     MollifierTable,
@@ -119,6 +126,19 @@ class TestMoments:
         s1_characters = mollified_moments(q, PSI5, X).s1
         s1_orthogonality = first_moment_by_orthogonality(q, PSI5, X)
         assert abs(s1_characters - s1_orthogonality) < 1e-6
+
+    def test_first_moment_by_orthogonality_checks_tail_budget(self):
+        # the orthogonality route reads the same truncated columns as
+        # afe_central, so a config whose certified tail is over budget must
+        # raise here too; the default config still agrees with the afe route
+        cfg = default_config(13, 5)
+        short = AFEConfig(Q=cfg.Q, n_max=math.ceil(cfg.Q))
+        with pytest.raises(ValueError, match="exceeds budget"):
+            first_moment_by_orthogonality(13, PSI5, 5, short)
+        with pytest.raises(ValueError, match="exceeds budget"):
+            afe_central(build_group(13).character(2), PSI5, short)
+        s1_characters = mollified_moments(13, PSI5, 5).s1
+        assert abs(first_moment_by_orthogonality(13, PSI5, 5) - s1_characters) < 1e-12
 
     def test_kloosterman_row_matches_scalar(self):
         for q in (13, 101):

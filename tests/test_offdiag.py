@@ -258,8 +258,8 @@ class TestSingularSeries:
 
     @pytest.mark.parametrize("a,b,D", [(1, 1, 5), (2, 3, 13)])
     def test_series_sum_equals_fsum_over_all_terms(self, a, b, D):
-        # zero terms are skipped; the sum must still be the fsum over every
-        # term, for r and -r
+        # the vectorised exact sum must be the fsum over every term, for r
+        # and -r
         coeff, denom = _series_coeff(a, b, RealCharacter(D), 100000)
         for r in (1, 2, 7, 12, 36, 60, 97, 120, 210, 240, 243, 360, 384, 400):
             want = math.fsum(coeff * _ramanujan_column(r, len(coeff)) / denom)
