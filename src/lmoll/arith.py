@@ -7,6 +7,11 @@ Dirichlet-convolution sieve every divisor-sum table is built with,
 Ramanujan sums, Kloosterman sums, and the long partial sums
 sum_{n<=x} (1*psi)(n)/n.
 
+Every character (these two and chi mod q in `characters`) is a
+ResidueCharacter: its residue table values() is the one source of its
+array values, and character_convolution is the one place such a table is
+tiled out to a convolution.
+
 Everything here is exact integer arithmetic except the final partial sums,
 which are exactly rounded by reduction.exact_sum.
 """
@@ -201,8 +206,20 @@ def kronecker(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
+class ResidueCharacter:
+    """A Dirichlet character given by its residue table.
+
+    Each subclass has `modulus`, `is_trivial`, `__call__` and `values()`, the
+    table of chi(a) for a = 0..modulus-1: int8 for the integer characters,
+    complex128 for chi mod q."""
+
+    def values_at(self, n: np.ndarray) -> np.ndarray:
+        """chi(n) for an integer array n of any sign: values()[n mod m]."""
+        return self.values()[np.mod(n, self.modulus)]
+
+
 @dataclass(frozen=True)
-class RealCharacter:
+class RealCharacter(ResidueCharacter):
     """The real primitive even character psi(n) = (D/n) for squarefree D = 1 (mod 4).
 
     Moduli with D = 0 (mod 4) are deliberately rejected: only the even
@@ -210,6 +227,8 @@ class RealCharacter:
     """
 
     D: int
+
+    is_trivial = False
 
     def __post_init__(self):
         if self.D <= 1:
@@ -231,16 +250,13 @@ class RealCharacter:
         return kronecker(self.D, n)
 
     @lru_cache(maxsize=None)
-    def table(self) -> np.ndarray:
+    def values(self) -> np.ndarray:
         """psi(r) for residues r = 0..D-1, as int8."""
         return np.array([kronecker(self.D, r) for r in range(self.D)], dtype=np.int8)
 
-    def values_array(self, n: np.ndarray) -> np.ndarray:
-        return self.table()[np.mod(n, self.D)]
-
 
 @dataclass(frozen=True)
-class PrincipalCharacter:
+class PrincipalCharacter(ResidueCharacter):
     """chi_0 mod m: 1 on units, 0 elsewhere.  The default modulus 1 gives the
     character that is identically one."""
 
@@ -251,13 +267,10 @@ class PrincipalCharacter:
     def __call__(self, n: int) -> int:
         return int(math.gcd(n, self.modulus) == 1)
 
-    def table(self) -> np.ndarray:
+    def values(self) -> np.ndarray:
         """chi_0(r) for residues r = 0..m-1, as int8."""
         m = self.modulus
         return np.array([math.gcd(r, m) == 1 for r in range(m)], dtype=np.int8)
-
-    def values(self) -> np.ndarray:
-        return self.table().astype(np.complex128)
 
 
 def dirichlet_convolution(f: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -284,6 +297,16 @@ def dirichlet_convolution(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     return out
 
 
+def character_convolution(chi1: ResidueCharacter, chi2: ResidueCharacter,
+                          limit: int) -> np.ndarray:
+    """(chi1 * chi2)(n) for n = 0..limit (entry 0 unused) for two integer
+    characters, in exact int64: each residue table tiled over 0..limit,
+    chi1's as f and chi2's, widened to int64, as g of dirichlet_convolution."""
+    f, g = (np.tile(t, limit // len(t) + 1)[: limit + 1]
+            for t in (chi1.values(), chi2.values().astype(np.int64)))
+    return dirichlet_convolution(f, g)
+
+
 def _cpow(n: int, z: complex) -> complex:
     """n^z for a positive integer n and complex z."""
     return cmath.exp(z * math.log(n))
@@ -306,8 +329,7 @@ def one_star_psi(psi: RealCharacter, n: int) -> int:
 
 def one_star_psi_table(psi: RealCharacter, limit: int) -> np.ndarray:
     """(1*psi)(n) for n = 0..limit by a divisor sieve (entry 0 unused)."""
-    psi_vals = np.tile(psi.table(), limit // psi.D + 1)[: limit + 1]
-    return dirichlet_convolution(psi_vals, np.ones(limit + 1, dtype=np.int64))
+    return character_convolution(psi, PrincipalCharacter(), limit)
 
 
 def eval_rho(psi: RealCharacter, a: int) -> int:

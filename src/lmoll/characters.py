@@ -5,9 +5,11 @@ g^j to e(jk/(q-1)).  For prime modulus every nontrivial character is
 primitive, the even ones are those with k even, and there are (q-3)/2
 even nontrivial characters.
 
-Also: Gauss sums, normalized root numbers eps = tau/sqrt(q), the root-number
-sum over the even family in both its direct and Kloosterman-reduced forms,
-and products with an auxiliary real character to a coprime modulus.
+A character here is an arith.ResidueCharacter like the real and principal
+characters, so one Gauss sum (a DFT of the residue table) and one root number
+eps = tau/sqrt(m) serve all three.  Also: the root-number sum over the even
+family in both its direct and Kloosterman-reduced forms, and products with
+an auxiliary real character to a coprime modulus.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import PrincipalCharacter, RealCharacter, euler_phi, factor, is_prime, kloosterman
+from .arith import RealCharacter, ResidueCharacter, euler_phi, factor, is_prime, kloosterman
 
 
 class CharacterGroup:
@@ -45,7 +47,7 @@ class CharacterGroup:
         return (self.character(k) for k in range(self.q - 1))
 
 
-class DirichletCharacter:
+class DirichletCharacter(ResidueCharacter):
     """chi_k mod prime q; chi_k(g^j) = e(jk/(q-1))."""
 
     def __init__(self, group: CharacterGroup, k: int):
@@ -84,9 +86,6 @@ class DirichletCharacter:
         ok = self.group.dlog >= 0
         out[ok] = self.group.unity[self.k * self.group.dlog[ok] % (q - 1)]
         return out
-
-    def values_at(self, n: np.ndarray) -> np.ndarray:
-        return self.values()[np.mod(n, self.group.q)]
 
 
 def _least_primitive_root(q: int) -> int:
@@ -139,23 +138,14 @@ def _gauss_sum(table: np.ndarray) -> complex:
     return complex(np.dot(table, np.exp(2j * np.pi * np.arange(m) / m)))
 
 
-def gauss_sum(chi: DirichletCharacter) -> complex:
-    """tau(chi) = sum_a chi(a) e(a/q)."""
+def gauss_sum(chi: ResidueCharacter) -> complex:
+    """tau(chi) = sum_a chi(a) e(a/m) for any character; one for the
+    principal character mod 1."""
     return _gauss_sum(chi.values())
 
 
-def gauss_sum_real(psi: RealCharacter | PrincipalCharacter) -> complex:
-    """Gauss sum of a character given by its integer residue table; one for
-    the principal character mod 1."""
-    return _gauss_sum(psi.table())
-
-
-def epsilon(chi: DirichletCharacter) -> complex:
+def epsilon(chi: ResidueCharacter) -> complex:
     return gauss_sum(chi) / math.sqrt(chi.modulus)
-
-
-def epsilon_real(psi: RealCharacter) -> complex:
-    return gauss_sum_real(psi) / math.sqrt(psi.D)
 
 
 def product_values(chi: DirichletCharacter, psi: RealCharacter) -> np.ndarray:
@@ -164,7 +154,7 @@ def product_values(chi: DirichletCharacter, psi: RealCharacter) -> np.ndarray:
     if math.gcd(q, D) != 1:
         raise ValueError("moduli must be coprime")
     a = np.arange(q * D)
-    return chi.values()[a % q] * psi.table()[a % D]
+    return chi.values_at(a) * psi.values_at(a)
 
 
 def epsilon_product_direct(chi: DirichletCharacter, psi: RealCharacter) -> complex:
@@ -174,7 +164,7 @@ def epsilon_product_direct(chi: DirichletCharacter, psi: RealCharacter) -> compl
 
 def epsilon_product_factored(chi: DirichletCharacter, psi: RealCharacter) -> complex:
     """eps(chi psi) = chi(D) psi(q) eps(chi) eps(psi)."""
-    return chi(psi.D) * psi(chi.modulus) * epsilon(chi) * epsilon_real(psi)
+    return chi(psi.D) * psi(chi.modulus) * epsilon(chi) * epsilon(psi)
 
 
 def epsilon_pair_sum(group: CharacterGroup, psi: RealCharacter):
@@ -194,7 +184,7 @@ def epsilon_pair_sum(group: CharacterGroup, psi: RealCharacter):
     for chi in enumerate_even_primitive(group):
         direct += epsilon(chi) * epsilon_product_direct(chi, psi)
     dbar = pow(D, -1, q)
-    eps_psi = epsilon_real(psi)
+    eps_psi = epsilon(psi)
     s_plus = kloosterman(1, dbar, q)
     s_minus = kloosterman(1, -dbar, q)
     closed = psi(q) * eps_psi * (euler_phi(q) / (2 * q) * (s_plus + s_minus) - 1 / q)

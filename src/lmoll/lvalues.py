@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import PrincipalCharacter, RealCharacter, one_star_psi_table
+from .arith import RealCharacter, one_star_psi_table
 from .characters import DirichletCharacter, epsilon, epsilon_product_direct, product_values
 from .special import _digamma_arr, eval_weight_many, gamma_complex, kernel_abs_moment
 
@@ -69,14 +69,6 @@ def hurwitz_zeta(s: complex, x: float, shift: int = _EM_SHIFT) -> complex:
     return complex(hurwitz_zeta_vec(s, np.array([x]), shift=shift)[0])
 
 
-def _character_data(chi) -> tuple[int, np.ndarray, bool]:
-    if isinstance(chi, RealCharacter):
-        return chi.D, chi.table().astype(np.complex128), False
-    if isinstance(chi, (DirichletCharacter, PrincipalCharacter)):
-        return chi.modulus, chi.values(), bool(chi.is_trivial)
-    raise TypeError(f"unsupported character type {type(chi)!r}")
-
-
 def _dirichlet_L(s: complex, modulus: int, values: np.ndarray,
                  shift: int = _EM_SHIFT) -> complex:
     a = np.arange(1, modulus + 1, dtype=np.float64)
@@ -94,12 +86,11 @@ def _dirichlet_L(s: complex, modulus: int, values: np.ndarray,
 
 def oracle_L(s: complex, chi, shift: int = _EM_SHIFT) -> complex:
     """L(s, chi) by Hurwitz zeta; pole flagged for the principal character."""
-    modulus, values, principal = _character_data(chi)
-    if principal and s == 1:
+    if chi.is_trivial and s == 1:
         raise ValueError("L(s, principal) has a pole at s=1")
     if not complex(s).real > 0:
         raise ValueError("oracle restricted to Re(s) > 0")
-    return _dirichlet_L(s, modulus, values, shift=shift)
+    return _dirichlet_L(s, chi.modulus, chi.values().astype(np.complex128), shift=shift)
 
 
 def oracle_product_at(s: complex, chi: DirichletCharacter, psi: RealCharacter,
@@ -212,8 +203,11 @@ def _afe_tables(q: int, D: int, n_max: int, Q: float):
 
 
 def _budgeted_tables(q: int, D: int, cfg: AFEConfig):
-    """_afe_tables for cfg, raising when a certified tail exceeds
-    cfg.tail_budget, so no truncated sum leaves without its bound."""
+    """_afe_tables for cfg, raising when cfg.Q is not q sqrt(D)/pi or a
+    certified tail exceeds cfg.tail_budget, so no truncated sum leaves
+    without its bound."""
+    if abs(cfg.Q - q * math.sqrt(D) / math.pi) > 1e-9 * cfg.Q:
+        raise ValueError("cfg.Q inconsistent with q sqrt(D)/pi")
     cols = _afe_tables(q, D, cfg.n_max, cfg.Q)
     for kind, t in cols["tails"].items():
         if t > cfg.tail_budget:
@@ -239,8 +233,6 @@ def afe_central(chi: DirichletCharacter, psi: RealCharacter,
         raise ValueError("moduli must be coprime")
     if cfg is None:
         cfg = default_config(q, D)
-    if abs(cfg.Q - q * math.sqrt(D) / math.pi) > 1e-9 * cfg.Q:
-        raise ValueError("cfg.Q inconsistent with q sqrt(D)/pi")
     cols = _budgeted_tables(q, D, cfg)
     chivals = chi.values_at(np.arange(1, cfg.n_max + 1))
     eps = epsilon(chi) * epsilon_product_direct(chi, psi)

@@ -18,7 +18,6 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -37,7 +36,7 @@ from .characters import (
     DirichletCharacter,
     build_group,
     enumerate_even_primitive,
-    epsilon_real,
+    epsilon,
     phi_plus,
 )
 from .lvalues import AFEConfig, _budgeted_tables, afe_central, default_config, hurwitz_zeta_vec
@@ -178,7 +177,6 @@ def mollified_moments(q: int, psi: RealCharacter, X: int,
 # ---------------------------------------------------------------------------
 # orthogonality route for the first moment
 
-@lru_cache(maxsize=16)
 def _kloosterman_row(q: int) -> np.ndarray:
     """S(1, w; q) for w = 0..q-1.  S(1, w; q) = sum_y e(ybar/q) e(wy/q) is the
     inverse DFT of f(y) = e(ybar/q), f(0) = 0, so one FFT gives the row."""
@@ -209,7 +207,7 @@ def first_moment_by_orthogonality(q: int, psi: RealCharacter, X: int,
     unit = n_mod != 0
     kl = _kloosterman_row(q)
     phi_q = q - 1
-    c_eps = complex(psi(q) * epsilon_real(psi)) / (2.0 * q)
+    c_eps = complex(psi(q) * epsilon(psi)) / (2.0 * q)
     table = build_mollifier(psi, X)
     parts = []
     for a in sorted(table.coeffs):
@@ -250,7 +248,7 @@ def _census_values(q: int, psi: RealCharacter) -> tuple[np.ndarray, np.ndarray]:
     grouped = np.zeros(q, dtype=np.float64)
     for lo in range(1, q * D, _CENSUS_BLOCK):
         b = np.arange(lo, min(lo + _CENSUS_BLOCK, q * D), dtype=np.int64)
-        psivals = psi.values_array(b).astype(np.float64)
+        psivals = psi.values_at(b).astype(np.float64)
         zb = hurwitz_zeta_vec(0.5, b.astype(np.float64) / (q * D))
         np.add.at(grouped, b % q, psivals * zb)
     by_dlog = np.empty((2, q - 1), dtype=np.float64)
@@ -402,7 +400,6 @@ def _tau_table(limit: int) -> np.ndarray:
     return dirichlet_convolution(ones, ones)
 
 
-@lru_cache(maxsize=8)
 def tau4_table(limit: int) -> np.ndarray:
     """tau4 = tau * tau by direct Dirichlet convolution, exact integers."""
     tau = _tau_table(limit)

@@ -82,8 +82,7 @@ class ShiftedConvParams:
     omega2: SmoothBump = field(default_factory=_default_bump)
 
     def __post_init__(self):
-        if self.a < 1 or self.b < 1 or math.gcd(self.a, self.b) != 1:
-            raise ValueError("a, b must be coprime positive integers")
+        _check_pair(self.a, self.b)
         if self.a % self.psi.D == 0 or self.b % self.psi.D == 0:
             raise ValueError("a, b must avoid the restriction modulus")
         if not is_prime(self.q):
@@ -225,12 +224,12 @@ def _ramanujan_column(r: int, limit: int) -> np.ndarray:
     return dirichlet_convolution(f, _mobius_table(limit))[1:]
 
 
-def _series_check(a: int, b: int, r: int, psi: RealCharacter) -> None:
+def _check_pair(a: int, b: int, r: int = 1) -> None:
+    """(a, b) coprime and positive, and the shift r nonzero."""
     if a < 1 or b < 1 or math.gcd(a, b) != 1:
         raise ValueError("a, b must be coprime positive integers")
     if r == 0:
         raise ValueError("shift r = 0 is excluded")
-    del psi
 
 
 def _check_L_max(L_max: int) -> None:
@@ -253,7 +252,7 @@ def _series_coeff(a: int, b: int, psi: RealCharacter,
     gb = np.gcd(ell, b)
     ell_a = ell // ga
     ell_b = ell // gb
-    tab = psi.table()
+    tab = psi.values()
     chi_ell = tab[ell_a % D] * tab[ell_b % D]
     chi_red = tab[(a // ga) % D] * tab[(b // gb) % D]
     deep = np.gcd(ell_a, ell_b) % D == 0
@@ -295,15 +294,14 @@ class SingularSeries:
     tail_bound: float
 
     def __post_init__(self):
-        if self.L_max < 1000:
-            raise ValueError("L_max below 1000 gives useless tails")
+        _check_L_max(self.L_max)
         if self.tail_bound < 0:
             raise ValueError("tail bound must be nonnegative")
 
 
 def singular_series(a: int, b: int, r: int, psi: RealCharacter,
                     L_max: int = 10000) -> SingularSeries:
-    _series_check(a, b, r, psi)
+    _check_pair(a, b, r)
     _check_L_max(L_max)
     value = _series_sum(*_series_coeff(a, b, psi, L_max), r)
     return SingularSeries(a, b, r, psi, L_max, value,
@@ -312,7 +310,7 @@ def singular_series(a: int, b: int, r: int, psi: RealCharacter,
 
 def singular_series_term(a: int, b: int, r: int, psi: RealCharacter, ell: int) -> float:
     """Single ell-term of the shift series, for hand cross-checks."""
-    _series_check(a, b, r, psi)
+    _check_pair(a, b, r)
     if ell < 1:
         raise ValueError("ell must be positive")
     return float(_series_terms(*_series_coeff(a, b, psi, ell), r)[-1])
@@ -352,7 +350,7 @@ def singular_series_factored(a: int, b: int, r: int, psi: RealCharacter) -> floa
     c_{p^e}(r) vanishes beyond, so r need be neither squarefree nor prime
     to abD.  Used as the independent route against the direct sum.
     """
-    _series_check(a, b, r, psi)
+    _check_pair(a, b, r)
     D = psi.D
     rr = abs(r)
     piece1 = 1.0 / _ZETA2
@@ -385,7 +383,7 @@ def singular_series_r_sum(a: int, b: int, R: int, psi: RealCharacter,
     summing singular_series(r).value / r^2 up to roundoff.  The tail bound
     covers only the ell-truncation (the r-range is summed exactly).
     """
-    _series_check(a, b, 1, psi)
+    _check_pair(a, b)
     if R < 1:
         raise ValueError("R must be positive")
     _check_L_max(L_max)
@@ -415,8 +413,7 @@ def dirichlet_series_G(a: int, b: int, s: complex, psi: RealCharacter) -> comple
     prefactor below, so no truncation is involved and the value at s = 1 is
     1/zeta(2) identically.
     """
-    if a < 1 or b < 1 or math.gcd(a, b) != 1:
-        raise ValueError("a, b must be coprime positive integers")
+    _check_pair(a, b)
     s = complex(s)
     if s.real < 0.7:
         raise ValueError("evaluation restricted to Re(s) >= 0.7")

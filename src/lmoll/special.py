@@ -224,7 +224,6 @@ def eval_weight(w: WeightFunction, x: float) -> float:
     return float(eval_weight_many((w.kind,), w.logQ, [x])[0, 0])
 
 
-@lru_cache(maxsize=256)
 def kernel_abs_moment(kind: str, logQ: float, sigma: float) -> float:
     """(1/2pi) int |K(sigma+it)| dt, so |weight(x)| <= moment * x^{-sigma}
     for x > 1 and any sigma > 0 (no pole crossed)."""

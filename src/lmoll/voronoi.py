@@ -6,7 +6,9 @@ expansion -- a constant term proportional to L(1, psi) plus two Bessel
 sums (Y0 oscillatory, K0 exponentially decaying) over the convolution
 coefficients of the factor characters psi1 mod (c, D) and psi2 mod D/(c, D).
 All three coprimality regimes of (c, D) go through the same formula, with
-trivial factor characters filling in the degenerate slots.
+the principal character mod 1 filling in the degenerate slots; it shares
+the real character's interface, so Gauss sums and the convolution
+(arith.character_convolution) never ask which kind a factor is.
 
 Oscillatory integrals use Gauss-Legendre panels sized to the cycle count,
 targeting 1e-11 per integral; every truncated sum reports a tail estimate
@@ -22,8 +24,9 @@ from scipy.integrate import quad
 from scipy.special import k0 as bessel_k0
 from scipy.special import y0 as bessel_y0
 
-from .arith import PrincipalCharacter, RealCharacter, dirichlet_convolution, one_star_psi_table
-from .characters import gauss_sum_real
+from .arith import (PrincipalCharacter, RealCharacter, ResidueCharacter,
+                    character_convolution, one_star_psi_table)
+from .characters import gauss_sum
 from .lvalues import oracle_L
 from .reduction import fsum_complex
 from .special import SmoothBump
@@ -38,12 +41,9 @@ __all__ = [
 ]
 
 
-# a factor slot of modulus 1 holds the principal character mod 1, which is
-# identically one
-FactorCharacter = RealCharacter | PrincipalCharacter
-
-
-def _character_for(modulus: int) -> FactorCharacter:
+def _character_for(modulus: int) -> ResidueCharacter:
+    """The factor character mod a divisor of D: real, or for modulus 1 the
+    principal character mod 1, which is identically one."""
     if modulus == 1:
         return PrincipalCharacter()
     if modulus % 4 == 3:
@@ -64,8 +64,8 @@ class VoronoiCase:
     c: int
     a: int
     psi: RealCharacter
-    psi1: FactorCharacter
-    psi2: FactorCharacter
+    psi1: ResidueCharacter
+    psi2: ResidueCharacter
     shared: int
     D_c: int
 
@@ -82,8 +82,8 @@ class VoronoiCase:
             raise ValueError("factor moduli must be coprime")
         if self.psi1.modulus != self.shared or self.psi2.modulus != self.D_c:
             raise ValueError("factor characters live on the wrong moduli")
-        t = self.psi.table()
-        t1, t2 = self.psi1.table(), self.psi2.table()
+        t = self.psi.values()
+        t1, t2 = self.psi1.values(), self.psi2.values()
         for n in range(1, 1001):
             if math.gcd(n, self.psi.D) == 1:
                 if t[n % self.psi.D] != t1[n % self.shared] * t2[n % self.D_c]:
@@ -99,19 +99,10 @@ def factor_character(psi: RealCharacter, c: int, a: int = 1) -> VoronoiCase:
                        shared=shared, D_c=psi.D // shared)
 
 
-def _conv_table(d1: int, d2: int, limit: int) -> np.ndarray:
-    """(psi1 * psi2)(m) for m = 1..limit by divisor sieve, index 0 unused.
-
-    The sieve runs on exact int64 values; the table is float64."""
-    t1 = _character_for(d1).table()
-    t2 = _character_for(d2).table().astype(np.int64)
-    conv = dirichlet_convolution(np.tile(t1, limit // d1 + 1)[: limit + 1],
-                                 np.tile(t2, limit // d2 + 1)[: limit + 1])
-    return conv.astype(np.float64)
-
-
 def dual_coefficients(case: VoronoiCase, limit: int) -> np.ndarray:
-    return _conv_table(case.shared, case.D_c, limit)
+    """(psi1 * psi2)(m) for m = 1..limit (index 0 unused), sieved in exact
+    int64 and returned as float64."""
+    return character_convolution(case.psi1, case.psi2, limit).astype(np.float64)
 
 
 # ------------------------------------------------------------------ LHS
@@ -254,12 +245,12 @@ def voronoi_rhs(case: VoronoiCase, g: SmoothBump, m_max: int = 100000) -> Vorono
     g_mass = quad(g, g.lo, g.hi, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
 
     if case.shared == D:
-        rho = gauss_sum_real(case.psi) * case.psi(case.a) / c
+        rho = gauss_sum(case.psi) * case.psi(case.a) / c
     else:
         rho = complex(case.psi(c)) / c
     main = rho * oracle_L(1.0, case.psi).real * g_mass
 
-    tau2 = gauss_sum_real(case.psi2)
+    tau2 = gauss_sum(case.psi2)
     psi2_c = case.psi2(c)
     pref_y = -2.0 * math.pi * tau2 * case.psi1(-case.a) * psi2_c / (c * D_c)
     pref_k = 4.0 * tau2 * case.psi1(case.a) * psi2_c / (c * D_c)

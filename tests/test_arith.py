@@ -111,7 +111,7 @@ def test_real_character_d5_values():
 def test_real_character_periodic_and_multiplicative():
     for D in (5, 13, 17, 65):
         psi = RealCharacter(D)
-        tab = psi.table()
+        tab = psi.values()
         for n in range(1, 3 * D):
             assert psi(n) == tab[n % D]
         for m in range(1, 40):
@@ -168,7 +168,7 @@ def character_split(draw):
     tables = []
     for m in (shared, D // shared):
         chi = PrincipalCharacter() if m == 1 else RealCharacter(m)
-        tables.append(chi.table().astype(dtype)[n % m])
+        tables.append(chi.values_at(n).astype(dtype))
     return tables[0], tables[1]
 
 
@@ -215,8 +215,8 @@ def test_one_star_psi_table_matches_pointwise_random_D(D, limit):
 
 def test_principal_character():
     chi0 = PrincipalCharacter(12)
-    assert chi0.table().tolist() == [0, 1, 0, 0, 0, 1, 0, 1, 0, 0, 0, 1]
-    assert chi0.values().dtype == np.complex128
+    assert chi0.values().tolist() == [0, 1, 0, 0, 0, 1, 0, 1, 0, 0, 0, 1]
+    assert chi0.values().dtype == np.int8
     assert [chi0(n) for n in (-1, 5, 6, 25)] == [1, 1, 0, 1]
     trivial = PrincipalCharacter()
     assert trivial.modulus == 1 and trivial.is_trivial

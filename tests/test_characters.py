@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lmoll.arith import RealCharacter, factor, primes_up_to
+from lmoll.arith import PrincipalCharacter, RealCharacter, factor, primes_up_to
 from lmoll.characters import (
     build_group,
     enumerate_even_primitive,
@@ -18,10 +18,8 @@ from lmoll.characters import (
     epsilon_pair_sum,
     epsilon_product_direct,
     epsilon_product_factored,
-    epsilon_real,
     even_family_pair_sum,
     gauss_sum,
-    gauss_sum_real,
     phi_plus,
 )
 
@@ -74,15 +72,39 @@ def test_character_order_divides_group_order():
         assert abs(prod - 1) < 1e-12
 
 
-def test_values_array_matches_pointwise():
-    G = build_group(29)
-    chi = G.character(5)
+# (character, dtype of its residue table, |tau|^2): m for primitive chi, and
+# for the principal character mod m the Ramanujan sum c_m(1) = mu(m) squared
+RESIDUE_CHARACTERS = {
+    "real-5": (RealCharacter(5), np.int8, 5),
+    "real-65": (RealCharacter(65), np.int8, 65),
+    "principal-1": (PrincipalCharacter(), np.int8, 1),
+    "principal-12": (PrincipalCharacter(12), np.int8, 0),
+    "dirichlet-29-5": (build_group(29).character(5), np.complex128, 29),
+    "dirichlet-29-0": (build_group(29).character(0), np.complex128, 1),
+}
+
+
+@pytest.mark.parametrize("chi, dtype, tau_sq", RESIDUE_CHARACTERS.values(),
+                         ids=RESIDUE_CHARACTERS.keys())
+def test_residue_character_interface(chi, dtype, tau_sq):
+    """Every character is its residue table: values_at reads it at n mod m,
+    and gauss_sum and epsilon are its frequency-1 DFT, whatever the class."""
+    m = chi.modulus
     vals = chi.values()
-    for n in range(29):
-        assert abs(vals[n] - chi(n)) < 1e-14
-    at = chi.values_at(np.array([1, 30, 59, 28 * 3]))
-    assert abs(at[0] - chi(1)) < 1e-14
-    assert abs(at[1] - chi(30)) < 1e-14
+    assert len(vals) == m and vals.dtype == dtype
+    rng = np.random.default_rng(m)
+    n = np.concatenate((rng.integers(-10**6, 10**6, size=300), m * np.arange(-3, 4),
+                        np.arange(-2 * m, 2 * m)))
+    assert chi.values_at(n).tolist() == [chi(int(k)) for k in n]
+    tau = gauss_sum(chi)
+    assert abs(abs(tau) ** 2 - tau_sq) < 1e-10 * m
+    if m == 1:
+        assert tau == 1 + 0j
+    # oracle: the frequency-1 DFT of the table written out; epsilon must
+    # equal it over sqrt(m) bit for bit
+    old = complex(np.dot(vals, np.exp(2j * np.pi * np.arange(m) / m))) / math.sqrt(m)
+    eps = epsilon(chi)
+    assert (eps.real.hex(), eps.imag.hex()) == (old.real.hex(), old.imag.hex())
 
 
 def test_even_family_pair_sum_closed_form():
@@ -124,9 +146,9 @@ def test_gauss_sum_magnitude_and_conjugation():
 def test_real_character_gauss_sum_is_sqrt_d():
     for D in (5, 13, 17, 65):
         psi = RealCharacter(D)
-        tau = gauss_sum_real(psi)
+        tau = gauss_sum(psi)
         assert abs(tau - math.sqrt(D)) < 1e-10
-        assert abs(epsilon_real(psi) - 1) < 1e-10
+        assert abs(epsilon(psi) - 1) < 1e-10
 
 
 PRIMES = [p for p in primes_up_to(500) if p >= 5]
@@ -143,7 +165,7 @@ def test_gauss_sum_square_is_modulus_random(q, data):
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(SQUAREFREE_D))
 def test_real_gauss_sum_square_is_modulus_random(D):
-    assert abs(abs(gauss_sum_real(RealCharacter(D))) ** 2 - D) < 1e-10 * D
+    assert abs(abs(gauss_sum(RealCharacter(D))) ** 2 - D) < 1e-10 * D
 
 
 @settings(max_examples=30, deadline=None)

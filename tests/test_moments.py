@@ -140,6 +140,16 @@ class TestMoments:
         s1_characters = mollified_moments(13, PSI5, 5).s1
         assert abs(first_moment_by_orthogonality(13, PSI5, 5) - s1_characters) < 1e-12
 
+    def test_first_moment_by_orthogonality_checks_Q(self):
+        # a config whose Q is not q sqrt(D)/pi gives wrong weights (3.4997
+        # here against 2.8118), so both routes must refuse it alike
+        cfg = default_config(13, 5)
+        wrong_Q = AFEConfig(Q=1.5 * cfg.Q, n_max=cfg.n_max)
+        with pytest.raises(ValueError, match=r"cfg\.Q inconsistent with q sqrt\(D\)/pi"):
+            first_moment_by_orthogonality(13, PSI5, 5, wrong_Q)
+        with pytest.raises(ValueError, match=r"cfg\.Q inconsistent with q sqrt\(D\)/pi"):
+            afe_central(build_group(13).character(2), PSI5, wrong_Q)
+
     def test_kloosterman_row_matches_scalar(self):
         for q in (13, 101):
             row = _kloosterman_row(q)
@@ -154,7 +164,7 @@ def census_values_by_loop(q, psi):
     a = np.arange(1, q, dtype=np.float64)
     z_plain = hurwitz_zeta_vec(0.5, a / q)
     b = np.arange(1, q * D, dtype=np.int64)
-    psivals = psi.values_array(b).astype(np.float64)
+    psivals = psi.values_at(b).astype(np.float64)
     zb = hurwitz_zeta_vec(0.5, b.astype(np.float64) / (q * D))
     grouped = np.zeros(q, dtype=np.float64)
     np.add.at(grouped, b % q, psivals * zb)

@@ -17,8 +17,9 @@ from scipy.integrate import quad
 from scipy.special import k0 as bessel_k0
 from scipy.special import y0 as bessel_y0
 
-from lmoll.arith import PrincipalCharacter, RealCharacter, one_star_psi_table
-from lmoll.characters import gauss_sum_real
+from lmoll.arith import (PrincipalCharacter, RealCharacter, character_convolution,
+                         one_star_psi_table)
+from lmoll.characters import gauss_sum
 from lmoll.lvalues import oracle_L
 from lmoll.special import SmoothBump
 from lmoll.voronoi import (
@@ -26,7 +27,6 @@ from lmoll.voronoi import (
     _GL_WEIGHTS,
     VoronoiCase,
     _character_for,
-    _conv_table,
     _decaying_integral,
     _k0_sum_tail,
     _oscillatory_panels,
@@ -93,8 +93,8 @@ class TestFactorCharacter:
         triv = PrincipalCharacter()
         assert triv.modulus == 1
         assert triv(0) == triv(7) == 1
-        assert triv.table().tolist() == [1]
-        assert gauss_sum_real(triv) == 1.0 + 0j
+        assert triv.values().tolist() == [1]
+        assert gauss_sum(triv) == 1.0 + 0j
 
     @pytest.mark.parametrize("D,c,expect", [
         (5, 7, math.sqrt(5.0)),
@@ -103,7 +103,7 @@ class TestFactorCharacter:
     ])
     def test_second_factor_gauss_sum(self, D, c, expect):
         case = factor_character(RealCharacter(D), c, 1)
-        assert abs(gauss_sum_real(case.psi2) - expect) < 1e-10
+        assert abs(gauss_sum(case.psi2) - expect) < 1e-10
 
 
 class TestCaseValidation:
@@ -143,8 +143,8 @@ class TestDualCoefficients:
     def test_conv_table_is_pointwise_convolution(self, d1, d2):
         psi1, psi2 = _character_for(d1), _character_for(d2)
         limit = 1500
-        conv = _conv_table(d1, d2, limit)
-        assert conv.dtype == np.float64 and len(conv) == limit + 1
+        conv = character_convolution(psi1, psi2, limit)
+        assert conv.dtype == np.int64 and len(conv) == limit + 1
         for m in range(1, limit + 1):
             direct = sum(psi1(d) * psi2(m // d) for d in range(1, m + 1) if m % d == 0)
             assert conv[m] == direct
@@ -287,7 +287,7 @@ class TestRhs:
         case = factor_character(PSI5, 10, 1)
         got = voronoi_rhs(case, G_NARROW, m_max=50).main
         mass = quad(G_NARROW, 10.0, 100.0, epsabs=1e-13, epsrel=1e-13)[0]
-        expect = gauss_sum_real(PSI5) / 10.0 * oracle_L(1.0, PSI5).real * mass
+        expect = gauss_sum(PSI5) / 10.0 * oracle_L(1.0, PSI5).real * mass
         assert abs(got - expect) < 1e-12 * abs(expect)
 
     def test_main_term_coprime_branch(self):
