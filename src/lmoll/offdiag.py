@@ -51,7 +51,6 @@ __all__ = [
     "H_kernel_plus",
     "H_kernel_minus",
     "H_kernel_product_form",
-    "power_overlap_integral",
     "power_overlap_closed",
 ]
 
@@ -563,29 +562,9 @@ def H_kernel_product_form(u: complex, v: complex) -> complex:
 # ------------------------------------------------------------------ integrals
 
 
-def power_overlap_integral(T: float, u: float, v: float) -> float:
-    """Quadrature of int_{x>T} x^{-(1/2+u)} (x-T)^{-(1/2+v)} dx.
-
-    The endpoint singularity is removed by x = T + z^2 on the near piece;
-    the far piece decays like x^{-1-u-v}.  Needs 0 < v < 1/2 and u + v > 0.
-    """
-    if not (T > 0 and 0 < v < 0.5 and u + v > 0):
-        raise ValueError("need T > 0, 0 < v < 1/2, u + v > 0")
-
-    def near(z: float) -> float:
-        x = T + z * z
-        return 2.0 * x ** (-(0.5 + u)) * z ** (-2.0 * v)
-
-    def far(x: float) -> float:
-        return x ** (-(0.5 + u)) * (x - T) ** (-(0.5 + v))
-
-    first = quad(near, 0.0, math.sqrt(T), epsabs=1e-12, epsrel=1e-12, limit=200)[0]
-    second = quad(far, 2.0 * T, np.inf, epsabs=1e-12, epsrel=1e-12, limit=200)[0]
-    return first + second
-
-
 def power_overlap_closed(T: float, u: float, v: float) -> float:
-    """Gamma-ratio closed form of the same integral."""
+    """Gamma-ratio closed form of int_{x>T} x^{-(1/2+u)} (x-T)^{-(1/2+v)} dx,
+    for 0 < v < 1/2 and u + v > 0."""
     if not (T > 0 and 0 < v < 0.5 and u + v > 0):
         raise ValueError("need T > 0, 0 < v < 1/2, u + v > 0")
     value = gamma_complex(u + v) * gamma_complex(0.5 - v) * complex(rgamma(0.5 + u))

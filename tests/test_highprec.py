@@ -1,0 +1,97 @@
+"""High-precision oracle tier: the Hurwitz-zeta route against mpmath at 30
+digits, and the certified Euler-Maclaurin shift behind it."""
+
+from __future__ import annotations
+
+import math
+
+import mpmath
+import numpy as np
+import pytest
+
+from lmoll.arith import RealCharacter
+from lmoll.characters import build_group, product_values
+from lmoll.lvalues import (
+    _EM_TOL,
+    _em_bound,
+    _em_shift,
+    hurwitz_zeta_vec,
+    oracle_product,
+)
+
+# 1/129649 = 1/(9973*13), the smallest x of a census at q = 9973, D = 13
+XS = (1 / 129649, 1e-5, 0.1, 0.5, 1.0)
+SS = (0.5, 0.4, 0.6, 0.3 + 0.2j, 2.0, 0.5 + 30j, 0.5 + 200j)
+
+
+@pytest.mark.parametrize("s", SS)
+def test_hurwitz_matches_mpmath(s):
+    got = hurwitz_zeta_vec(s, np.array(XS))
+    for x, value in zip(XS, got):
+        with mpmath.workdps(30):
+            want = complex(mpmath.zeta(s, x))
+        assert abs(value - want) <= 1e-13 * abs(want), (s, x)
+
+
+@pytest.mark.parametrize("q,ks", [(13, (2, 4, 6)), (29, (2, 10, 26))])
+def test_central_product_matches_mpmath(q, ks):
+    psi = RealCharacter(5)
+    group = build_group(q)
+    for k in ks:
+        chi = group.character(k)
+        with mpmath.workdps(30):
+            first = mpmath.dirichlet(0.5, [complex(v) for v in chi.values()])
+            second = mpmath.dirichlet(0.5, [complex(v) for v in product_values(chi, psi)])
+            want = complex(first * second)
+        assert abs(oracle_product(chi, psi) - want) <= 1e-13 * abs(want), (q, k)
+
+
+@pytest.mark.parametrize("s", SS + (-10.5, 10.0, 1.5 - 3j))
+def test_em_shift_is_minimal(s):
+    s = complex(s)
+    n = _em_shift(s)
+    assert _em_bound(s, n) <= _EM_TOL
+    assert n == 1 or _em_bound(s, n - 1) > _EM_TOL
+
+
+def test_em_shift_values():
+    assert [_em_shift(complex(s)) for s in (0.5, 2.0, 0.5 + 200j)] == [13, 14, 478]
+
+
+def _em_truncation(s, x, n):
+    """Euler-Maclaurin through B16 at shift n, in mpmath arithmetic."""
+    s, x = mpmath.mpmathify(s), mpmath.mpf(x)
+    w = x + n
+    total = sum((k + x) ** -s for k in range(n)) + w ** (1 - s) / (s - 1) + w ** -s / 2
+    for j in range(1, 9):
+        rising = mpmath.rf(s, 2 * j - 1)
+        total += mpmath.bernoulli(2 * j) / mpmath.factorial(2 * j) * rising * w ** (-s - 2 * j + 1)
+    return total
+
+
+@pytest.mark.parametrize("s", (0.5, 2.0, 0.3 + 0.2j, 0.5 + 30j, -10.5))
+@pytest.mark.parametrize("n", (2, 4, 8))
+def test_em_bound_covers_the_remainder(s, n):
+    # at small shifts the remainder is far above roundoff, so the bound is
+    # tested on the truncation itself, with both sides at 30 digits
+    for x in (1e-5, 0.5, 1.0):
+        with mpmath.workdps(30):
+            err = abs(_em_truncation(s, x, n) - mpmath.zeta(s, x))
+            assert err <= _em_bound(complex(s), n), (s, n, x)
+
+
+@pytest.mark.parametrize("s,x,match", [
+    (0.5, [math.nan], "finite"),
+    (0.5, [math.inf], "finite"),
+    (0.5, [0.0], "positive"),
+    (math.nan, [0.5], "finite"),
+    (complex(0.5, math.inf), [0.5], "finite"),
+    (-15.0, [0.5], "-15"),
+    (-20.0, [0.5], "-15"),
+    (0.5 + 5000j, [0.5], "exceeds"),
+    (-14.9, [0.5], "exceeds"),
+    (1.0, [0.5], "pole"),
+])
+def test_rejections(s, x, match):
+    with pytest.raises(ValueError, match=match):
+        hurwitz_zeta_vec(s, np.array(x))

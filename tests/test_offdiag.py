@@ -30,7 +30,6 @@ from lmoll.offdiag import (
     H_kernel_product_form,
     main_term,
     power_overlap_closed,
-    power_overlap_integral,
     shifted_conv_r_decomposed,
     singular_series,
     singular_series_factored,
@@ -346,6 +345,28 @@ class TestHKernel:
             H_kernel(-0.6, -0.4)
         with pytest.raises(ValueError):
             H_kernel(0.5, 0.1)
+
+
+def power_overlap_integral(T: float, u: float, v: float) -> float:
+    """Oracle for power_overlap_closed: quadrature of
+    int_{x>T} x^{-(1/2+u)} (x-T)^{-(1/2+v)} dx.
+
+    The endpoint singularity is removed by x = T + z^2 on the near piece;
+    the far piece decays like x^{-1-u-v}.  Needs 0 < v < 1/2 and u + v > 0.
+    """
+    if not (T > 0 and 0 < v < 0.5 and u + v > 0):
+        raise ValueError("need T > 0, 0 < v < 1/2, u + v > 0")
+
+    def near(z: float) -> float:
+        x = T + z * z
+        return 2.0 * x ** (-(0.5 + u)) * z ** (-2.0 * v)
+
+    def far(x: float) -> float:
+        return x ** (-(0.5 + u)) * (x - T) ** (-(0.5 + v))
+
+    first = quad(near, 0.0, math.sqrt(T), epsabs=1e-12, epsrel=1e-12, limit=200)[0]
+    second = quad(far, 2.0 * T, np.inf, epsabs=1e-12, epsrel=1e-12, limit=200)[0]
+    return first + second
 
 
 class TestOverlapIntegral:
