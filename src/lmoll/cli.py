@@ -29,8 +29,8 @@ from .characters import (
     even_family_pair_sum,
     phi_plus,
 )
-from .lvalues import afe_central, oracle_product
-from .moments import census, restricted_divisor_product_check, mollified_moments
+from .lvalues import afe_central, oracle_products_at
+from .moments import census, mollified_moments, restricted_divisor_product_residuals
 from .offdiag import (
     H_kernel,
     H_kernel_product_form,
@@ -174,8 +174,9 @@ def _cmd_afe_check(args) -> int:
         return _usage_error("--D", e)
     try:
         family = enumerate_even_primitive(build_group(args.q))
-        residuals = [abs(afe_central(chi, psi).L_central - oracle_product(chi, psi))
-                     for chi in family]
+        centrals = [afe_central(chi, psi).L_central for chi in family]
+        oracles = oracle_products_at(0.5, family, psi)
+        residuals = [abs(c - o) for c, o in zip(centrals, oracles)]
     except ValueError as e:
         return _usage_error("--q/--D", e)
     worst = max(residuals, default=0.0)
@@ -228,15 +229,14 @@ def _suite_epsilon(max_q: int, max_D: int) -> dict:
 
 def _suite_restricted_divisor(max_D: int) -> dict:
     worst, cases = 0.0, 0
+    shifts = [(u, v) for u in _SHIFT_GRID for v in _SHIFT_GRID]
     for D in range(5, max_D + 1, 4):
         try:
-            restricted_divisor_product_check(D, 0.0, 0.0)
+            residuals = restricted_divisor_product_residuals(D, shifts)
         except ValueError:
             continue        # not squarefree
-        for u in _SHIFT_GRID:
-            for v in _SHIFT_GRID:
-                worst = max(worst, restricted_divisor_product_check(D, u, v))
-                cases += 1
+        worst = max(worst, *residuals)
+        cases += len(residuals)
     return {"cases": cases, "max_residual": worst, "pass": worst < RESTRICTED_DIVISOR_TOL}
 
 

@@ -8,6 +8,8 @@ share no code beyond the character tables.  Its shift N is the smallest whose
 remainder bound after the B16 term, 4|(s)_16|/(2 pi)^16 N^{1-sigma-16}/(sigma+15)
 (F. Johansson, Numer. Algorithms 69 (2015); DLMF 2.10), is at most 2^-60:
 N = 13 at s = 1/2.  The bound needs Re s > -15, and N is capped at 10^4.
+The zeta_H rows depend on the modulus alone, so a family of characters
+shares them (oracle_products_at).
 
 The product character chi*psi is always evaluated pointwise as
 chi(n) psi(n) (the moduli are coprime), never through a composite-modulus
@@ -123,18 +125,24 @@ def hurwitz_zeta(s: complex, x: float) -> complex:
     return complex(hurwitz_zeta_vec(s, np.array([x]))[0])
 
 
-def _dirichlet_L(s: complex, modulus: int, values: np.ndarray) -> complex:
+def _dirichlet_L(s: complex, modulus: int, tables) -> list[complex]:
+    """L(s, chi) = modulus^{-s} sum_a chi(a) zeta_H(s, a/modulus) for the
+    residue table of each chi in tables; the zeta_H row, which depends on
+    the modulus alone, is computed once for all of them."""
     a = np.arange(1, modulus + 1, dtype=np.float64)
-    vals = values[np.arange(1, modulus + 1) % modulus]
-    if s == 1:
-        # zeta_H(s,x) = 1/(s-1) - digamma(x) + O(s-1); the pole part carries
-        # coefficient sum(chi) = 0 for non-principal chi
-        if abs(complex(np.sum(vals))) > 1e-9:
-            raise ValueError("pole at s=1")
-        return complex(-np.dot(vals, _digamma_arr(a / modulus)) / modulus)
-    zetas = hurwitz_zeta_vec(s, a / modulus)
-    total = np.dot(vals, zetas)
-    return complex(np.exp(-s * math.log(modulus)) * total)
+    row = _digamma_arr(a / modulus) if s == 1 else hurwitz_zeta_vec(s, a / modulus)
+    out = []
+    for values in tables:
+        vals = values[np.arange(1, modulus + 1) % modulus]
+        if s == 1:
+            # zeta_H(s,x) = 1/(s-1) - digamma(x) + O(s-1); the pole part carries
+            # coefficient sum(chi) = 0 for non-principal chi
+            if abs(complex(np.sum(vals))) > 1e-9:
+                raise ValueError("pole at s=1")
+            out.append(complex(-np.dot(vals, row) / modulus))
+        else:
+            out.append(complex(np.exp(-s * math.log(modulus)) * np.dot(vals, row)))
+    return out
 
 
 def oracle_L(s: complex, chi) -> complex:
@@ -143,16 +151,31 @@ def oracle_L(s: complex, chi) -> complex:
         raise ValueError("L(s, principal) has a pole at s=1")
     if not complex(s).real > 0:
         raise ValueError("oracle restricted to Re(s) > 0")
-    return _dirichlet_L(s, chi.modulus, chi.values().astype(np.complex128))
+    return _dirichlet_L(s, chi.modulus, [chi.values().astype(np.complex128)])[0]
+
+
+def oracle_products_at(s: complex, family, psi: RealCharacter) -> list[complex]:
+    """L(s,chi) L(s,chi psi) for each chi of a family mod q, both factors by
+    the Hurwitz route, from two zeta_H rows (moduli q and qD) for the family."""
+    family = list(family)
+    if any(chi.is_trivial for chi in family):
+        raise ValueError("principal character rejected")
+    if not complex(s).real > 0:
+        raise ValueError("oracle restricted to Re(s) > 0")
+    if not family:
+        return []
+    q = family[0].modulus
+    if any(chi.modulus != q for chi in family):
+        raise ValueError("family mixes moduli")
+    first = _dirichlet_L(s, q, (chi.values().astype(np.complex128) for chi in family))
+    second = _dirichlet_L(s, q * psi.D, (product_values(chi, psi) for chi in family))
+    return [x * y for x, y in zip(first, second)]
 
 
 def oracle_product_at(s: complex, chi: DirichletCharacter, psi: RealCharacter) -> complex:
-    """L(s,chi) L(s,chi psi), both factors by the Hurwitz route."""
-    if chi.is_trivial:
-        raise ValueError("principal character rejected")
-    first = oracle_L(s, chi)
-    second = _dirichlet_L(s, chi.modulus * psi.D, product_values(chi, psi))
-    return first * second
+    """L(s,chi) L(s,chi psi), both factors by the Hurwitz route: the
+    one-character case of oracle_products_at."""
+    return oracle_products_at(s, [chi], psi)[0]
 
 
 def oracle_product(chi: DirichletCharacter, psi: RealCharacter) -> complex:

@@ -53,6 +53,7 @@ __all__ = [
     "census",
     "euler_product",
     "restricted_divisor_product_check",
+    "restricted_divisor_product_residuals",
     "g_family_eval",
     "tau4_table",
     "tau4_prime_power",
@@ -188,7 +189,8 @@ def _kloosterman_row(q: int) -> np.ndarray:
 
 def first_moment_by_orthogonality(q: int, psi: RealCharacter, X: int,
                                   cfg: AFEConfig | None = None) -> complex:
-    """The first mollified moment without looping over characters.
+    """The first mollified moment without looping over characters: it
+    cross-checks S1 of mollified_moments, the character-by-character route.
 
     Summing chi(an) over the even primitive family leaves congruence
     conditions an = +-1 mod q, and summing eps(chi)eps(chi psi) chi(a/n)
@@ -229,7 +231,7 @@ def first_moment_by_orthogonality(q: int, psi: RealCharacter, X: int,
 
 
 # b values of the modulus-qD Hurwitz sum handled at once; bounds census memory
-_CENSUS_BLOCK = 1 << 14
+_CENSUS_BLOCK = 1 << 13
 
 
 def _census_values(q: int, psi: RealCharacter) -> tuple[np.ndarray, np.ndarray]:
@@ -249,6 +251,9 @@ def _census_values(q: int, psi: RealCharacter) -> tuple[np.ndarray, np.ndarray]:
     for lo in range(1, q * D, _CENSUS_BLOCK):
         b = np.arange(lo, min(lo + _CENSUS_BLOCK, q * D), dtype=np.int64)
         psivals = psi.values_at(b).astype(np.float64)
+        # a term with psi(b) = 0 is exactly +-0, and bin 0 is discarded
+        keep = (psivals != 0) & (b % q != 0)
+        b, psivals = b[keep], psivals[keep]
         zb = hurwitz_zeta_vec(0.5, b.astype(np.float64) / (q * D))
         np.add.at(grouped, b % q, psivals * zb)
     by_dlog = np.empty((2, q - 1), dtype=np.float64)
@@ -304,6 +309,7 @@ class EulerProductFamily:
 
 
 def euler_product(family: EulerProductFamily, psi: RealCharacter) -> complex:
+    """A diagonal main-term factor; cross-checks its boundary normalisation (criterion 6)."""
     u, v = complex(family.u), complex(family.v)
     if family.which == "A":
         out = 1.0 + 0.0j
@@ -358,36 +364,55 @@ def _split_smooth_terms(psi: RealCharacter, X: int, u: complex, v: complex):
 # the finite product identity over divisors of D
 
 
-def _restricted_inverse_triple_sum(D: int, u: complex, v: complex) -> complex:
+def _restricted_inverse_triple_sums(D: int, shifts) -> list[complex]:
     """Triple sum over d, e, g | D with (e, g) = 1 of
-    rho(de) rho(dg) / (d e^{1+u} g^{1+v}); rho kills every unsupported term."""
+    rho(de) rho(dg) / (d e^{1+u} g^{1+v}) at each (u, v) of shifts; rho kills
+    every unsupported term.  The integer terms are found once for D."""
     psi = RealCharacter(D)
-    total = 0.0 + 0.0j
-    for d in divisors(D):
-        for e in divisors(D):
+    divs = divisors(D)
+    triples = []
+    for d in divs:
+        for e in divs:
             re = eval_rho(psi, d * e)
             if re == 0:
                 continue
-            for g in divisors(D):
+            for g in divs:
                 if math.gcd(e, g) != 1:
                     continue
                 rg = eval_rho(psi, d * g)
-                if rg == 0:
-                    continue
-                total += re * rg / (d * _cpow(e, 1 + u) * _cpow(g, 1 + v))
-    return total
+                if rg != 0:
+                    triples.append((re * rg, d, e, g))
+    sums = []
+    for u, v in shifts:
+        total = 0.0 + 0.0j
+        for rr, d, e, g in triples:
+            total += rr / (d * _cpow(e, 1 + u) * _cpow(g, 1 + v))
+        sums.append(total)
+    return sums
+
+
+def _restricted_inverse_triple_sum(D: int, u: complex, v: complex) -> complex:
+    return _restricted_inverse_triple_sums(D, [(u, v)])[0]
+
+
+def restricted_divisor_product_residuals(D: int, shifts) -> list[float]:
+    """restricted_divisor_product_check at each (u, v) of shifts."""
+    f = factor(D)
+    if not f.is_squarefree():
+        raise ValueError("D must be squarefree")
+    shifts = [(complex(u), complex(v)) for u, v in shifts]
+    out = []
+    for (u, v), lhs in zip(shifts, _restricted_inverse_triple_sums(D, shifts)):
+        rhs = 1.0 + 0.0j
+        for p, _ in f.factors:
+            rhs *= 1 + 1 / p - _cpow(p, -(1 + u)) - _cpow(p, -(1 + v))
+        out.append(abs(lhs - rhs))
+    return out
 
 
 def restricted_divisor_product_check(D: int, u: complex, v: complex) -> float:
     """|triple sum - product over p|D of (1 + 1/p - p^{-1-u} - p^{-1-v})|."""
-    f = factor(D)
-    if not f.is_squarefree():
-        raise ValueError("D must be squarefree")
-    lhs = _restricted_inverse_triple_sum(D, complex(u), complex(v))
-    rhs = 1.0 + 0.0j
-    for p, _ in f.factors:
-        rhs *= 1 + 1 / p - _cpow(p, -(1 + complex(u))) - _cpow(p, -(1 + complex(v)))
-    return abs(lhs - rhs)
+    return restricted_divisor_product_residuals(D, [(u, v)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +502,9 @@ def g_family_eval(name: str, p: int, j: int, u: complex, v: complex,
 
 def lacunary_divisor_sum(psi: RealCharacter, A: int, k: int = 1) -> Fraction:
     """sum of tau(n)^k (1*psi)(n)/n over D^4 < n <= D^A as an exact rational.
+
+    Cross-checks lacunary_partial_sum: at k = 0 this is the exact value of
+    lacunary_partial_sum(psi, D^A) - lacunary_partial_sum(psi, D^4).
 
     Common denominator lcm(1..D^A) keeps every addition integral; the one
     gcd happens at the end.

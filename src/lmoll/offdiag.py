@@ -161,7 +161,8 @@ def brute_shifted_conv(params: ShiftedConvParams) -> float:
 
 
 def shifted_conv_r_decomposed(params: ShiftedConvParams) -> float:
-    """The same sum rebuilt from its decomposition a*m -+ b*n = qr, r != 0.
+    """The same sum rebuilt from its decomposition a*m -+ b*n = qr, r != 0;
+    it cross-checks brute_shifted_conv, bit for bit.
 
     Intended as an independent route at test scale: every admissible pair
     (m, n) belongs to exactly one r per branch, so the per-m term multisets
@@ -347,7 +348,8 @@ def singular_series_factored(a: int, b: int, r: int, psi: RealCharacter) -> floa
     outside p | rabD every local factor is 1 - 1/p^2, which regroups into
     1/zeta(2).  At p | r the local sum runs over e <= v_p(r) + 1, since
     c_{p^e}(r) vanishes beyond, so r need be neither squarefree nor prime
-    to abD.  Used as the independent route against the direct sum.
+    to abD.  Cross-checks singular_series(r).value, the direct shift series
+    that main_term sums.
     """
     _check_pair(a, b, r)
     D = psi.D
@@ -381,6 +383,8 @@ def singular_series_r_sum(a: int, b: int, R: int, psi: RealCharacter,
     collapse to divisor sums against partial zeta(2) sums; identical to
     summing singular_series(r).value / r^2 up to roundoff.  The tail bound
     covers only the ell-truncation (the r-range is summed exactly).
+    Cross-checks the r-sum of the shift series against its closed form
+    dirichlet_series_G(a, b, 2) zeta(2) zeta(3) (criterion 7).
     """
     _check_pair(a, b)
     if R < 1:

@@ -21,11 +21,12 @@ Quadrature runs on a vertical line: Re(s) = 1 for x > 1, and Re(s) = -1/4
 plus the residue at s = 0 for x <= 1, which keeps the line integral
 O(x^{1/4}) and leaves the constant term to the exactly-known residue.
 Kernels decay like e^{-pi|t|/4}, so |t| <= 60 at step 1/64 is far below
-double precision.  One routine, eval_weight_many, evaluates any set of
-kinds: per x it computes the rotation row x^{-it} on the t-grid once and
-dots it with each kind's cached kernel samples.  The t-grid is symmetric
-about 0, so only the t <= 0 half of the row goes through exp; the t > 0
-half is its mirror image conjugated, which is exact (below).
+double precision.  B on a line is computed once per sigma, for every kind
+and logQ.  One routine, eval_weight_many, evaluates any set of kinds: per x
+it computes the rotation row x^{-it} on the t-grid once, the remaining
+per-point cost, and takes one product with the kinds' stacked kernel rows.
+The t-grid is symmetric about 0, so only the t <= 0 half of the row goes
+through exp; the t > 0 half is its mirror image conjugated, exactly (below).
 
 Also here: a C-infinity bump template.
 """
@@ -131,8 +132,8 @@ def _b_arr(s: np.ndarray) -> np.ndarray:
     return (_gamma_arr(0.25 + s / 2) / GAMMA_QUARTER) ** 2
 
 
-def _kernel_arr(kind: str, logQ: float, s: np.ndarray) -> np.ndarray:
-    b = _b_arr(s)
+def _kernel_arr(kind: str, logQ: float, s: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The kernel K(s) of one weight, from b = B(s)."""
     if kind == "V1":
         return b / s
     if kind == "dV1":
@@ -151,7 +152,8 @@ def mellin_weight(w: WeightFunction, s: complex) -> complex:
     """Closed-form Mellin transform of any of the five weights."""
     if s == 0:
         raise ValueError("pole at s=0")
-    return complex(_kernel_arr(w.kind, w.logQ, np.array([s], dtype=complex))[0])
+    s_arr = np.array([s], dtype=complex)
+    return complex(_kernel_arr(w.kind, w.logQ, s_arr, _b_arr(s_arr))[0])
 
 
 def mellin_principal_part(w: WeightFunction) -> MellinPrincipalPart:
@@ -175,10 +177,17 @@ _QUAD_T = np.arange(-_QUAD_T_MAX, _QUAD_T_MAX + _QUAD_STEP / 2, _QUAD_STEP)
 _MID = len(_QUAD_T) // 2
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=16)  # 123 kB per sigma
+def _line_b(sigma: float) -> np.ndarray:
+    """B(sigma + it) on the fixed t-grid _QUAD_T, for every kind and logQ."""
+    b = _b_arr(sigma + 1j * _QUAD_T)
+    b.flags.writeable = False
+    return b
+
+
 def _line_kernel(kind: str, logQ: float, sigma: float) -> np.ndarray:
     """Kernel samples K(sigma + it) on the fixed t-grid _QUAD_T."""
-    return _kernel_arr(kind, logQ, sigma + 1j * _QUAD_T)
+    return _kernel_arr(kind, logQ, sigma + 1j * _QUAD_T, _line_b(sigma))
 
 
 def eval_weight_many(kinds: tuple[str, ...], logQ: float, xs: np.ndarray) -> np.ndarray:
@@ -186,9 +195,12 @@ def eval_weight_many(kinds: tuple[str, ...], logQ: float, xs: np.ndarray) -> np.
     far below 1e-10 on [1e-8, 1e3].
 
     For x <= 1 the contour sits at Re(s) = -1/4 (staying right of the
-    Gamma^2 poles at s = -1/2) and the s=0 residue is added exactly.  The
-    rotation row x^{-it} is computed once per x and shared by every kind.
-    Only its t <= 0 half is exponentiated; each t > 0 entry is the conjugate
+    Gamma^2 poles at s = -1/2) and the s=0 residue is added exactly.  Per
+    x, one product of the rotation row x^{-it} with the kinds' kernel rows,
+    stacked per contour, and one row-wise sum give every kind; numpy sums a
+    contiguous row pairwise, as it sums a 1-D array, so each kind keeps the
+    bits it has alone.  Only the row's t <= 0 half (3841 exponentials, the
+    floor of the cost) is exponentiated; each t > 0 entry is the conjugate
     of the entry at -t.  That is exact, not just close: every node is a
     multiple of 2^-6, so -t is exactly on the grid and -t*log(x) is exactly
     the negated product; exp of a purely imaginary i*theta is
@@ -205,14 +217,17 @@ def eval_weight_many(kinds: tuple[str, ...], logQ: float, xs: np.ndarray) -> np.
     rows = out.reshape(len(ws), -1)
     neg_it_half = -1j * _QUAD_T[: _MID + 1]
     rot = np.empty(len(_QUAD_T), dtype=np.complex128)
+    kerns = {}  # contour sigma -> kinds x t-grid
     for i, x in enumerate(xs.ravel().tolist()):
         sigma = 1.0 if x > 1 else -0.25
+        if sigma not in kerns:
+            kerns[sigma] = np.array([_line_kernel(w.kind, logQ, sigma) for w in ws])
         lx = math.log(x)
         np.exp(neg_it_half * lx, out=rot[: _MID + 1])
         np.conj(rot[_MID - 1 :: -1], out=rot[_MID + 1 :])
-        for row, w, pp in zip(rows, ws, pps):
-            kern = _line_kernel(w.kind, w.logQ, sigma)
-            val = _QUAD_STEP / (2 * math.pi) * float(np.sum(kern * rot).real) * x**-sigma
+        sums = (kerns[sigma] * rot).sum(axis=1).real.tolist()
+        for row, pp, total in zip(rows, pps, sums):
+            val = _QUAD_STEP / (2 * math.pi) * total * x**-sigma
             if x <= 1:
                 val += float((pp.c1 - pp.c2 * lx).real)
             row[i] = val

@@ -13,7 +13,7 @@ import pytest
 
 from lmoll import lvalues
 from lmoll.arith import PrincipalCharacter, RealCharacter, one_star_psi_table
-from lmoll.characters import build_group, enumerate_even_primitive
+from lmoll.characters import build_group, enumerate_even_primitive, product_values
 from lmoll.lvalues import (
     AFEConfig,
     _afe_tables,
@@ -22,10 +22,12 @@ from lmoll.lvalues import (
     default_config,
     epsilon_consistency_residual,
     hurwitz_zeta,
+    hurwitz_zeta_vec,
     oracle_L,
     oracle_product,
     oracle_product_at,
     oracle_product_derivative,
+    oracle_products_at,
 )
 from lmoll.moments import mollified_moments
 from lmoll.special import eval_weight_many
@@ -85,6 +87,49 @@ def test_afe_matches_oracle_family():
             orc = oracle_product(chi, psi)
             assert abs(pair.L_central - orc) < 1e-6, (q, chi.k)
             assert abs(abs(pair.epsilon_product) - 1) < 1e-9
+
+
+def _oracle_product_per_character(chi, psi) -> complex:
+    """The oracle as written before the shared rows: each L-factor computes
+    its own Hurwitz row, zeta_H(1/2, a/m) for a = 1..m, and dots it with the
+    character's table."""
+
+    def dirichlet_L(modulus, values):
+        a = np.arange(1, modulus + 1, dtype=np.float64)
+        vals = values[np.arange(1, modulus + 1) % modulus]
+        total = np.dot(vals, hurwitz_zeta_vec(0.5, a / modulus))
+        return complex(np.exp(-0.5 * math.log(modulus)) * total)
+
+    q, D = chi.modulus, psi.D
+    first = dirichlet_L(q, chi.values().astype(np.complex128))
+    return first * dirichlet_L(q * D, product_values(chi, psi))
+
+
+def _hex(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
+@pytest.mark.parametrize("q,D", [(13, 5), (29, 5), (101, 5), (101, 13)])
+def test_family_oracle_is_bit_identical_per_character(q, D):
+    psi = RealCharacter(D)
+    family = enumerate_even_primitive(build_group(q))
+    got = oracle_products_at(0.5, family, psi)
+    assert len(got) == len(family)
+    for chi, z in zip(family, got):
+        assert _hex(z) == _hex(oracle_product(chi, psi)), chi.k
+        assert _hex(z) == _hex(_oracle_product_per_character(chi, psi)), chi.k
+
+
+def test_family_oracle_guards():
+    psi = RealCharacter(5)
+    assert oracle_products_at(0.5, [], psi) == []
+    with pytest.raises(ValueError, match="principal"):
+        oracle_products_at(0.5, [PrincipalCharacter(13)], psi)
+    with pytest.raises(ValueError, match="moduli"):
+        oracle_products_at(0.5, [build_group(13).character(2),
+                                 build_group(29).character(2)], psi)
+    with pytest.raises(ValueError, match="Re"):
+        oracle_products_at(0.0, [build_group(13).character(2)], psi)
 
 
 def test_afe_conjugation_symmetry():

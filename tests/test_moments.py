@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lmoll.arith import RealCharacter, eval_rho, factor, kloosterman
+from lmoll.arith import RealCharacter, _cpow, divisors, eval_rho, factor, kloosterman
 from lmoll.characters import build_group, enumerate_even_primitive, phi_plus
 from lmoll.lvalues import (
     AFEConfig,
@@ -29,6 +29,7 @@ from lmoll.moments import (
     MomentReport,
     _census_values,
     _kloosterman_row,
+    _restricted_inverse_triple_sum,
     build_mollifier,
     census,
     eval_mollifier,
@@ -36,8 +37,9 @@ from lmoll.moments import (
     first_moment_by_orthogonality,
     g_family_eval,
     lacunary_divisor_sum,
-    restricted_divisor_product_check,
     mollified_moments,
+    restricted_divisor_product_check,
+    restricted_divisor_product_residuals,
     tau4_prime_power,
     tau4_table,
 )
@@ -157,9 +159,9 @@ class TestMoments:
                 assert abs(row[w] - kloosterman(1, w, q)) < 1e-12, (q, w)
 
 
-def census_values_by_loop(q, psi):
-    """Reference for _census_values: the whole modulus-qD Hurwitz sum at
-    once, then one length-q dot product per character."""
+def census_full_sum(q, psi):
+    """zeta(1/2, a/q) for a = 1..q-1, and the whole modulus-qD Hurwitz sum
+    at once, every b in [1, qD) included, grouped by b mod q."""
     D = psi.D
     a = np.arange(1, q, dtype=np.float64)
     z_plain = hurwitz_zeta_vec(0.5, a / q)
@@ -168,6 +170,14 @@ def census_values_by_loop(q, psi):
     zb = hurwitz_zeta_vec(0.5, b.astype(np.float64) / (q * D))
     grouped = np.zeros(q, dtype=np.float64)
     np.add.at(grouped, b % q, psivals * zb)
+    return z_plain, grouped
+
+
+def census_values_by_loop(q, psi):
+    """Reference for _census_values: the full sum, then one length-q dot
+    product per character."""
+    D = psi.D
+    z_plain, grouped = census_full_sum(q, psi)
     twisted = grouped[1:]
     plain, twist = [], []
     for chi in enumerate_even_primitive(build_group(q)):
@@ -198,6 +208,20 @@ class TestCensus:
         assert plain.shape == twist.shape == (phi_plus(q),)
         assert np.max(np.abs(plain - ref_plain)) < 1e-12
         assert np.max(np.abs(twist - ref_twist)) < 1e-12
+
+    @pytest.mark.parametrize("q,D", [(101, 5), (1009, 13), (9973, 13)])
+    def test_skipped_terms_do_not_change_bits(self, q, D):
+        # the b with psi(b) = 0 or q | b contribute exactly +-0 or land in
+        # the discarded bin 0, so the full sum through the same DFT gives
+        # the same bits
+        psi = RealCharacter(D)
+        z_plain, grouped = census_full_sum(q, psi)
+        by_dlog = np.empty((2, q - 1), dtype=np.float64)
+        by_dlog[:, build_group(q).dlog[1:]] = z_plain, grouped[1:]
+        sums = np.fft.ifft(by_dlog, axis=1, norm="forward")[:, 2:q - 2:2]
+        plain, twist = _census_values(q, psi)
+        assert np.array_equal(plain, q ** -0.5 * sums[0])
+        assert np.array_equal(twist, (q * D) ** -0.5 * sums[1])
 
     def test_block_size_does_not_change_bits(self, monkeypatch):
         psi = RealCharacter(13)
@@ -309,6 +333,41 @@ class TestDivisorProductIdentity:
     def test_rejects_squareful(self):
         with pytest.raises(ValueError):
             restricted_divisor_product_check(45, 0.0, 0.0)
+        with pytest.raises(ValueError):
+            restricted_divisor_product_residuals(45, [(0.0, 0.0)])
+
+    def test_triples_built_once_keep_bits(self):
+        # the triple loop as written before the integer triples were built
+        # once per D, with its float operations in the same order
+        def triple_sum_by_loop(D, u, v):
+            psi = RealCharacter(D)
+            total = 0.0 + 0.0j
+            for d in divisors(D):
+                for e in divisors(D):
+                    re = eval_rho(psi, d * e)
+                    if re == 0:
+                        continue
+                    for g in divisors(D):
+                        if math.gcd(e, g) != 1:
+                            continue
+                        rg = eval_rho(psi, d * g)
+                        if rg == 0:
+                            continue
+                        total += re * rg / (d * _cpow(e, 1 + u) * _cpow(g, 1 + v))
+            return total
+
+        shifts = [(u, v) for u in SHIFT_GRID for v in SHIFT_GRID]
+        for D in SQUAREFREE_1MOD4:
+            want = []
+            for u, v in shifts:
+                u, v = complex(u), complex(v)
+                lhs = triple_sum_by_loop(D, u, v)
+                assert lhs == _restricted_inverse_triple_sum(D, u, v), D
+                rhs = 1.0 + 0.0j
+                for p, _ in factor(D).factors:
+                    rhs *= 1 + 1 / p - _cpow(p, -(1 + u)) - _cpow(p, -(1 + v))
+                want.append(abs(lhs - rhs))
+            assert restricted_divisor_product_residuals(D, shifts) == want, D
 
 
 class TestGFamily:

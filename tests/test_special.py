@@ -12,6 +12,7 @@ import scipy.special
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from lmoll import special
 from lmoll.special import (
     _MID,
     _QUAD_STEP,
@@ -22,6 +23,8 @@ from lmoll.special import (
     MellinPrincipalPart,
     SmoothBump,
     WeightFunction,
+    _b_arr,
+    _kernel_arr,
     _line_kernel,
     digamma_complex,
     eval_weight,
@@ -288,6 +291,60 @@ def test_half_rotation_row_is_bit_identical_to_full_row(x, logQ):
     got = eval_weight_many(WEIGHT_KINDS, logQ, np.array([x]))[:, 0].tolist()
     want = _full_row_weights(WEIGHT_KINDS, logQ, x)
     assert [v.hex() for v in got] == [v.hex() for v in want], x
+
+
+def _per_kind_weights(kind: str, logQ: float, xs) -> list[float]:
+    """eval_weight_many as written before the stacked kernel matrix: one
+    _kernel_arr row computed afresh for the kind and one np.sum(kern * rot)
+    per x, over the full-grid rotation row."""
+    kerns = {}
+    for sigma in (1.0, -0.25):
+        s = sigma + 1j * _QUAD_T
+        kerns[sigma] = _kernel_arr(kind, logQ, s, _b_arr(s))
+    pp = mellin_principal_part(WeightFunction(kind, logQ))
+    vals = []
+    for x in xs:
+        sigma = 1.0 if x > 1 else -0.25
+        kern = kerns[sigma]
+        lx = math.log(x)
+        rot = np.exp(-1j * _QUAD_T * lx)
+        val = _QUAD_STEP / (2 * math.pi) * float(np.sum(kern * rot).real) * x**-sigma
+        if x <= 1:
+            val += float((pp.c1 - pp.c2 * lx).real)
+        vals.append(val)
+    return vals
+
+
+@pytest.mark.parametrize("logQ", [LOGQ, math.log(101 * math.sqrt(5) / math.pi)])
+def test_stacked_kinds_are_bit_identical_to_per_kind_rows(logQ):
+    # 120 x on each contour, the boundary x = 1 among them
+    xs = np.concatenate([np.geomspace(1e-8, 1.0, 120), np.geomspace(1.001, 1e3, 120)])
+    got = eval_weight_many(WEIGHT_KINDS, logQ, xs)
+    for kind, row in zip(WEIGHT_KINDS, got):
+        want = _per_kind_weights(kind, logQ, xs.tolist())
+        assert [v.hex() for v in row.tolist()] == [v.hex() for v in want], kind
+
+
+def test_gamma_row_computed_once_per_sigma(monkeypatch):
+    calls = []
+    gamma_arr = special._gamma_arr
+
+    def counting(s):
+        calls.append(len(s))
+        return gamma_arr(s)
+
+    monkeypatch.setattr(special, "_gamma_arr", counting)
+    special._line_b.cache_clear()
+    try:
+        xs = np.geomspace(1e-3, 1e3, 40)  # both contours, sigma = 1 and -1/4
+        for logQ in (LOGQ, 2 * LOGQ):
+            eval_weight_many(WEIGHT_KINDS, logQ, xs)
+            for kind in WEIGHT_KINDS:
+                for sigma in (4.0, 6.0, 8.0):
+                    kernel_abs_moment(kind, logQ, sigma)
+    finally:
+        special._line_b.cache_clear()
+    assert calls == [len(_QUAD_T)] * 5
 
 
 def _bessel_series(x: float, which: str) -> float:
