@@ -216,12 +216,13 @@ def _mobius_table(limit: int) -> np.ndarray:
     return mu
 
 
-def _ramanujan_column(r: int, limit: int) -> np.ndarray:
-    """c_ell(r) for ell = 1..limit via sum_{d | (r,ell)} mu(ell/d) d."""
+def _ramanujan_column(r: int, limit: int, out: np.ndarray | None = None) -> np.ndarray:
+    """c_ell(r) for ell = 1..limit via sum_{d | (r,ell)} mu(ell/d) d, sieved
+    into out (int64, length limit + 1) when given; the column is out[1:]."""
     divs = divisors(abs(r))
     f = np.zeros(divs[-1] + 1, dtype=np.int64)
     f[divs] = divs
-    return dirichlet_convolution(f, _mobius_table(limit))[1:]
+    return dirichlet_convolution(f, _mobius_table(limit), out)[1:]
 
 
 def _check_pair(a: int, b: int, r: int = 1) -> None:
@@ -244,10 +245,11 @@ def _series_coeff(a: int, b: int, psi: RealCharacter,
     """Shift-free numerator and denominator of the series terms, ell = 1..limit.
 
     Numerator psi(ell_a ell_b) + [D | (ell_a, ell_b)] D psi(a'b'), denominator
-    ell_a ell_b, with ell_a = ell/(a,ell) and a' = a/(a,ell).
+    ell_a ell_b = ell^2/((a,ell)(b,ell)), with ell_a = ell/(a,ell) and
+    a' = a/(a,ell).  All but ell^2 depends on ell only mod abD: one period, tiled.
     """
     D = psi.D
-    ell = np.arange(1, limit + 1, dtype=np.int64)
+    ell = np.arange(1, min(limit, a * b * D) + 1, dtype=np.int64)
     ga = np.gcd(ell, a)
     gb = np.gcd(ell, b)
     ell_a = ell // ga
@@ -258,18 +260,25 @@ def _series_coeff(a: int, b: int, psi: RealCharacter,
     deep = np.gcd(ell_a, ell_b) % D == 0
     # int64 before the product: D * chi_red overflows int8 once D >= 128
     coeff = chi_ell + np.where(deep, D * chi_red.astype(np.int64), 0)
-    return coeff, (ell_a * ell_b).astype(np.float64)
+    denom = np.arange(1, limit + 1, dtype=np.int64) ** 2
+    denom //= np.resize(ga * gb, limit)
+    return np.resize(coeff, limit), denom.astype(np.float64)
 
 
-def _series_terms(coeff: np.ndarray, denom: np.ndarray, r: int) -> np.ndarray:
+def _series_terms(coeff: np.ndarray, denom: np.ndarray, r: int,
+                  work: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
     """Series terms coeff(ell) c_ell(r)/(ell_a ell_b) for ell = 1..len(coeff),
-    in increasing-ell order, from the shift-free parts of _series_coeff."""
-    return coeff * _ramanujan_column(r, len(coeff)) / denom
+    in increasing-ell order, from the shift-free parts of _series_coeff.
+    work = (int64 column, term row, exact_sum scratch) holds them in place."""
+    col, terms = (None, None) if work is None else work[:2]
+    col = _ramanujan_column(r, len(coeff), col)
+    return np.divide(np.multiply(coeff, col, out=col), denom, out=terms)
 
 
-def _series_sum(coeff: np.ndarray, denom: np.ndarray, r: int) -> float:
+def _series_sum(coeff: np.ndarray, denom: np.ndarray, r: int,
+                work: tuple[np.ndarray, ...] | None = None) -> float:
     """exact_sum of _series_terms: math.fsum's double for every r."""
-    return exact_sum(_series_terms(coeff, denom, r))
+    return exact_sum(_series_terms(coeff, denom, r, work), None if work is None else work[2])
 
 
 def _series_tail(a: int, b: int, r: int, D: int, limit: int) -> float:
@@ -476,11 +485,12 @@ def main_term(params: ShiftedConvParams, L_max: int = 100000) -> tuple[float, fl
 
     The series and its tail piece are computed once per |r| and reused for
     -r and across both branches: c_ell(r) is built from the divisors of |r|,
-    so r and -r give the same doubles.  Each series and the final sum are
-    exactly rounded (exact_sum), so they are math.fsum's doubles whatever
-    the order of summation inside.  Terms are still appended per
-    (branch, r) in the same order, so the tail is the same floating-point
-    operations as a per-r loop.
+    so r and -r give the same doubles.  Every series is formed and summed in
+    one set of length-L_max buffers, allocated once per call.  Each series
+    and the final sum are exactly rounded (exact_sum), so they are
+    math.fsum's doubles whatever the order of summation inside.  Terms are
+    still appended per (branch, r) in the same order, so the tail is the
+    same floating-point operations as a per-r loop.
     """
     _check_L_max(L_max)
     p = params
@@ -490,6 +500,7 @@ def main_term(params: ShiftedConvParams, L_max: int = 100000) -> tuple[float, fl
     pref = L1 * L1 / (a * b)
     r_cap = int(4 * (aM + bN) / q) + 1
     coeff, denom = _series_coeff(a, b, p.psi, L_max)
+    work = (np.empty(L_max + 1, dtype=np.int64), np.empty(L_max), np.empty((2, L_max)))
     series: dict[int, tuple[float, float]] = {}  # |r| -> (value, tail piece)
     terms: list[float] = []
     tail = 0.0
@@ -516,7 +527,7 @@ def main_term(params: ShiftedConvParams, L_max: int = 100000) -> tuple[float, fl
             # only as q grows, so at fixed q this choice floors the relative
             # deviation from the brute sum near 1/q
             if abs(r) not in series:
-                series[abs(r)] = (_series_sum(coeff, denom, r),
+                series[abs(r)] = (_series_sum(coeff, denom, r, work),
                                   _series_tail(a, b, r, p.psi.D, L_max))
             ss, ss_tail = series[abs(r)]
             terms.append(pref * ss * integral)

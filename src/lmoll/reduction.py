@@ -26,16 +26,19 @@ _MAX_LEN = 2 ** 26
 _WIDE = 2.0 ** -51  # 4u, u = 2^-53 the unit roundoff
 
 
-def exact_sum(values: Sequence[float] | np.ndarray) -> float:
+def exact_sum(values: Sequence[float] | np.ndarray, scratch: np.ndarray | None = None) -> float:
     """The exactly rounded sum of values: math.fsum's double, bit for bit.
 
     Non-finite inputs, and every input the certificate of _certified_sum
     cannot settle, go to math.fsum itself, so its results and the errors it
-    raises stay the same.  values is not modified.
+    raises stay the same.  values is not modified.  scratch, float64 of shape
+    (2, >= len(values)), holds the certified path's two working rows.
     """
     if not _CUTOFF <= len(values) < _MAX_LEN:
         return math.fsum(values)
-    total = _certified_sum(np.array(values, dtype=np.float64))
+    p, q = np.empty((2, len(values))) if scratch is None else scratch[:, :len(values)]
+    np.copyto(p, np.asarray(values, dtype=np.float64))
+    total = _certified_sum(p, q)
     return math.fsum(values) if total is None else total
 
 
@@ -52,7 +55,7 @@ def _extract(p: np.ndarray, q: np.ndarray, sigma: float) -> float:
     return float(q.sum())
 
 
-def _certified_sum(p: np.ndarray) -> float | None:
+def _certified_sum(p: np.ndarray, q: np.ndarray) -> float | None:
     """The exactly rounded sum of p, or None where it is not certified.
 
     Two rounds of _extract take the sum exactly into tau1 + tau2 plus a
@@ -65,10 +68,11 @@ def _certified_sum(p: np.ndarray) -> float | None:
     the smaller gap from F to its neighbours, F is the nearest double to
     the exact sum and no tie, which is what math.fsum returns.  None for
     non-finite values, F = 0 (whose sign fsum decides), and sigma too large
-    or too small for the grids to be exact.  p is overwritten.
+    or too small for the grids to be exact.  p is overwritten, and q (p's
+    shape) takes |p| and the extraction grids.
     """
     n = p.size
-    q = np.abs(p)
+    np.abs(p, out=q)
     big = float(q.max())
     if not big < math.inf:
         return None

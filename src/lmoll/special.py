@@ -250,7 +250,10 @@ class SmoothBump:
     """C-infinity bump supported on [lo, hi], sup-normalized to peak 1.
 
     Template exp(1 + 1/((2y-3)^2 - 1)) on 1 < y < 2, zero outside, with
-    y the affine map of [lo, hi] onto [1, 2]."""
+    y the affine map of [lo, hi] onto [1, 2].  On arrays, out (x's shape; x
+    itself will do) receives the values.  The template runs in place on out
+    when every point is strictly inside the support, else on a copy of the
+    inside points: the same operations (v**2 is v*v), so the same bits."""
 
     def __init__(self, lo: float, hi: float):
         if not 0 < lo < hi:
@@ -258,8 +261,8 @@ class SmoothBump:
         self.lo = float(lo)
         self.hi = float(hi)
 
-    def __call__(self, x):
-        if isinstance(x, float):
+    def __call__(self, x, out=None):
+        if isinstance(x, float) and out is None:
             # the array path's operations on one float, without the array
             # overhead (scalar quad integrands call this once per node);
             # np.exp, since math.exp rounds some of these inputs differently
@@ -269,12 +272,19 @@ class SmoothBump:
             v = 2.0 * y - 3.0
             return float(np.exp(1.0 + 1.0 / (v * v - 1.0)))
         x = np.asarray(x, dtype=np.float64)
-        y = 1.0 + (x - self.lo) / (self.hi - self.lo)
-        out = np.zeros_like(y)
-        inside = (y > 1.0) & (y < 2.0)
-        u = (2.0 * y[inside] - 3.0) ** 2 - 1.0  # in [-1, 0)
-        out[inside] = np.exp(1.0 + 1.0 / u)
-        return out if out.shape else float(out)
+        y = np.subtract(x, self.lo, out=np.empty_like(x) if out is None else out)
+        y /= self.hi - self.lo
+        y += 1.0
+        whole = y.size and y.min() > 1.0 and y.max() < 2.0
+        inside = ... if whole else (y > 1.0) & (y < 2.0)
+        v = y[inside]  # a view of y when whole, else a copy
+        np.subtract(np.multiply(v, 2.0, out=v), 3.0, out=v)
+        np.subtract(np.multiply(v, v, out=v), 1.0, out=v)  # in [-1, 0)
+        np.exp(np.add(np.divide(1.0, v, out=v), 1.0, out=v), out=v)
+        if not whole:
+            y.fill(0.0)
+            y[inside] = v
+        return y if y.shape or out is not None else float(y)
 
     def grid(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         xs = np.linspace(self.lo, self.hi, n)

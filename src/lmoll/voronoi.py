@@ -11,8 +11,9 @@ the real character's interface, so Gauss sums and the convolution
 (arith.character_convolution) never ask which kind a factor is.
 
 Oscillatory integrals use Gauss-Legendre panels sized to the cycle count,
-targeting 1e-11 per integral; every truncated sum reports a tail estimate
-and an insufficiency flag instead of failing silently.
+targeting 1e-11 per integral, their tables built in place in one workspace
+per voronoi_rhs call; every truncated sum reports a tail estimate and an
+insufficiency flag instead of failing silently.
 """
 from __future__ import annotations
 
@@ -128,16 +129,22 @@ def voronoi_lhs(case: VoronoiCase, g: SmoothBump) -> complex:
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 
-def _panels(g: SmoothBump, t0: float, t1: float, panels: int) -> tuple[np.ndarray, ...]:
+def _panels(g: SmoothBump, t0: float, t1: float, panels: int,
+            work: np.ndarray) -> tuple[np.ndarray, ...]:
     """Gauss-Legendre nodes t on equal panels of [t0, t1], the values
     2t g(t^2) there, the weights half-width x GL weight, and a scratch row
     for the Bessel values, all of shape (panels, 12).  None of it depends
-    on the Bessel argument, so one table serves every alpha."""
+    on the Bessel argument, so one table serves every alpha.  The tables
+    are views of the rows of work, shape (4, >= 12 panels), overwritten."""
+    t, h, hw, buf = (row[:12 * panels].reshape(panels, 12) for row in work)
     edges = np.linspace(t0, t1, panels + 1)
     mids = 0.5 * (edges[1:] + edges[:-1])[:, None]
     halfs = 0.5 * (edges[1:] - edges[:-1])[:, None]
-    t = mids + halfs * _GL_NODES[None, :]
-    return t, 2.0 * t * g(t * t), halfs * _GL_WEIGHTS[None, :], np.empty_like(t)
+    np.add(mids, np.multiply(halfs, _GL_NODES, out=t), out=t)
+    g(np.multiply(t, t, out=buf), out=h)
+    h *= np.multiply(2.0, t, out=buf)
+    np.multiply(halfs, _GL_WEIGHTS, out=hw)
+    return t, h, hw, buf
 
 
 def _panel_integral(panels: tuple[np.ndarray, ...], alpha: float, bessel) -> float:
@@ -167,14 +174,14 @@ def _k0_upper(z: float) -> float:
     return math.sqrt(math.pi / (2.0 * z)) * math.exp(-z)
 
 
-def _decaying_integral(g: SmoothBump, t0: float, t1: float,
-                       alpha: float) -> tuple[float, float]:
+def _decaying_integral(g: SmoothBump, t0: float, t1: float, alpha: float,
+                       work: np.ndarray) -> tuple[float, float]:
     """int 2t g(t^2) K0(alpha t) dt, truncated where the kernel is spent.
 
     Returns the integral and a bound on the discarded piece (g <= 1).
     """
     t_hi = min(t1, t0 + 60.0 / alpha)
-    value = _panel_integral(_panels(g, t0, t_hi, 40), alpha, bessel_k0)
+    value = _panel_integral(_panels(g, t0, t_hi, 40, work), alpha, bessel_k0)
     rem = 0.0 if t_hi >= t1 else _k0_upper(alpha * t_hi) * (t1 * t1 - t_hi * t_hi)
     return value, rem
 
@@ -233,7 +240,8 @@ def voronoi_rhs(case: VoronoiCase, g: SmoothBump, m_max: int = 100000) -> Vorono
     m_max first sets the insufficient flag instead of raising.  m_max lies
     in [1, 10^6]: the dual coefficients are sieved up to m_max up front, in
     O(sqrt(m_max)) array steps (about 0.1 s at 10^6), and are not cached.
-    The Y0 panel table is rebuilt only when the panel count changes.
+    The Y0 panel table is rebuilt only when the panel count changes, in
+    place in one (4, 12 _PANEL_CAP) workspace that the K0 tables reuse.
     """
     if m_max < 1:
         raise ValueError(f"m_max must be at least 1, got {m_max}")
@@ -260,6 +268,7 @@ def voronoi_rhs(case: VoronoiCase, g: SmoothBump, m_max: int = 100000) -> Vorono
     conv = dual_coefficients(case, m_max)
     alpha0 = 4.0 * math.pi / (c * math.sqrt(D_c))
 
+    work = np.empty((4, 12 * _PANEL_CAP))
     y_terms: list[complex] = []
     panels, n_built = None, 0
     trailing = 0.0
@@ -276,7 +285,7 @@ def voronoi_rhs(case: VoronoiCase, g: SmoothBump, m_max: int = 100000) -> Vorono
             alpha = alpha0 * math.sqrt(mm)
             n_panels = _oscillatory_panels(t0, t1, alpha)
             if n_panels != n_built:
-                panels, n_built = _panels(g, t0, t1, n_panels), n_panels
+                panels, n_built = _panels(g, t0, t1, n_panels, work), n_panels
             integral = _panel_integral(panels, alpha, bessel_y0)
             y_terms.append(conv[mm] * roots[-inv * mm % c] * integral)
             trailing = max(trailing, abs(integral)) if small_run > 0 else abs(integral)
@@ -295,7 +304,7 @@ def voronoi_rhs(case: VoronoiCase, g: SmoothBump, m_max: int = 100000) -> Vorono
     k_vals = np.zeros((m_stop_k, 2))
     for mm in range(1, m_stop_k + 1):
         if conv[mm] != 0.0:
-            k_vals[mm - 1] = _decaying_integral(g, t0, t1, alpha0 * math.sqrt(mm))
+            k_vals[mm - 1] = _decaying_integral(g, t0, t1, alpha0 * math.sqrt(mm), work)
     k_terms = [conv[mm] * roots[inv * mm % c] * k_vals[mm - 1, 0]
                for mm in range(1, m_stop_k + 1)]
     dual_k = pref_k * fsum_complex(k_terms)

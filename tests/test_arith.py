@@ -203,6 +203,16 @@ def test_dirichlet_convolution_dense_int_is_pointwise_divisor_sum(limit, f_len, 
     fl, gl = f.tolist(), g.tolist()
     for n in range(1, limit + 1):
         assert got[n] == sum(fl[d] * gl[n // d] for d in divisors(n) if d < f_len)
+    # a caller's buffer holding garbage is zeroed first and filled in place
+    out = rng.integers(-9, 10, size=limit + 1)
+    assert dirichlet_convolution(f, g, out) is out and np.array_equal(out, got)
+
+
+def test_dirichlet_convolution_rejects_mismatched_out():
+    f, g = np.arange(5), np.arange(11)
+    for out in (np.zeros(10, dtype=np.int64), np.zeros(11, dtype=np.float64)):
+        with pytest.raises(ValueError):
+            dirichlet_convolution(f, g, out)
 
 
 @settings(max_examples=20, deadline=None)

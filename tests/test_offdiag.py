@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import zeta
 
+from lmoll import offdiag
 from lmoll.arith import RealCharacter, factor, ramanujan_sum
 from lmoll.lvalues import oracle_L
 from lmoll.offdiag import (
@@ -36,6 +37,7 @@ from lmoll.offdiag import (
     singular_series_r_sum,
     singular_series_term,
 )
+from lmoll.reduction import exact_sum
 from lmoll.special import SmoothBump
 
 PSI5 = RealCharacter(5)
@@ -264,6 +266,51 @@ class TestSingularSeries:
             want = math.fsum(coeff * _ramanujan_column(r, len(coeff)) / denom)
             assert _series_sum(coeff, denom, r).hex() == want.hex()
             assert _series_sum(coeff, denom, -r).hex() == want.hex()
+
+    @pytest.mark.parametrize("a,b,D,limit", [(1, 1, 5, 100000), (2, 3, 13, 100000),
+                                             (7, 4, 21, 1000), (9, 10, 5, 449),
+                                             (3, 1, 129, 2000)])
+    def test_series_coeff_matches_direct_construction(self, a, b, D, limit):
+        # the construction over every ell, before the numerator was tiled
+        # from one period of abD and ell_a ell_b taken as ell^2/((a,ell)(b,ell))
+        tab = RealCharacter(D).values()
+        ell = np.arange(1, limit + 1, dtype=np.int64)
+        ga, gb = np.gcd(ell, a), np.gcd(ell, b)
+        ell_a, ell_b = ell // ga, ell // gb
+        chi_red = tab[(a // ga) % D].astype(np.int64) * tab[(b // gb) % D]
+        deep = np.gcd(ell_a, ell_b) % D == 0
+        want = tab[ell_a % D] * tab[ell_b % D] + np.where(deep, D * chi_red, 0)
+        coeff, denom = _series_coeff(a, b, RealCharacter(D), limit)
+        assert coeff.dtype == np.int64 and np.array_equal(coeff, want)
+        assert denom.dtype == np.float64
+        assert np.array_equal(denom, (ell_a * ell_b).astype(np.float64))
+
+    def test_workspace_series_is_bit_identical_for_every_r_of_main_term(self, monkeypatch):
+        # the seed-0 shifted-conv case: each |r| main_term visits, summed in
+        # its one workspace, against the series built and summed fresh
+        coeff, denom = _series_coeff(1, 1, PSI5, 100000)
+        seen = []
+
+        def checked(c, d, r, work=None):
+            got = _series_sum(c, d, r, work)
+            want = exact_sum(coeff * _ramanujan_column(r, len(coeff)) / denom)
+            assert work is not None and got.hex() == want.hex()
+            seen.append(abs(r))
+            return got
+
+        monkeypatch.setattr(offdiag, "_series_sum", checked)
+        main_term(ShiftedConvParams(a=1, b=1, q=101, M=2500.0, N=2500.0, psi=PSI5))
+        assert sorted(seen) == [*range(1, 25), *range(50, 100)]
+
+    def test_workspace_series_at_large_shifts(self):
+        # |r| up to r_cap = 793 of M = N = 10^4, q = 101, across the sieve's
+        # split at isqrt(L_max) = 316; one workspace holds a stale column
+        # from the shift before each
+        coeff, denom = _series_coeff(1, 1, PSI5, 100000)
+        work = (np.empty(100001, dtype=np.int64), np.empty(100000), np.empty((2, 100000)))
+        for r in (793, 1, 720, 316, -317, 792, 510):
+            want = exact_sum(coeff * _ramanujan_column(r, len(coeff)) / denom)
+            assert _series_sum(coeff, denom, r, work).hex() == want.hex()
 
     def test_guards(self):
         with pytest.raises(ValueError):

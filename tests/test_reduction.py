@@ -39,9 +39,12 @@ def _check(values: np.ndarray) -> None:
     assert want == float(sum(map(Fraction, values.tolist()), Fraction(0)))
     assert exact_sum(values).hex() == want.hex()
     assert exact_sum(values.tolist()).hex() == want.hex()
+    # the caller's scratch, wider than needed and holding garbage
+    scratch = np.full((2, values.size + 3), np.nan)
+    assert exact_sum(values, scratch).hex() == want.hex()
     assert np.array_equal(values, before)
     if values.size:
-        certified = _certified_sum(values.copy())
+        certified = _certified_sum(values.copy(), np.empty_like(values))
         assert certified is None or certified.hex() == want.hex()
 
 
@@ -148,12 +151,28 @@ def test_non_finite_and_overflow_as_fsum(n, specials):
     assert _outcome(exact_sum, values.tolist()) == want
 
 
+@pytest.mark.parametrize("n", [_CUTOFF, 3000])
+def test_scratch_fallback_sums_the_original_terms(n):
+    # an exact tie the certificate cannot settle: math.fsum must see the
+    # caller's values, not the scratch the certified path worked on
+    rng = np.random.default_rng(n)
+    half = (n - 2) // 2
+    x = np.ldexp(rng.uniform(-1.0, 1.0, size=half), rng.integers(-20, 20, size=half))
+    values = _shuffled(rng, (x, -x, [1.0, 3 * 2.0**-53]))
+    assert _certified_sum(values.copy(), np.empty_like(values)) is None
+    before = values.copy()
+    scratch = np.empty((2, n))
+    assert exact_sum(values, scratch).hex() == math.fsum(before).hex()
+    assert np.array_equal(values, before)
+    assert not np.array_equal(scratch[0], before)
+
+
 @pytest.mark.parametrize("r", range(1, 51))
 def test_certified_path_takes_main_term_series(r):
     # the shift series that main_term sums (D = 5, its default L_max) are
     # settled by the certificate, not by the math.fsum fallback
     coeff, denom = _series_coeff(1, 1, RealCharacter(5), 100000)
     terms = _series_terms(coeff, denom, r)
-    got = _certified_sum(terms.copy())
+    got = _certified_sum(terms.copy(), np.empty_like(terms))
     assert got is not None
     assert got.hex() == math.fsum(terms).hex()

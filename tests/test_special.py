@@ -404,6 +404,48 @@ def test_bump_scalar_path_is_bit_identical_to_array(lo, hi):
         assert b(np.float64(x)).hex() == want.hex()
 
 
+def _masked_bump(b: SmoothBump, x) -> np.ndarray:
+    # the array path as it was before the in-place fast path: every point
+    # through the support mask, into a fresh array
+    y = 1.0 + (np.asarray(x, dtype=np.float64) - b.lo) / (b.hi - b.lo)
+    out = np.zeros_like(y)
+    inside = (y > 1.0) & (y < 2.0)
+    out[inside] = np.exp(1.0 + 1.0 / ((2.0 * y[inside] - 3.0) ** 2 - 1.0))
+    return out
+
+
+def _hexes(a) -> list[str]:
+    return [float(v).hex() for v in np.ravel(a)]
+
+
+@pytest.mark.parametrize("lo,hi", [(10.0, 100.0), (50.0, 4850.0), (1.0, 2.0), (0.3, 7.9)])
+def test_bump_out_is_bit_identical_to_masked_path(lo, hi):
+    b = SmoothBump(lo, hi)
+    inner = np.random.default_rng(1).uniform(lo, hi, 997)
+    inner = inner[(inner > lo) & (inner < hi)]
+    # all inside (the in-place path), then one point on each edge or outside
+    # the support (the masked path), flat and as a 2-d block
+    cases = [inner] + [np.append(inner, x) for x in
+                       (lo, hi, math.nextafter(lo, 0.0), math.nextafter(hi, math.inf),
+                        0.5 * lo, 2.0 * hi, math.nan)]
+    cases.append(inner[:990].reshape(99, 10))
+    for x in cases:
+        want = _hexes(_masked_bump(b, x))
+        assert _hexes(b(x)) == want
+        out = np.full_like(x, np.nan)
+        assert b(x, out=out) is out and _hexes(out) == want
+        alias = x.copy()
+        assert b(alias, out=alias) is alias and _hexes(alias) == want
+    for v in (0.5 * (lo + hi), float(inner[0]), lo, hi, 2.0 * hi):
+        want = _hexes(_masked_bump(b, v))
+        out = np.full((), np.nan)
+        assert b(v, out=out) is out and _hexes(out) == want
+        assert b(np.array(v), out=out) is out and _hexes(out) == want
+        alias = np.array(v)
+        assert b(alias, out=alias) is alias and _hexes(alias) == want
+        assert _hexes(b(np.array(v))) == want and _hexes(b(v)) == want
+
+
 def test_bump_shape():
     b = SmoothBump(10.0, 100.0)
     assert b(10.0) == 0.0 and b(100.0) == 0.0 and b(5.0) == 0.0 and b(200.0) == 0.0

@@ -22,9 +22,11 @@ from lmoll.arith import (PrincipalCharacter, RealCharacter, character_convolutio
 from lmoll.characters import gauss_sum
 from lmoll.lvalues import oracle_L
 from lmoll.special import SmoothBump
+from lmoll import voronoi
 from lmoll.voronoi import (
     _GL_NODES,
     _GL_WEIGHTS,
+    _PANEL_CAP,
     VoronoiCase,
     _character_for,
     _decaying_integral,
@@ -205,7 +207,8 @@ class TestIntegrals:
     ])
     def test_oscillatory_against_quad(self, g, alpha):
         t0, t1 = math.sqrt(g.lo), math.sqrt(g.hi)
-        panels = _panels(g, t0, t1, _oscillatory_panels(t0, t1, alpha))
+        panels = _panels(g, t0, t1, _oscillatory_panels(t0, t1, alpha),
+                         np.empty((4, 12 * _PANEL_CAP)))
         mine = _panel_integral(panels, alpha, bessel_y0)
         ref = quad(lambda t: 2.0 * t * float(g(t * t)) * bessel_y0(alpha * t),
                    t0, t1, epsabs=1e-12, epsrel=1e-12, limit=2000)[0]
@@ -216,7 +219,7 @@ class TestIntegrals:
     ])
     def test_decaying_against_quad(self, g, alpha):
         t0, t1 = math.sqrt(g.lo), math.sqrt(g.hi)
-        value, rem = _decaying_integral(g, t0, t1, alpha)
+        value, rem = _decaying_integral(g, t0, t1, alpha, np.empty((4, 480)))
         ref = quad(lambda t: 2.0 * t * float(g(t * t)) * bessel_k0(alpha * t),
                    t0, t1, epsabs=1e-14, epsrel=1e-14, limit=2000)[0]
         assert rem >= 0.0
@@ -237,16 +240,57 @@ class TestIntegrals:
                                           (G_MID, 4000)])
     def test_panel_table_is_bit_identical_to_inline_rule(self, bessel, g, panels):
         t0, t1 = math.sqrt(g.lo), math.sqrt(g.hi)
-        table = _panels(g, t0, t1, panels)
+        table = _panels(g, t0, t1, panels, np.empty((4, 12 * panels)))
         # one table serves every alpha: its scratch row must not leak between calls
         for alpha in (0.05, 0.8, 3.0, 0.8, 17.5):
             got = _panel_integral(table, alpha, bessel)
             want = self._inline_panel_integral(g, t0, t1, alpha, bessel, panels)
             assert got.hex() == want.hex()
 
+    @staticmethod
+    def _fresh_panels(g, t0, t1, panels):
+        # the table as built before it moved into a workspace: every array fresh
+        edges = np.linspace(t0, t1, panels + 1)
+        mids = 0.5 * (edges[1:] + edges[:-1])[:, None]
+        halfs = 0.5 * (edges[1:] - edges[:-1])[:, None]
+        t = mids + halfs * _GL_NODES[None, :]
+        return t, 2.0 * t * g(t * t), halfs * _GL_WEIGHTS[None, :]
+
+    @pytest.mark.parametrize("g", [G_WIDE, G_NARROW])
+    def test_workspace_tables_are_bit_identical_to_fresh_build(self, g):
+        work = np.full((4, 12 * _PANEL_CAP), np.nan)
+        t0, t1 = math.sqrt(g.lo), math.sqrt(g.hi)
+        # the Y0 range and a K0 range cut as _decaying_integral cuts it; the
+        # counts rise and then fall, so a table left by a larger count shows
+        for hi in (t1, min(t1, t0 + 60.0 / 2.5)):
+            for panels in (40, 41, 997, 2000, 4000, 2000, 41, 40):
+                got = _panels(g, t0, hi, panels, work)
+                want = self._fresh_panels(g, t0, hi, panels)
+                assert [a.shape for a in got] == [(panels, 12)] * 4
+                for a, b in zip(got, want):
+                    assert np.array_equal(a, b)
+                assert all(np.shares_memory(a, work[i]) for i, a in enumerate(got))
+
+    def test_each_y0_integral_gets_its_own_panel_count(self, monkeypatch):
+        g = G_WIDE
+        t0, t1 = math.sqrt(g.lo), math.sqrt(g.hi)
+        calls = []
+
+        def checked(table, alpha, bessel):
+            if bessel is voronoi.bessel_y0:
+                panels = _oscillatory_panels(t0, t1, alpha)
+                for a, b in zip(table, self._fresh_panels(g, t0, t1, panels)):
+                    assert np.array_equal(a, b)
+                calls.append(panels)
+            return _panel_integral(table, alpha, bessel)
+
+        monkeypatch.setattr(voronoi, "_panel_integral", checked)
+        voronoi_rhs(factor_character(PSI5, 3, 1), g, m_max=120)
+        assert len(set(calls)) > 20
+
     def test_decaying_truncation_engages(self):
         t0, t1 = math.sqrt(G_WIDE.lo), math.sqrt(G_WIDE.hi)
-        _, rem = _decaying_integral(G_WIDE, t0, t1, 2.5)
+        _, rem = _decaying_integral(G_WIDE, t0, t1, 2.5, np.empty((4, 480)))
         assert rem > 0.0
 
     def test_k0_sum_tail_decreasing(self):
