@@ -233,6 +233,9 @@ class RealCharacter(ResidueCharacter):
     def __post_init__(self):
         if self.D <= 1:
             raise ValueError("modulus must exceed 1")
+        if self.D > 10**6:
+            # values() builds a D-long table one Kronecker symbol at a time
+            raise ValueError(f"modulus {self.D} is above the cap 10^6")
         if self.D % 4 != 1:
             raise ValueError(f"modulus {self.D} is not 1 mod 4; even squarefree case only")
         if not factor(self.D).is_squarefree():
@@ -368,28 +371,23 @@ def ramanujan_sum(r: int, ell: int) -> int:
     return out
 
 
-def kloosterman(m: int, n: int, c: int, twist=None) -> complex:
-    """S(m,n;c) = sum*_{x mod c} twist(x) e((mx + n xbar)/c).
+def kloosterman(m: int, n: int, c: int) -> complex:
+    """S(m,n;c) = sum*_{x mod c} e((mx + n xbar)/c).
 
-    The untwisted sum is real (x <-> -x symmetry); callers should expect a
-    complex return regardless.  A twist must be a character of modulus c.
+    The sum is real (x <-> -x symmetry); callers should expect a complex
+    return regardless.
     """
     if c < 1:
         raise ValueError("modulus must be positive")
-    if twist is not None and getattr(twist, "modulus", None) != c:
-        raise ValueError(f"twist modulus {getattr(twist, 'modulus', None)} != {c}")
     if c == 1:
-        return complex(twist(0) if twist is not None else 1.0)
+        return complex(1.0)
     total = 0j
     w = 2j * math.pi / c
     for x in range(1, c):
         if math.gcd(x, c) != 1:
             continue
         xbar = pow(x, -1, c)
-        term = cmath.exp(w * ((m * x + n * xbar) % c))
-        if twist is not None:
-            term *= twist(x)
-        total += term
+        total += cmath.exp(w * ((m * x + n * xbar) % c))
     return total
 
 

@@ -11,6 +11,7 @@ printed.  Exit codes: 0 success, 2 tolerance failure, 1 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -35,11 +36,12 @@ from .offdiag import (
     H_kernel,
     H_kernel_product_form,
     ShiftedConvParams,
+    _check_L_max,
     brute_shifted_conv,
     main_term,
 )
 from .special import SmoothBump
-from .voronoi import factor_character, voronoi_lhs, voronoi_rhs
+from .voronoi import _check_m_max, factor_character, voronoi_lhs, voronoi_rhs
 
 # the flag surface and payload field names; bumped only when they change
 INTERFACE_VERSION = "1.0"
@@ -49,6 +51,7 @@ RESTRICTED_DIVISOR_TOL = 1e-12
 H_KERNEL_TOL = 1e-10
 
 _IDENTITY_QS = (7, 11, 13, 29)
+_IDENTITY_MAX_D = 10**4     # the restricted-divisor battery runs every D up to --max-D
 _IDENTITY_DS = (5, 13, 17)
 _SHIFT_GRID = (-0.2, 0.0, 0.3)
 _H_POINTS = (
@@ -70,9 +73,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _usage_error(flag: str, exc: Exception) -> int:
-    print(f"usage error: {flag}: {exc}", file=sys.stderr)
-    return 1
+class _UsageError(Exception):
+    """A bad input; main reports it as "usage error: <flag>: <message>"."""
+
+
+@contextlib.contextmanager
+def _flags(label: str):
+    """Report a ValueError raised in the block as a usage error of label."""
+    try:
+        yield
+    except ValueError as e:
+        raise _UsageError(f"{label}: {e}") from e
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -97,16 +108,15 @@ def _emit(payload: str, summary: str, out: str | None) -> None:
         print(summary)
 
 
-def _canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True)
-
-
-def _csv_table(fields: list[str], rows: list[list]) -> str:
+def _render(record: dict, fmt: str = "json", fields: tuple[str, ...] = ()) -> str:
+    """The payload: canonical JSON (sorted keys, one line), or for csv a
+    header of fields and one row of the record's values in that order."""
+    if fmt == "json":
+        return json.dumps(record, sort_keys=True)
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(fields)
-    for row in rows:
-        w.writerow(row)
+    w.writerow([record[f] for f in fields])
     return buf.getvalue()
 
 
@@ -114,14 +124,10 @@ def _csv_table(fields: list[str], rows: list[list]) -> str:
 
 
 def _cmd_census(args) -> int:
-    try:
+    with _flags("--D"):
         psi = RealCharacter(args.D)
-    except ValueError as e:
-        return _usage_error("--D", e)
-    try:
+    with _flags("--q/--D/--threshold"):
         nonzero_product, nonzero_plain = census(args.q, psi, args.threshold)
-    except ValueError as e:
-        return _usage_error("--q/--D/--threshold", e)
     fam = phi_plus(args.q)
     record = {
         "D": args.D,
@@ -131,12 +137,8 @@ def _cmd_census(args) -> int:
         "q": args.q,
         "threshold": args.threshold,
     }
-    if args.format == "csv":
-        fields = ["q", "D", "threshold", "phi_plus", "nonzero_product",
-                  "nonzero_plain"]
-        payload = _csv_table(fields, [[record[f] for f in fields]])
-    else:
-        payload = _canonical_json(record)
+    payload = _render(record, args.format, ("q", "D", "threshold", "phi_plus",
+                                            "nonzero_product", "nonzero_plain"))
     _emit(payload,
           f"census q={args.q} D={args.D}: product {nonzero_product}/{fam}, "
           f"plain {nonzero_plain}/{fam}",
@@ -145,21 +147,13 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_moments(args) -> int:
-    try:
+    with _flags("--D"):
         psi = RealCharacter(args.D)
-    except ValueError as e:
-        return _usage_error("--D", e)
-    try:
+    with _flags("--q/--X"):
         report = mollified_moments(args.q, psi, args.X, threshold=args.threshold)
-    except ValueError as e:
-        return _usage_error("--q/--X", e)
-    if args.format == "csv":
-        rec = json.loads(report.to_json())
-        fields = ["q", "D", "X", "s1_re", "s1_im", "s2", "ratio",
-                  "census_nonzero", "phi_plus"]
-        payload = _csv_table(fields, [[rec[f] for f in fields]])
-    else:
-        payload = report.to_json()
+    payload = _render(report.record(), args.format,
+                      ("q", "D", "X", "s1_re", "s1_im", "s2", "ratio",
+                       "census_nonzero", "phi_plus"))
     _emit(payload,
           f"moments q={args.q} D={args.D} X={args.X}: ratio={report.ratio:.6f} "
           f"census={report.census_nonzero}/{phi_plus(args.q)}",
@@ -168,20 +162,16 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_afe_check(args) -> int:
-    try:
+    with _flags("--D"):
         psi = RealCharacter(args.D)
-    except ValueError as e:
-        return _usage_error("--D", e)
-    try:
+    with _flags("--q/--D"):
         family = enumerate_even_primitive(build_group(args.q))
         centrals = [afe_central(chi, psi).L_central for chi in family]
         oracles = oracle_products_at(0.5, family, psi)
         residuals = [abs(c - o) for c, o in zip(centrals, oracles)]
-    except ValueError as e:
-        return _usage_error("--q/--D", e)
     worst = max(residuals, default=0.0)
     ok = worst < args.tol
-    payload = _canonical_json({
+    payload = _render({
         "D": args.D,
         "count": len(residuals),
         "max_residual": worst,
@@ -253,6 +243,8 @@ def _suite_h_kernel() -> dict:
 
 
 def _cmd_identity_suite(args) -> int:
+    if args.max_D > _IDENTITY_MAX_D:
+        raise _UsageError(f"--max-D: must be at most 10^4, got {args.max_D}")
     try:
         suites = {
             "epsilon": _suite_epsilon(args.max_q, args.max_D),
@@ -265,7 +257,7 @@ def _cmd_identity_suite(args) -> int:
         return 2
     ok = all(s["pass"] for s in suites.values())
     suites["pass"] = ok
-    payload = _canonical_json(suites)
+    payload = _render(suites)
     parts = ", ".join(f"{name} {s['cases']}" for name, s in sorted(suites.items())
                       if isinstance(s, dict))
     _emit(payload,
@@ -275,33 +267,25 @@ def _cmd_identity_suite(args) -> int:
 
 
 def _cmd_shifted_conv(args) -> int:
-    try:
+    with _flags("--D"):
         psi = RealCharacter(args.D)
-    except ValueError as e:
-        return _usage_error("--D", e)
-    try:
+    with _flags("--scales"):
         scales = [float(s) for s in args.scales.split(",") if s]
         if not scales:
             raise ValueError("at least one scale required")
-    except ValueError as e:
-        return _usage_error("--scales", e)
+    with _flags("--a/--b/--q/--scales/--sign"):
+        params = [ShiftedConvParams(a=args.a, b=args.b, q=args.q, M=scale, N=scale,
+                                    psi=psi, sign=args.sign) for scale in scales]
+    with _flags("--L-max"):
+        _check_L_max(args.L_max)
     rows = []
-    for scale in scales:
-        try:
-            params = ShiftedConvParams(a=args.a, b=args.b, q=args.q,
-                                       M=scale, N=scale, psi=psi,
-                                       sign=args.sign)
-        except ValueError as e:
-            return _usage_error("--a/--b/--q/--scales/--sign", e)
-        brute = brute_shifted_conv(params)
-        try:
-            main, tail = main_term(params, args.L_max)
-        except ValueError as e:
-            return _usage_error("--L-max", e)
+    for scale, p in zip(scales, params):
+        brute = brute_shifted_conv(p)
+        main, tail = main_term(p, args.L_max)
         rel = abs(brute - main) / abs(brute) if brute != 0.0 else None
         rows.append({"M": scale, "N": scale, "brute": brute, "main": main,
                      "rel_deviation": rel, "tail": tail})
-    payload = _canonical_json({
+    payload = _render({
         "D": args.D, "a": args.a, "b": args.b, "q": args.q,
         "scales": rows, "sign": args.sign,
     })
@@ -315,26 +299,19 @@ def _cmd_shifted_conv(args) -> int:
 
 
 def _cmd_voronoi_check(args) -> int:
-    try:
+    with _flags("--D"):
         psi = RealCharacter(args.D)
-    except ValueError as e:
-        return _usage_error("--D", e)
-    try:
+    with _flags("--c/--a"):
         case = factor_character(psi, args.c, args.a)
-    except ValueError as e:
-        return _usage_error("--c/--a", e)
-    try:
+    with _flags("--bump-lo/--bump-hi"):
         g = SmoothBump(args.bump_lo, args.bump_hi)
-    except ValueError as e:
-        return _usage_error("--bump-lo/--bump-hi", e)
-    try:
+    with _flags("--bump-hi/--m-max"):
+        _check_m_max(args.m_max)
         lhs = voronoi_lhs(case, g)
         rhs = voronoi_rhs(case, g, m_max=args.m_max)
-    except ValueError as e:
-        return _usage_error("--bump-hi/--m-max", e)
     residual = abs(lhs - rhs.value)
     ok = residual < args.tol
-    payload = _canonical_json({
+    payload = _render({
         "insufficient": rhs.insufficient,
         "lhs": [lhs.real, lhs.imag],
         "residual": residual,
@@ -430,17 +407,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads < 1:
-        return _usage_error("--threads", ValueError("must be at least 1"))
-    # nan or inf would reach the payload as invalid JSON (NaN, Infinity)
-    tol = getattr(args, "tol", 1.0)
-    if not (math.isfinite(tol) and tol > 0):
-        return _usage_error("--tol", ValueError(f"must be finite and positive, got {tol}"))
-    threshold = getattr(args, "threshold", 0.0)
-    if not (math.isfinite(threshold) and threshold >= 0):
-        return _usage_error("--threshold",
-                            ValueError(f"must be finite and non-negative, got {threshold}"))
-    return args.run(args)
+    try:
+        if args.threads < 1:
+            raise _UsageError("--threads: must be at least 1")
+        # nan or inf would reach the payload as invalid JSON (NaN, Infinity)
+        tol = getattr(args, "tol", 1.0)
+        if not (math.isfinite(tol) and tol > 0):
+            raise _UsageError(f"--tol: must be finite and positive, got {tol}")
+        threshold = getattr(args, "threshold", 0.0)
+        if not (math.isfinite(threshold) and threshold >= 0):
+            raise _UsageError(f"--threshold: must be finite and non-negative, got {threshold}")
+        return args.run(args)
+    except _UsageError as e:
+        print(f"usage error: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -121,10 +121,6 @@ def hurwitz_zeta_vec(s: complex, x: np.ndarray) -> np.ndarray:
     return head + w_s * (w / (s - 1) + 0.5 + poly / w)
 
 
-def hurwitz_zeta(s: complex, x: float) -> complex:
-    return complex(hurwitz_zeta_vec(s, np.array([x]))[0])
-
-
 def _dirichlet_L(s: complex, modulus: int, tables) -> list[complex]:
     """L(s, chi) = modulus^{-s} sum_a chi(a) zeta_H(s, a/modulus) for the
     residue table of each chi in tables; the zeta_H row, which depends on
@@ -172,14 +168,8 @@ def oracle_products_at(s: complex, family, psi: RealCharacter) -> list[complex]:
     return [x * y for x, y in zip(first, second)]
 
 
-def oracle_product_at(s: complex, chi: DirichletCharacter, psi: RealCharacter) -> complex:
-    """L(s,chi) L(s,chi psi), both factors by the Hurwitz route: the
-    one-character case of oracle_products_at."""
-    return oracle_products_at(s, [chi], psi)[0]
-
-
 def oracle_product(chi: DirichletCharacter, psi: RealCharacter) -> complex:
-    return oracle_product_at(0.5, chi, psi)
+    return oracle_products_at(0.5, [chi], psi)[0]
 
 
 _STENCIL = ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0))
@@ -190,7 +180,7 @@ def oracle_product_derivative(chi: DirichletCharacter, psi: RealCharacter,
     """d/ds [L(s,chi)L(s,chi psi)] at s = 1/2, five-point stencil."""
     acc = 0j
     for k, c in _STENCIL:
-        acc += c * oracle_product_at(0.5 + k * h, chi, psi)
+        acc += c * oracle_products_at(0.5 + k * h, [chi], psi)[0]
     return acc / (12 * h)
 
 
@@ -331,8 +321,8 @@ def epsilon_consistency_residual(chi: DirichletCharacter, psi: RealCharacter,
     values.
     """
     Q = chi.modulus * math.sqrt(psi.D) / math.pi
-    num = oracle_product_at(0.5 + alpha, chi, psi)
-    den = oracle_product_at(0.5 - alpha, chi.conjugate(), psi)
+    num = oracle_products_at(0.5 + alpha, [chi], psi)[0]
+    den = oracle_products_at(0.5 - alpha, [chi.conjugate()], psi)[0]
     gamma_ratio = (gamma_complex((0.5 + alpha) / 2) / gamma_complex((0.5 - alpha) / 2)) ** 2
     forced = Q ** (2 * alpha) * gamma_ratio * num / den
     eps = epsilon(chi) * epsilon_product_direct(chi, psi)

@@ -14,7 +14,6 @@ functions evaluated here in closed form.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -120,8 +119,9 @@ class MomentReport:
         if self.census_nonzero > phi_plus(self.q):
             raise ValueError("census exceeds family size")
 
-    def to_json(self) -> str:
-        payload = {
+    def record(self) -> dict:
+        """The payload fields: s1 split into its real and imaginary parts."""
+        return {
             "q": self.q,
             "D": self.D,
             "X": self.X,
@@ -132,7 +132,6 @@ class MomentReport:
             "census_nonzero": self.census_nonzero,
             "phi_plus": phi_plus(self.q),
         }
-        return json.dumps(payload, sort_keys=True)
 
 
 def _moment_guards(q: int, psi: RealCharacter, X: int) -> None:
@@ -389,10 +388,6 @@ def _restricted_inverse_triple_sums(D: int, shifts) -> list[complex]:
             total += rr / (d * _cpow(e, 1 + u) * _cpow(g, 1 + v))
         sums.append(total)
     return sums
-
-
-def _restricted_inverse_triple_sum(D: int, u: complex, v: complex) -> complex:
-    return _restricted_inverse_triple_sums(D, [(u, v)])[0]
 
 
 def restricted_divisor_product_residuals(D: int, shifts) -> list[float]:

@@ -95,6 +95,10 @@ class ShiftedConvParams:
             raise ValueError("q must not divide D")
         if not (0 < self.M <= 1e6 and 0 < self.N <= 1e6):
             raise ValueError("scales must lie in (0, 1e6]")
+        # main_term walks about 4(aM + bN)/q shifts, each a quad and a series
+        if self.a * self.M > 1e6 or self.b * self.N > 1e6:
+            raise ValueError(f"a M and b N must be at most 1e6, got {self.a * self.M:g} "
+                             f"and {self.b * self.N:g}")
         if self.sign not in _SIGNS:
             raise ValueError(f"sign must be one of {_SIGNS}")
 

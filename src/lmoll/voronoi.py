@@ -18,7 +18,7 @@ insufficiency flag instead of failing silently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
@@ -56,48 +56,40 @@ def _character_for(modulus: int) -> ResidueCharacter:
 
 @dataclass(frozen=True)
 class VoronoiCase:
-    """Twist geometry: c, a with (a, c) = 1, and the factored character.
+    """Twist geometry: c, a with (a, c) = 1, and psi split across c.
 
     shared = (c, D) and D_c = D/shared are coprime because D is squarefree;
-    psi1 lives mod shared, psi2 mod D_c, and psi = psi1 psi2 pointwise.
+    psi1 = (shared/.) lives mod shared and psi2 = (D_c/.) mod D_c.  The
+    Kronecker symbol is multiplicative in its top argument, so psi = psi1 psi2
+    pointwise by construction.
     """
 
     c: int
     a: int
     psi: RealCharacter
-    psi1: ResidueCharacter
-    psi2: ResidueCharacter
-    shared: int
-    D_c: int
+    psi1: ResidueCharacter = field(init=False)
+    psi2: ResidueCharacter = field(init=False)
+    shared: int = field(init=False)
+    D_c: int = field(init=False)
 
     def __post_init__(self):
         if self.c < 1:
             raise ValueError("c must be positive")
+        if self.c > 10**6:
+            # both sides tabulate the c-th roots of unity
+            raise ValueError(f"c must be at most 10^6, got {self.c}")
         if math.gcd(self.a, self.c) != 1:
             raise ValueError("a must be coprime to c")
-        if self.shared != math.gcd(self.c, self.psi.D):
-            raise ValueError("shared must be gcd(c, D)")
-        if self.shared * self.D_c != self.psi.D:
-            raise ValueError("factor moduli must multiply to D")
-        if math.gcd(self.shared, self.D_c) != 1:
-            raise ValueError("factor moduli must be coprime")
-        if self.psi1.modulus != self.shared or self.psi2.modulus != self.D_c:
-            raise ValueError("factor characters live on the wrong moduli")
-        t = self.psi.values()
-        t1, t2 = self.psi1.values(), self.psi2.values()
-        for n in range(1, 1001):
-            if math.gcd(n, self.psi.D) == 1:
-                if t[n % self.psi.D] != t1[n % self.shared] * t2[n % self.D_c]:
-                    raise ValueError(f"character factorization fails at n = {n}")
+        shared = math.gcd(self.c, self.psi.D)
+        object.__setattr__(self, "shared", shared)
+        object.__setattr__(self, "D_c", self.psi.D // shared)
+        object.__setattr__(self, "psi1", _character_for(shared))
+        object.__setattr__(self, "psi2", _character_for(self.D_c))
 
 
 def factor_character(psi: RealCharacter, c: int, a: int = 1) -> VoronoiCase:
     """Split psi across (c, D) and D/(c, D) and package the twist data."""
-    shared = math.gcd(c, psi.D)
-    return VoronoiCase(c=c, a=a, psi=psi,
-                       psi1=_character_for(shared),
-                       psi2=_character_for(psi.D // shared),
-                       shared=shared, D_c=psi.D // shared)
+    return VoronoiCase(c=c, a=a, psi=psi)
 
 
 def dual_coefficients(case: VoronoiCase, limit: int) -> np.ndarray:
@@ -217,6 +209,13 @@ def _settle_run(t0: float, alpha0: float, m: int) -> int:
     return max(_Y_WINDOW, int(6.0 * math.pi / t0 * 2.0 * math.sqrt(m) / alpha0) + 1)
 
 
+def _check_m_max(m_max: int) -> None:
+    if m_max < 1:
+        raise ValueError(f"m_max must be at least 1, got {m_max}")
+    if m_max > 10**6:
+        raise ValueError(f"m_max must be at most 10^6, got {m_max}")
+
+
 @dataclass(frozen=True)
 class VoronoiDual:
     """Dual-side evaluation: constant term plus the two Bessel sums."""
@@ -243,10 +242,7 @@ def voronoi_rhs(case: VoronoiCase, g: SmoothBump, m_max: int = 100000) -> Vorono
     The Y0 panel table is rebuilt only when the panel count changes, in
     place in one (4, 12 _PANEL_CAP) workspace that the K0 tables reuse.
     """
-    if m_max < 1:
-        raise ValueError(f"m_max must be at least 1, got {m_max}")
-    if m_max > 10**6:
-        raise ValueError(f"m_max must be at most 10^6, got {m_max}")
+    _check_m_max(m_max)
     c, D = case.c, case.psi.D
     D_c = case.D_c
     t0, t1 = math.sqrt(g.lo), math.sqrt(g.hi)

@@ -4,6 +4,7 @@ Ramanujan and Kloosterman sums."""
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -123,6 +124,20 @@ def test_real_character_rejects_bad_moduli():
     for bad in (1, 0, -5, 7, 12, 25, 45):  # wrong residue, not squarefree, tiny
         with pytest.raises(ValueError):
             RealCharacter(bad)
+
+
+def test_real_character_cap_before_any_table():
+    # values() would build a D-long table, one Kronecker symbol at a time
+    tracemalloc.start()
+    try:
+        for D in (1_000_001, 1_000_000_001):
+            with pytest.raises(ValueError, match="above the cap 10\\^6"):
+                RealCharacter(D)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert RealCharacter(999_997).modulus == 999_997   # the largest below the cap
 
 
 def test_one_star_psi_values():
@@ -333,18 +348,6 @@ def test_kloosterman_weil_bound():
             assert abs(val - direct) < 1e-8 * c
             bound = tau_c * math.sqrt(math.gcd(m, math.gcd(n, c)) * c)
             assert abs(val) <= bound + 1e-8
-
-
-def test_kloosterman_twist_modulus_check():
-    psi = RealCharacter(5)
-    with pytest.raises(ValueError):
-        kloosterman(1, 1, 7, twist=psi)
-    # matching modulus works and gives the character-twisted sum
-    v = kloosterman(1, 1, 5, twist=psi)
-    direct = sum(
-        psi(x) * np.exp(2j * np.pi * (x + pow(x, -1, 5)) / 5) for x in range(1, 5)
-    )
-    assert abs(v - direct) < 1e-12
 
 
 def test_lacunary_partial_sum_small():

@@ -7,14 +7,17 @@ across reruns and to the frozen payloads in tests/golden/cli_payloads.json.
 """
 from __future__ import annotations
 
+import importlib
 import json
 import math
 import pathlib
 import sys
 import tempfile
+import tracemalloc
 
 import pytest
 
+from lmoll import cli
 from lmoll.cli import main
 
 GOLDEN_PAYLOADS = pathlib.Path(__file__).parent / "golden" / "cli_payloads.json"
@@ -32,6 +35,67 @@ GOLDEN_ARGVS = {
                      "--D", "5", "--scales", "200,300"],
     "voronoi-check": ["voronoi-check", "--D", "5", "--c", "3", "--a", "2",
                       "--bump-lo", "50", "--bump-hi", "4850"],
+}
+
+
+_SHIFTED = ["shifted-conv", "--a", "1", "--b", "1", "--q", "101", "--D", "5"]
+_VORONOI = GOLDEN_ARGVS["voronoi-check"]
+
+# each argv holds exactly one error: the usage-error site it reaches, and
+# the exact message that follows "usage error: " on stderr
+USAGE_ERRORS = {
+    "census-D": (["census", "--q", "29", "--D", "6"],
+                 "--D: modulus 6 is not 1 mod 4; even squarefree case only"),
+    "census-q": (["census", "--q", "30", "--D", "5"],
+                 "--q/--D/--threshold: census limited to prime q <= 10^4"),
+    "moments-D": (["moments", "--q", "29", "--D", "9", "--X", "10"],
+                  "--D: modulus 9 is not squarefree"),
+    "moments-X": (["moments", "--q", "29", "--D", "5", "--X", "30"],
+                  "--q/--X: mollifier cutoff limited to X <= q"),
+    "afe-check-D": (["afe-check", "--q", "13", "--D", "1"],
+                    "--D: modulus must exceed 1"),
+    "afe-check-q": (["afe-check", "--q", "12", "--D", "5"],
+                    "--q/--D: modulus must be a prime in [5, 10^5], got 12"),
+    "shifted-conv-D": (_SHIFTED[:-1] + ["7", "--scales", "200"],
+                       "--D: modulus 7 is not 1 mod 4; even squarefree case only"),
+    "shifted-conv-scales": (_SHIFTED + ["--scales", "200,abc"],
+                            "--scales: could not convert string to float: 'abc'"),
+    "shifted-conv-params": (["shifted-conv", "--a", "1", "--b", "1", "--q", "5",
+                             "--D", "5", "--scales", "200"],
+                            "--a/--b/--q/--scales/--sign: q must not divide D"),
+    "shifted-conv-L-max": (_SHIFTED + ["--scales", "200", "--L-max", "10"],
+                           "--L-max: L_max below 1000 gives useless tails"),
+    "voronoi-check-D": (["voronoi-check", "--D", "45"] + _VORONOI[3:],
+                        "--D: modulus 45 is not squarefree"),
+    "voronoi-check-c-a": (["voronoi-check", "--D", "5", "--c", "10", "--a", "4"]
+                          + _VORONOI[7:], "--c/--a: a must be coprime to c"),
+    "voronoi-check-bump": (_VORONOI[:7] + ["--bump-lo", "60", "--bump-hi", "50"],
+                           "--bump-lo/--bump-hi: need 0 < lo < hi"),
+    "voronoi-check-m-max": (_VORONOI + ["--m-max", "0"],
+                            "--bump-hi/--m-max: m_max must be at least 1, got 0"),
+    "voronoi-check-support": (_VORONOI[:10] + ["2e6", "--m-max", "1"],
+                              "--bump-hi/--m-max: support cap is 1e6"),
+    "threads": (GOLDEN_ARGVS["census"] + ["--threads", "0"],
+                "--threads: must be at least 1"),
+    "tol": (_VORONOI + ["--tol", "nan"], "--tol: must be finite and positive, got nan"),
+    "threshold": (GOLDEN_ARGVS["census"] + ["--threshold", "-1"],
+                  "--threshold: must be finite and non-negative, got -1.0"),
+}
+
+# inputs past a cap: each is rejected before the table or the loop it would need
+CAPS = {
+    "D": (["census", "--q", "29", "--D", "1000001"],
+          "--D: modulus 1000001 is above the cap 10^6"),
+    "D-huge": (["voronoi-check", "--D", "1000000001"] + _VORONOI[3:],
+               "--D: modulus 1000000001 is above the cap 10^6"),
+    "c": (["voronoi-check", "--D", "5", "--c", "10000000019"] + _VORONOI[5:],
+          "--c/--a: c must be at most 10^6, got 10000000019"),
+    "a-M": (["shifted-conv", "--a", "997", "--b", "1", "--q", "101", "--D", "5",
+             "--scales", "2500"],
+            "--a/--b/--q/--scales/--sign: a M and b N must be at most 1e6, "
+            "got 2.4925e+06 and 2500"),
+    "max-D": (["identity-suite", "--max-D", "100000"],
+              "--max-D: must be at most 10^4, got 100000"),
 }
 
 
@@ -113,6 +177,43 @@ class TestPlumbing:
         assert run_cli(GOLDEN_ARGVS[command] + ["--threshold", value, "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("usage error: --threshold: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv,message", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
+    def test_usage_error_bytes(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "payload"
+        assert run_cli(argv + ["--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"usage error: {message}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,message", CAPS.values(), ids=CAPS)
+    def test_caps_fail_before_any_table(self, argv, message, capsys):
+        tracemalloc.start()
+        try:
+            rc = run_cli(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 1
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert peak < 512 * 1024
+
+    @pytest.mark.parametrize("argv,message", [
+        (_SHIFTED + ["--scales", "200,300", "--L-max", "10"],
+         "--L-max: L_max below 1000 gives useless tails"),
+        (_VORONOI + ["--m-max", "0"], "--bump-hi/--m-max: m_max must be at least 1, got 0"),
+        (["identity-suite", "--max-D", "10001"], "--max-D: must be at most 10^4, got 10001"),
+    ])
+    def test_flags_checked_before_any_sum(self, argv, message, monkeypatch, capsys):
+        def compute(*args, **kwargs):
+            raise AssertionError("a sum ran before the flags were checked")
+
+        for name in ("brute_shifted_conv", "voronoi_lhs", "_suite_epsilon",
+                     "_suite_h_kernel", "_suite_restricted_divisor", "_suite_orthogonality"):
+            monkeypatch.setattr(cli, name, compute)
+        assert run_cli(argv) == 1
+        assert capsys.readouterr().err == f"usage error: {message}\n"
 
     @pytest.mark.parametrize("q,D", [("5", "5"), ("13", "65")])
     def test_shifted_conv_rejects_q_dividing_D(self, q, D, tmp_path, capsys):
@@ -261,6 +362,15 @@ class TestVoronoiCheck:
                       "--bump-lo", "50", "--bump-hi", "4850"])
         assert rc == 1
         assert "--c/--a" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("module", ["lmoll", "lmoll.arith", "lmoll.characters",
+                                    "lmoll.lvalues", "lmoll.moments", "lmoll.offdiag",
+                                    "lmoll.reduction", "lmoll.special", "lmoll.voronoi"])
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    for name in getattr(mod, "__all__", ()):
+        assert hasattr(mod, name), f"{module}.__all__ names missing {name}"
 
 
 def write_golden_payloads() -> None:

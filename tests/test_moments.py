@@ -5,7 +5,6 @@ Hurwitz-zeta oracle route before being written down.
 """
 from __future__ import annotations
 
-import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -21,7 +20,7 @@ from lmoll.lvalues import (
     default_config,
     hurwitz_zeta_vec,
     oracle_L,
-    oracle_product_at,
+    oracle_products_at,
 )
 from lmoll.moments import (
     EulerProductFamily,
@@ -29,7 +28,7 @@ from lmoll.moments import (
     MomentReport,
     _census_values,
     _kloosterman_row,
-    _restricted_inverse_triple_sum,
+    _restricted_inverse_triple_sums,
     build_mollifier,
     census,
     eval_mollifier,
@@ -84,7 +83,7 @@ class TestMollifier:
 class TestMomentReport:
     def test_json_keys_exact(self):
         rep = mollified_moments(13, PSI5, 1)
-        payload = json.loads(rep.to_json())
+        payload = rep.record()
         assert set(payload) == {"q", "D", "X", "s1_re", "s1_im", "s2", "ratio",
                                 "census_nonzero", "phi_plus"}
         assert payload["q"] == 13 and payload["D"] == 5 and payload["X"] == 1
@@ -195,7 +194,7 @@ class TestCensus:
         for chi in enumerate_even_primitive(build_group(q)):
             if abs(oracle_L(0.5, chi)) > 1e-8:
                 nplain += 1
-            if abs(oracle_product_at(0.5, chi, PSI5)) > 1e-8:
+            if abs(oracle_products_at(0.5, [chi], PSI5)[0]) > 1e-8:
                 nprod += 1
         assert counts == (nprod, nplain)
 
@@ -310,9 +309,7 @@ class TestDivisorProductIdentity:
         # four supported triples give 1 + 1/5 - 5^{-1.3} - 5^{-0.9}
         rhs = 1 + 1 / 5 - 5.0**-1.3 - 5.0**-0.9
         assert abs(restricted_divisor_product_check(5, 0.3, -0.1)) < 1e-15
-        from lmoll.moments import _restricted_inverse_triple_sum
-
-        assert abs(_restricted_inverse_triple_sum(5, 0.3, -0.1) - rhs) < 1e-15
+        assert abs(_restricted_inverse_triple_sums(5, [(0.3, -0.1)])[0] - rhs) < 1e-15
 
     def test_composite_modulus(self):
         assert restricted_divisor_product_check(65, 0.0, 0.0) < 1e-14
@@ -324,10 +321,8 @@ class TestDivisorProductIdentity:
                 assert restricted_divisor_product_check(D, u, v) < 1e-12
 
     def test_shift_symmetry(self):
-        from lmoll.moments import _restricted_inverse_triple_sum
-
-        a = _restricted_inverse_triple_sum(5, 0.17, -0.05)
-        b = _restricted_inverse_triple_sum(5, -0.05, 0.17)
+        a = _restricted_inverse_triple_sums(5, [(0.17, -0.05)])[0]
+        b = _restricted_inverse_triple_sums(5, [(-0.05, 0.17)])[0]
         assert abs(a - b) < 1e-15
 
     def test_rejects_squareful(self):
@@ -362,7 +357,7 @@ class TestDivisorProductIdentity:
             for u, v in shifts:
                 u, v = complex(u), complex(v)
                 lhs = triple_sum_by_loop(D, u, v)
-                assert lhs == _restricted_inverse_triple_sum(D, u, v), D
+                assert lhs == _restricted_inverse_triple_sums(D, [(u, v)])[0], D
                 rhs = 1.0 + 0.0j
                 for p, _ in factor(D).factors:
                     rhs *= 1 + 1 / p - _cpow(p, -(1 + u)) - _cpow(p, -(1 + v))

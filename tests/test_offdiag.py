@@ -148,6 +148,11 @@ class TestParams:
             ShiftedConvParams(1, 1, 7, 2e6, 50.0, PSI5)
         with pytest.raises(ValueError):
             ShiftedConvParams(1, 1, 7, 50.0, 50.0, PSI5, sign="x")
+        # main_term walks about 4(aM + bN)/q shifts: 49,406 at a = 997, M = 2500
+        for a, b in ((997, 1), (1, 997)):
+            with pytest.raises(ValueError, match="a M and b N must be at most 1e6"):
+                ShiftedConvParams(a, b, 7, 2500.0, 2500.0, PSI5)
+        assert ShiftedConvParams(4, 1, 7, 2.5e5, 1e6, PSI5).a == 4   # both at the cap
 
 
 class TestBruteSum:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from scipy.special import k0 as bessel_k0
 from scipy.special import y0 as bessel_y0
 
 from lmoll.arith import (PrincipalCharacter, RealCharacter, character_convolution,
-                         one_star_psi_table)
+                         factor, one_star_psi_table)
 from lmoll.characters import gauss_sum
 from lmoll.lvalues import oracle_L
 from lmoll.special import SmoothBump
@@ -27,7 +28,6 @@ from lmoll.voronoi import (
     _GL_NODES,
     _GL_WEIGHTS,
     _PANEL_CAP,
-    VoronoiCase,
     _character_for,
     _decaying_integral,
     _k0_sum_tail,
@@ -117,15 +117,42 @@ class TestCaseValidation:
         with pytest.raises(ValueError, match="coprime to c"):
             factor_character(PSI5, 10, 4)
 
-    def test_shared_must_match_gcd(self):
-        with pytest.raises(ValueError, match="gcd"):
-            VoronoiCase(c=7, a=1, psi=PSI5, psi1=RealCharacter(5),
-                        psi2=PrincipalCharacter(), shared=5, D_c=1)
+    def test_c_cap_before_any_table(self):
+        # both sides tabulate the c-th roots of unity: 160 GB at this c
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="c must be at most 10\\^6"):
+                factor_character(PSI5, 10_000_000_019, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        assert factor_character(PSI5, 10**6 - 1, 2).c == 10**6 - 1
 
-    def test_factor_moduli_checked(self):
-        with pytest.raises(ValueError, match="wrong moduli"):
-            VoronoiCase(c=10, a=1, psi=PSI65, psi1=PrincipalCharacter(),
-                        psi2=RealCharacter(65), shared=5, D_c=13)
+
+_SQUAREFREE_1_MOD_4 = [D for D in range(5, 400, 4) if factor(D).is_squarefree()]
+
+
+@pytest.mark.parametrize("D", _SQUAREFREE_1_MOD_4)
+def test_split_multiplies_back_to_psi(D):
+    """psi(n) = psi1(n) psi2(n) for n <= 1000 prime to D, for every c <= 60
+    whose two factor moduli carry even characters; the others are rejected."""
+    psi = RealCharacter(D)
+    n = np.arange(1, 1001)
+    n = n[np.gcd(n, D) == 1]
+    for c in range(1, 61):
+        shared = math.gcd(c, D)
+        try:
+            _character_for(shared), _character_for(D // shared)
+        except ValueError:
+            with pytest.raises(ValueError, match="odd character"):
+                factor_character(psi, c, 1)
+            continue
+        case = factor_character(psi, c, 1)
+        assert (case.shared, case.D_c) == (shared, D // shared)
+        assert (case.psi1.modulus, case.psi2.modulus) == (shared, D // shared)
+        assert np.array_equal(psi.values_at(n),
+                              case.psi1.values_at(n) * case.psi2.values_at(n)), c
 
 
 # ------------------------------------------------------------------ dual coefficients
