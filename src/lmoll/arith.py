@@ -245,10 +245,6 @@ class RealCharacter(ResidueCharacter):
     def modulus(self) -> int:
         return self.D
 
-    @property
-    def parity(self) -> int:
-        return +1
-
     def __call__(self, n: int) -> int:
         return kronecker(self.D, n)
 

@@ -66,10 +66,6 @@ class DirichletCharacter(ResidueCharacter):
     def is_even(self) -> bool:
         return self.k % 2 == 0
 
-    @property
-    def is_primitive(self) -> bool:
-        return self.k != 0  # prime modulus
-
     def conjugate(self) -> "DirichletCharacter":
         return DirichletCharacter(self.group, (-self.k) % (self.group.q - 1))
 

@@ -30,7 +30,7 @@ from .characters import (
     even_family_pair_sum,
     phi_plus,
 )
-from .lvalues import afe_central, oracle_products_at
+from .lvalues import afe_central, default_config, oracle_products_at
 from .moments import census, mollified_moments, restricted_divisor_product_residuals
 from .offdiag import (
     H_kernel,
@@ -149,8 +149,10 @@ def _cmd_census(args) -> int:
 def _cmd_moments(args) -> int:
     with _flags("--D"):
         psi = RealCharacter(args.D)
+    with _flags("--q/--D"):
+        cfg = default_config(args.q, args.D)
     with _flags("--q/--X"):
-        report = mollified_moments(args.q, psi, args.X, threshold=args.threshold)
+        report = mollified_moments(args.q, psi, args.X, cfg, args.threshold)
     payload = _render(report.record(), args.format,
                       ("q", "D", "X", "s1_re", "s1_im", "s2", "ratio",
                        "census_nonzero", "phi_plus"))
@@ -165,8 +167,9 @@ def _cmd_afe_check(args) -> int:
     with _flags("--D"):
         psi = RealCharacter(args.D)
     with _flags("--q/--D"):
+        cfg = default_config(args.q, args.D)
         family = enumerate_even_primitive(build_group(args.q))
-        centrals = [afe_central(chi, psi).L_central for chi in family]
+        centrals = [afe_central(chi, psi, cfg).L_central for chi in family]
         oracles = oracle_products_at(0.5, family, psi)
         residuals = [abs(c - o) for c, o in zip(centrals, oracles)]
     worst = max(residuals, default=0.0)
@@ -243,6 +246,11 @@ def _suite_h_kernel() -> dict:
 
 
 def _cmd_identity_suite(args) -> int:
+    # below the smallest q and D of the batteries, a battery would pass with no case
+    if args.max_q < 7:
+        raise _UsageError(f"--max-q: must be at least 7, got {args.max_q}")
+    if args.max_D < 5:
+        raise _UsageError(f"--max-D: must be at least 5, got {args.max_D}")
     if args.max_D > _IDENTITY_MAX_D:
         raise _UsageError(f"--max-D: must be at most 10^4, got {args.max_D}")
     try:

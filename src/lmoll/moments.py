@@ -66,36 +66,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MollifierTable:
-    """Nonzero mollifier coefficients a -> rho(a) for a <= X, D not dividing a."""
+    """The nonzero mollifier coefficients rho[i] = rho(a[i]) over a <= X with
+    D not dividing a, a increasing."""
 
-    X: int
-    coeffs: dict
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        keys = np.array(sorted(self.coeffs), dtype=np.int64)
-        vals = np.array([self.coeffs[int(a)] for a in keys], dtype=np.float64)
-        return keys, vals
+    a: np.ndarray
+    rho: np.ndarray
 
 
 def build_mollifier(psi: RealCharacter, X: int) -> MollifierTable:
     if X < 1:
         raise ValueError("cutoff must be positive")
-    D = psi.D
-    coeffs = {}
-    for a in range(1, X + 1):
-        if a % D == 0:
-            continue
-        r = eval_rho(psi, a)
-        if r != 0:
-            coeffs[a] = r
-    return MollifierTable(X=X, coeffs=coeffs)
+    a = np.array([n for n in range(1, X + 1) if n % psi.D], dtype=np.int64)
+    rho = np.array([eval_rho(psi, n) for n in a.tolist()], dtype=np.float64)
+    return MollifierTable(a=a[rho != 0], rho=rho[rho != 0])
 
 
 def eval_mollifier(table: MollifierTable, chi: DirichletCharacter) -> complex:
     """sum of rho(a) chi(a) / sqrt(a) over the stored coefficients."""
-    keys, vals = table.arrays()
-    chivals = chi.values_at(keys)
-    return complex(np.dot(vals / np.sqrt(keys.astype(np.float64)), chivals))
+    chivals = chi.values_at(table.a)
+    return complex(np.dot(table.rho / np.sqrt(table.a.astype(np.float64)), chivals))
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +100,6 @@ class MomentReport:
     s2: float
     ratio: float
     census_nonzero: int
-    threshold: float
 
     def __post_init__(self):
         if not (0.0 <= self.ratio <= 1.0 + 1e-9):
@@ -148,8 +136,9 @@ def mollified_moments(q: int, psi: RealCharacter, X: int,
                       threshold: float = 1e-8) -> MomentReport:
     """First and second mollified moments over the even primitive family.
 
-    ratio is |S1|^2 / (phi_plus(q) S2), the Cauchy-Schwarz proportion; it is
-    clamped into [0, 1 + 1e-9] to absorb roundoff at the boundary.
+    ratio is |S1|^2 / (phi_plus(q) S2), the Cauchy-Schwarz proportion: at
+    most 1 up to roundoff, and MomentReport rejects a value outside
+    [0, 1 + 1e-9].
     census_nonzero counts characters whose product central value clears the
     threshold in absolute value.
     """
@@ -169,9 +158,8 @@ def mollified_moments(q: int, psi: RealCharacter, X: int,
     s2 = exact_sum([abs(t) ** 2 for t in terms])
     denom = phi_plus(q) * s2
     ratio = abs(s1) ** 2 / denom if denom > 0 else 0.0
-    ratio = min(max(ratio, 0.0), 1.0 + 1e-9)
     return MomentReport(q=q, D=psi.D, X=X, s1=s1, s2=s2, ratio=ratio,
-                       census_nonzero=nonzero, threshold=threshold)
+                       census_nonzero=nonzero)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +199,7 @@ def first_moment_by_orthogonality(q: int, psi: RealCharacter, X: int,
     c_eps = complex(psi(q) * epsilon(psi)) / (2.0 * q)
     table = build_mollifier(psi, X)
     parts = []
-    for a in sorted(table.coeffs):
+    for a, rho in zip(table.a.tolist(), table.rho.tolist()):
         if a % q == 0:
             continue
         an_mod = (a * n_mod) % q
@@ -221,7 +209,7 @@ def first_moment_by_orthogonality(q: int, psi: RealCharacter, X: int,
         w = (n_mod * ainv) % q
         t2 = vcol * (c_eps * (phi_q * (kl[w] + kl[(q - w) % q]) - 2.0))
         contrib = complex(np.sum((t1 + t2)[unit]))
-        parts.append(table.coeffs[a] / math.sqrt(a) * contrib)
+        parts.append(rho / math.sqrt(a) * contrib)
     return fsum_complex(parts)
 
 
@@ -273,6 +261,9 @@ def census(q: int, psi: RealCharacter, threshold: float) -> tuple[int, int]:
         raise ValueError("census limited to prime q <= 10^4")
     if math.gcd(q, psi.D) != 1:
         raise ValueError("moduli must be coprime")
+    if q * psi.D > 10**8:
+        # the modulus-qD Hurwitz sum visits every b < qD
+        raise ValueError(f"census limited to q D <= 10^8, got {q * psi.D}")
     l_plain, l_twist = _census_values(q, psi)
     count_product = int(np.count_nonzero(np.abs(l_plain * l_twist) > threshold))
     count_plain = int(np.count_nonzero(np.abs(l_plain) > threshold))

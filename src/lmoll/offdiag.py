@@ -38,7 +38,6 @@ from .special import SmoothBump, gamma_complex
 
 __all__ = [
     "ShiftedConvParams",
-    "SingularSeries",
     "brute_shifted_conv",
     "shifted_conv_r_decomposed",
     "singular_series",
@@ -294,31 +293,13 @@ def _series_tail(a: int, b: int, r: int, D: int, limit: int) -> float:
     return (1 + D) * a * b * total
 
 
-@dataclass(frozen=True)
-class SingularSeries:
-    """Truncated shift-series value with its tail bound."""
-
-    a: int
-    b: int
-    r: int
-    psi: RealCharacter
-    L_max: int
-    value: float
-    tail_bound: float
-
-    def __post_init__(self):
-        _check_L_max(self.L_max)
-        if self.tail_bound < 0:
-            raise ValueError("tail bound must be nonnegative")
-
-
 def singular_series(a: int, b: int, r: int, psi: RealCharacter,
-                    L_max: int = 10000) -> SingularSeries:
+                    L_max: int = 10000) -> tuple[float, float]:
+    """(value, tail): the shift series summed to L_max terms, and a bound on the rest."""
     _check_pair(a, b, r)
     _check_L_max(L_max)
     value = _series_sum(*_series_coeff(a, b, psi, L_max), r)
-    return SingularSeries(a, b, r, psi, L_max, value,
-                          _series_tail(a, b, r, psi.D, L_max))
+    return value, _series_tail(a, b, r, psi.D, L_max)
 
 
 def singular_series_term(a: int, b: int, r: int, psi: RealCharacter, ell: int) -> float:
@@ -361,7 +342,7 @@ def singular_series_factored(a: int, b: int, r: int, psi: RealCharacter) -> floa
     outside p | rabD every local factor is 1 - 1/p^2, which regroups into
     1/zeta(2).  At p | r the local sum runs over e <= v_p(r) + 1, since
     c_{p^e}(r) vanishes beyond, so r need be neither squarefree nor prime
-    to abD.  Cross-checks singular_series(r).value, the direct shift series
+    to abD.  Cross-checks singular_series(r)[0], the direct shift series
     that main_term sums.
     """
     _check_pair(a, b, r)
@@ -394,7 +375,7 @@ def singular_series_r_sum(a: int, b: int, R: int, psi: RealCharacter,
 
     Swaps the finite double sum to ell-major order so the Ramanujan sums
     collapse to divisor sums against partial zeta(2) sums; identical to
-    summing singular_series(r).value / r^2 up to roundoff.  The tail bound
+    summing singular_series(r)[0] / r^2 up to roundoff.  The tail bound
     covers only the ell-truncation (the r-range is summed exactly).
     Cross-checks the r-sum of the shift series against its closed form
     dirichlet_series_G(a, b, 2) zeta(2) zeta(3) (criterion 7).

@@ -2,21 +2,20 @@
 
 Gamma and digamma by a fixed Lanczos approximation with reflection, one
 array implementation each (the scalar forms call it on one element).  The
-five smooth weights V1, dV1, dV2, W1, W2 are inverse Mellin transforms
+three smooth weights V1, W1, W2 of the approximate functional equation are
+inverse Mellin transforms
 
     weight(x) = (1/2 pi i) int K(s) x^{-s} ds
 
 whose kernels K are explicit in terms of B(s) = Gamma(1/4+s/2)^2/Gamma(1/4)^2:
 
     V1:       B(s)/s
-    dV1:      (digamma(1/4+s/2) - digamma(1/4)) B(s)/s
-    dV2:      (-digamma(1/4+s/2) - digamma(1/4)) B(s)/s
     W1:       (B(s)/2) [ (1 - c/logQ)/s + 1/(logQ s^2) ]
     W2:       (B(s)/2) [ (1 - c/logQ)/s - 1/(logQ s^2) ]
 
 with c = digamma(1/4).  V1 serves both sides of the functional equation.
-The W kernels come from combining the V kernels with d/ds acting on
-x^{-s}; the 1/s^2 sign is the only difference between the two.
+The W kernels combine V1, d/ds acting on x^{-s} and the kernels
+(+-digamma(1/4+s/2) - c) B(s)/s; the 1/s^2 sign is the only difference.
 Quadrature runs on a vertical line: Re(s) = 1 for x > 1, and Re(s) = -1/4
 plus the residue at s = 0 for x <= 1, which keeps the line integral
 O(x^{1/4}) and leaves the constant term to the exactly-known residue.
@@ -34,7 +33,6 @@ Also here: a C-infinity bump template.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -104,27 +102,14 @@ GAMMA_QUARTER = 3.6256099082219083  # Gamma(1/4)
 DIGAMMA_QUARTER = -4.227453533376265  # digamma(1/4) = Gamma'(1/4)/Gamma(1/4)
 
 
-WEIGHT_KINDS = ("V1", "dV1", "dV2", "W1", "W2")
+WEIGHT_KINDS = ("V1", "W1", "W2")
 
 
-@dataclass(frozen=True)
-class WeightFunction:
-    kind: str
-    logQ: float
-
-    def __post_init__(self):
-        if self.kind not in WEIGHT_KINDS:
-            raise ValueError(f"unknown weight kind {self.kind!r}")
-        if not self.logQ > 0:
-            raise ValueError("logQ must be positive")
-
-
-@dataclass(frozen=True)
-class MellinPrincipalPart:
-    """Coefficients of 1/s^2 and 1/s at s=0 for a weight's Mellin transform."""
-
-    c2: complex
-    c1: complex
+def _check_weight(kind: str, logQ: float) -> None:
+    if kind not in WEIGHT_KINDS:
+        raise ValueError(f"unknown weight kind {kind!r}")
+    if not logQ > 0:
+        raise ValueError("logQ must be positive")
 
 
 def _b_arr(s: np.ndarray) -> np.ndarray:
@@ -136,10 +121,6 @@ def _kernel_arr(kind: str, logQ: float, s: np.ndarray, b: np.ndarray) -> np.ndar
     """The kernel K(s) of one weight, from b = B(s)."""
     if kind == "V1":
         return b / s
-    if kind == "dV1":
-        return (_digamma_arr(0.25 + s / 2) - DIGAMMA_QUARTER) * b / s
-    if kind == "dV2":
-        return (-_digamma_arr(0.25 + s / 2) - DIGAMMA_QUARTER) * b / s
     c_over = DIGAMMA_QUARTER / logQ
     if kind == "W1":
         return b / 2 * ((1 - c_over) / s + 1 / (logQ * s * s))
@@ -148,26 +129,24 @@ def _kernel_arr(kind: str, logQ: float, s: np.ndarray, b: np.ndarray) -> np.ndar
     raise ValueError(kind)
 
 
-def mellin_weight(w: WeightFunction, s: complex) -> complex:
-    """Closed-form Mellin transform of any of the five weights."""
+def mellin_weight(kind: str, logQ: float, s: complex) -> complex:
+    """Closed-form Mellin transform of any of the three weights."""
+    _check_weight(kind, logQ)
     if s == 0:
         raise ValueError("pole at s=0")
     s_arr = np.array([s], dtype=complex)
-    return complex(_kernel_arr(w.kind, w.logQ, s_arr, _b_arr(s_arr))[0])
+    return complex(_kernel_arr(kind, logQ, s_arr, _b_arr(s_arr))[0])
 
 
-def mellin_principal_part(w: WeightFunction) -> MellinPrincipalPart:
-    c = DIGAMMA_QUARTER
-    L = w.logQ
-    if w.kind == "V1":
-        return MellinPrincipalPart(0, 1)
-    if w.kind == "dV1":
-        return MellinPrincipalPart(0, 0)
-    if w.kind == "dV2":
-        return MellinPrincipalPart(0, -2 * c)
-    if w.kind == "W1":
-        return MellinPrincipalPart(1 / (2 * L), 0.5)
-    return MellinPrincipalPart(-1 / (2 * L), 0.5 - c / L)
+def mellin_principal_part(kind: str, logQ: float) -> tuple[float, float]:
+    """(c2, c1): the coefficients of 1/s^2 and 1/s at s=0 of a weight's
+    Mellin transform."""
+    _check_weight(kind, logQ)
+    if kind == "V1":
+        return 0, 1
+    if kind == "W1":
+        return 1 / (2 * logQ), 0.5
+    return -1 / (2 * logQ), 0.5 - DIGAMMA_QUARTER / logQ
 
 
 _QUAD_T_MAX = 60.0
@@ -208,35 +187,34 @@ def eval_weight_many(kinds: tuple[str, ...], logQ: float, xs: np.ndarray) -> np.
     to the bit.  The row therefore equals the full-grid exp bit for bit
     (test_special checks it against that formula), at half its cost.
     """
-    ws = [WeightFunction(kind, logQ) for kind in kinds]
-    pps = [mellin_principal_part(w) for w in ws]
+    pps = [mellin_principal_part(kind, logQ) for kind in kinds]  # checks kinds, logQ
     xs = np.asarray(xs, dtype=np.float64)
     if not np.all(xs > 0):
         raise ValueError("x must be positive")
-    out = np.empty((len(ws),) + xs.shape, dtype=np.float64)
-    rows = out.reshape(len(ws), -1)
+    out = np.empty((len(kinds),) + xs.shape, dtype=np.float64)
+    rows = out.reshape(len(kinds), -1)
     neg_it_half = -1j * _QUAD_T[: _MID + 1]
     rot = np.empty(len(_QUAD_T), dtype=np.complex128)
     kerns = {}  # contour sigma -> kinds x t-grid
     for i, x in enumerate(xs.ravel().tolist()):
         sigma = 1.0 if x > 1 else -0.25
         if sigma not in kerns:
-            kerns[sigma] = np.array([_line_kernel(w.kind, logQ, sigma) for w in ws])
+            kerns[sigma] = np.array([_line_kernel(kind, logQ, sigma) for kind in kinds])
         lx = math.log(x)
         np.exp(neg_it_half * lx, out=rot[: _MID + 1])
         np.conj(rot[_MID - 1 :: -1], out=rot[_MID + 1 :])
         sums = (kerns[sigma] * rot).sum(axis=1).real.tolist()
-        for row, pp, total in zip(rows, pps, sums):
+        for row, (c2, c1), total in zip(rows, pps, sums):
             val = _QUAD_STEP / (2 * math.pi) * total * x**-sigma
             if x <= 1:
-                val += float((pp.c1 - pp.c2 * lx).real)
+                val += c1 - c2 * lx
             row[i] = val
     return out
 
 
-def eval_weight(w: WeightFunction, x: float) -> float:
+def eval_weight(kind: str, logQ: float, x: float) -> float:
     """weight(x) of one weight at one point: eval_weight_many on one element."""
-    return float(eval_weight_many((w.kind,), w.logQ, [x])[0, 0])
+    return float(eval_weight_many((kind,), logQ, [x])[0, 0])
 
 
 def kernel_abs_moment(kind: str, logQ: float, sigma: float) -> float:

@@ -106,7 +106,6 @@ def test_real_character_d5_values():
     psi = RealCharacter(5)
     assert [psi(n) for n in range(10)] == [0, 1, -1, -1, 1, 0, 1, -1, -1, 1]
     assert psi(-1) == 1  # even
-    assert psi.parity == 1
 
 
 def test_real_character_periodic_and_multiplicative():

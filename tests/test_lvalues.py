@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import math
 import pathlib
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -156,6 +157,26 @@ def test_afe_config_validation():
         AFEConfig(Q=cfg.Q, n_max=cfg.n_max, tail_budget=1e-9)
     with pytest.raises(ValueError):
         AFEConfig(Q=-1.0, n_max=10)
+    with pytest.raises(ValueError):
+        default_config(0, 5)
+
+
+def test_afe_length_cap_before_any_table():
+    # n_max <= 2*10^6: the largest admitted q is 28319 at D = 5 and 17579
+    # at D = 13; the next prime, and the uncapped 5,498,573,660 at
+    # q = 99991, D = 999997, raise before any table
+    assert default_config(28319, 5).n_max == 1_997_758
+    assert default_config(17579, 13).n_max == 1_999_799
+    assert default_config(9973, 13).n_max == 1_069_658
+    for q, D in ((28349, 5), (17581, 13), (99991, 999997)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="AFE length n_max must be at most 2"):
+                default_config(q, D)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 def test_afe_rejects_bad_characters():

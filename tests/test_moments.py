@@ -5,6 +5,7 @@ Hurwitz-zeta oracle route before being written down.
 """
 from __future__ import annotations
 
+import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
@@ -54,17 +55,19 @@ SHIFT_GRID = [-0.2, 0.0, 0.3]
 class TestMollifier:
     def test_table_small(self):
         table = build_mollifier(PSI5, 10)
-        assert table.coeffs == {1: 1, 4: -1, 9: -1}
+        assert table.a.tolist() == [1, 4, 9] and table.rho.tolist() == [1, -1, -1]
 
     def test_table_25(self):
         table = build_mollifier(PSI5, 25)
-        assert table.coeffs == {1: 1, 4: -1, 9: -1, 11: -2, 19: -2}
+        assert table.a.tolist() == [1, 4, 9, 11, 19]
+        assert table.rho.tolist() == [1, -1, -1, -2, -2]
 
     def test_invariants(self):
         psi = RealCharacter(65)
         table = build_mollifier(psi, 200)
-        assert table.coeffs[1] == 1
-        for a, r in table.coeffs.items():
+        assert table.a[0] == 1 and table.rho[0] == 1
+        assert np.all(np.diff(table.a) > 0)
+        for a, r in zip(table.a.tolist(), table.rho.tolist()):
             assert a % 65 != 0
             assert all(e <= 2 for _, e in factor(a).factors)
             assert r == eval_rho(psi, a)
@@ -78,6 +81,19 @@ class TestMollifier:
         table = build_mollifier(PSI5, 1)
         for chi in enumerate_even_primitive(group):
             assert eval_mollifier(table, chi) == 1.0
+
+    # sha256 of eval_mollifier over every even chi mod 101 (k = 0, 2, .., 98):
+    # moments payloads show only the sums over the family, so the bits of
+    # each value are frozen here
+    @pytest.mark.parametrize("X,digest", [
+        (25, "bc52b8a58cea71450fadab55f71981d40d920f0fc4b4ca476565f4068d759cff"),
+        (10, "e938eae76ddd071b4d37ecc6c2e35b8dc66b1488264ed5c937e8057549df96d8"),
+    ])
+    def test_eval_bits_frozen(self, X, digest):
+        group = build_group(101)
+        table = build_mollifier(PSI5, X)
+        vals = np.array([eval_mollifier(table, group.character(k)) for k in range(0, 100, 2)])
+        assert hashlib.sha256(vals.tobytes()).hexdigest() == digest
 
 
 class TestMomentReport:
@@ -93,10 +109,10 @@ class TestMomentReport:
     def test_ratio_bounds_enforced(self):
         with pytest.raises(ValueError):
             MomentReport(q=13, D=5, X=1, s1=0j, s2=1.0, ratio=1.1,
-                         census_nonzero=0, threshold=1e-8)
+                         census_nonzero=0)
         with pytest.raises(ValueError):
             MomentReport(q=13, D=5, X=1, s1=0j, s2=1.0, ratio=0.5,
-                         census_nonzero=99, threshold=1e-8)
+                         census_nonzero=99)
 
     def test_moment_guards(self):
         with pytest.raises(ValueError):
@@ -127,6 +143,12 @@ class TestMoments:
         s1_characters = mollified_moments(q, PSI5, X).s1
         s1_orthogonality = first_moment_by_orthogonality(q, PSI5, X)
         assert abs(s1_characters - s1_orthogonality) < 1e-6
+
+    def test_first_moment_by_orthogonality_bits_frozen(self):
+        # in no payload, so frozen here: q = 101, D = 5, X = 25
+        s1 = first_moment_by_orthogonality(101, PSI5, 25)
+        assert (s1.real.hex(), s1.imag.hex()) == ("0x1.2bad8497ff8c4p+5",
+                                                  "-0x1.650da7f97be74p-50")
 
     def test_first_moment_by_orthogonality_checks_tail_budget(self):
         # the orthogonality route reads the same truncated columns as
@@ -221,6 +243,27 @@ class TestCensus:
         plain, twist = _census_values(q, psi)
         assert np.array_equal(plain, q ** -0.5 * sums[0])
         assert np.array_equal(twist, (q * D) ** -0.5 * sums[1])
+
+    def test_qD_cap_before_any_table(self, monkeypatch):
+        # q D <= 10^8: 9973 * 10021 = 99,939,433 reaches the sum (stubbed
+        # here), 9973 * 10029 = 100,019,217 and 9973 * 999997 do not
+        monkeypatch.setattr("lmoll.moments._census_values",
+                            lambda q, psi: (np.ones(3), np.ones(3)))
+        assert census(9973, RealCharacter(10021), 1e-8) == (3, 3)
+
+        def fail(q, psi):
+            raise AssertionError("census summed past its cap")
+
+        monkeypatch.setattr("lmoll.moments._census_values", fail)
+        for D in (10029, 999997):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match="census limited to q D <= 10"):
+                    census(9973, RealCharacter(D), 1e-8)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * 1024
 
     def test_block_size_does_not_change_bits(self, monkeypatch):
         psi = RealCharacter(13)
