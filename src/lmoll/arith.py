@@ -21,7 +21,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -248,10 +248,16 @@ class RealCharacter(ResidueCharacter):
     def __call__(self, n: int) -> int:
         return kronecker(self.D, n)
 
-    @lru_cache(maxsize=None)
+    @cached_property
+    def _table(self) -> np.ndarray:
+        table = np.array([kronecker(self.D, r) for r in range(self.D)], dtype=np.int8)
+        table.flags.writeable = False
+        return table
+
     def values(self) -> np.ndarray:
-        """psi(r) for residues r = 0..D-1, as int8."""
-        return np.array([kronecker(self.D, r) for r in range(self.D)], dtype=np.int8)
+        """psi(r) for residues r = 0..D-1, as read-only int8, built on the
+        first call and held by this instance alone."""
+        return self._table
 
 
 @dataclass(frozen=True)

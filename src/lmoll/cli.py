@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -413,8 +414,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the parse tree is built on the first call and reused: parsing leaves it as built
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.threads < 1:
             raise _UsageError("--threads: must be at least 1")

@@ -217,7 +217,8 @@ def first_moment_by_orthogonality(q: int, psi: RealCharacter, X: int,
 # nonvanishing census
 
 
-# b values of the modulus-qD Hurwitz sum handled at once; bounds census memory
+# b values of the modulus-qD Hurwitz sum handled at once, rounded down to
+# whole rows of q - 1 (at least one); bounds census memory
 _CENSUS_BLOCK = 1 << 13
 
 
@@ -227,24 +228,32 @@ def _census_values(q: int, psi: RealCharacter) -> tuple[np.ndarray, np.ndarray]:
 
     Both L-values are sums of chi(a) against a function of a mod q: the plain
     one against zeta(1/2, a/q), the twisted one against the modulus-qD sum
-    grouped by residue b mod q.  Read in primitive-root order a = g^j, each
-    such sum is sum_j e(jk/(q-1)) f(g^j), so one inverse DFT of length q-1
-    gives it for every character index k at once.
+    grouped by residue r mod q.  That sum has one row per unit class c mod D:
+    b = CRT(r, c) for r = 1..q-1, weighted by psi(c) = +-1, so every b it
+    visits has psi(b) != 0 and q not dividing b, and already sits in its
+    residue.  Rows are added in ascending c, whatever the block size.  Read
+    in primitive-root order a = g^j, each sum is sum_j e(jk/(q-1)) f(g^j), so
+    one inverse DFT of length q-1 gives it for every character index k.
     """
     D = psi.D
     group = build_group(q)
     z_plain = hurwitz_zeta_vec(0.5, np.arange(1, q, dtype=np.float64) / q)
-    grouped = np.zeros(q, dtype=np.float64)
-    for lo in range(1, q * D, _CENSUS_BLOCK):
-        b = np.arange(lo, min(lo + _CENSUS_BLOCK, q * D), dtype=np.int64)
-        psivals = psi.values_at(b).astype(np.float64)
-        # a term with psi(b) = 0 is exactly +-0, and bin 0 is discarded
-        keep = (psivals != 0) & (b % q != 0)
-        b, psivals = b[keep], psivals[keep]
+    # b = r e_q + c e_D mod qD, with e_q = 1 mod q, 0 mod D and e_D the reverse
+    r_part = np.arange(1, q, dtype=np.int64) * (D * pow(D, -1, q)) % (q * D)
+    e_D = q * pow(q, -1, D)
+    table = psi.values()
+    units = np.flatnonzero(table)
+    grouped = np.zeros(q - 1, dtype=np.float64)
+    rows = max(1, _CENSUS_BLOCK // (q - 1))
+    for lo in range(0, len(units), rows):
+        c = units[lo:lo + rows]
+        b = (r_part + (c * e_D)[:, None]) % (q * D)
         zb = hurwitz_zeta_vec(0.5, b.astype(np.float64) / (q * D))
-        np.add.at(grouped, b % q, psivals * zb)
+        zb *= table[c, None]
+        for row in zb:
+            grouped += row
     by_dlog = np.empty((2, q - 1), dtype=np.float64)
-    by_dlog[:, group.dlog[1:]] = z_plain, grouped[1:]
+    by_dlog[:, group.dlog[1:]] = z_plain, grouped
     sums = np.fft.ifft(by_dlog, axis=1, norm="forward")[:, 2:q - 2:2]
     return q ** -0.5 * sums[0], (q * D) ** -0.5 * sums[1]
 
@@ -254,15 +263,16 @@ def census(q: int, psi: RealCharacter, threshold: float) -> tuple[int, int]:
     with the plain central value, exceeding the threshold in absolute value.
 
     Values come from the Hurwitz-zeta oracle through one FFT over the
-    discrete log (see _census_values): O(q log q + qD) time, and memory
-    O(q) plus one block of the modulus-qD sum, whatever the size of D.
+    discrete log (see _census_values): (q-1)(1 + phi(D)) Hurwitz points,
+    one row of q-1 per unit class mod D, in O(q log q + qD) time and O(q)
+    memory plus one block of rows, whatever the size of D.
     """
     if not is_prime(q) or q > 10**4:
         raise ValueError("census limited to prime q <= 10^4")
     if math.gcd(q, psi.D) != 1:
         raise ValueError("moduli must be coprime")
     if q * psi.D > 10**8:
-        # the modulus-qD Hurwitz sum visits every b < qD
+        # the modulus-qD Hurwitz sum visits every unit b < qD
         raise ValueError(f"census limited to q D <= 10^8, got {q * psi.D}")
     l_plain, l_twist = _census_values(q, psi)
     count_product = int(np.count_nonzero(np.abs(l_plain * l_twist) > threshold))

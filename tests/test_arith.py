@@ -3,8 +3,10 @@ Ramanujan and Kloosterman sums."""
 
 from __future__ import annotations
 
+import gc
 import math
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -117,6 +119,21 @@ def test_real_character_periodic_and_multiplicative():
         for m in range(1, 40):
             for n in range(1, 40):
                 assert psi(m * n) == psi(m) * psi(n)
+
+
+def test_real_character_table_read_only_and_owned():
+    # the table is built once per instance and dies with it; no cache keeps
+    # a psi alive for the life of the process
+    psi = RealCharacter(65)
+    tab = psi.values()
+    assert psi.values() is tab
+    assert not tab.flags.writeable
+    with pytest.raises(ValueError):
+        tab[1] = 0
+    ref = weakref.ref(psi)
+    del psi, tab
+    gc.collect()
+    assert ref() is None
 
 
 def test_real_character_rejects_bad_moduli():

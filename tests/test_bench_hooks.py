@@ -12,7 +12,7 @@ import inspect
 
 import pytest
 
-from lmoll import characters, lvalues, offdiag, special, voronoi
+from lmoll import arith, characters, lvalues, moments, offdiag, special, voronoi
 
 # (owner, attribute) pairs that Tracer.install patches by name
 PATCHED = {
@@ -50,3 +50,18 @@ def test_baseline_reads_the_config_and_table_arguments():
     # baseline.py calls _afe_tables(q, D, cfg.n_max, cfg.Q)
     params = inspect.signature(lvalues._afe_tables.__wrapped__).parameters
     assert list(params) == ["q", "D", "n_max", "Q"]
+
+
+@pytest.mark.parametrize("q,D", [(13, 5), (101, 65), (1009, 13)])
+def test_census_hurwitz_points(q, D, monkeypatch):
+    # the tracer's lvalues.hurwitz_points counts the size of each x that
+    # moments passes to hurwitz_zeta_vec: (q-1)(1 + phi(D)) per census
+    sizes = []
+
+    def counting(s, x):
+        sizes.append(x.size)
+        return lvalues.hurwitz_zeta_vec(s, x)
+
+    monkeypatch.setattr(moments, "hurwitz_zeta_vec", counting)
+    moments.census(q, arith.RealCharacter(D), 1e-8)
+    assert sum(sizes) == (q - 1) * (1 + arith.euler_phi(D))

@@ -133,6 +133,30 @@ class TestPlumbing:
         assert run_cli(["--version"]) == 0
         assert capsys.readouterr().out.startswith("lmoll ")
 
+    def test_one_parser_per_interpreter(self, monkeypatch, capsys):
+        # main builds its parse tree once; parsing leaves no state in it, so
+        # interleaved commands, errors and --version read exactly as they
+        # do from a fresh parser per call
+        argvs = [GOLDEN_ARGVS["census"], USAGE_ERRORS["census-q"][0], ["--version"],
+                 GOLDEN_ARGVS["afe-check"], ["census", "--D", "5"], ["nosuch"],
+                 GOLDEN_ARGVS["census-csv"], ["afe-check", "--q", "13", "--D", "5",
+                                              "--tol", "1e-30"]]
+
+        def run_all():
+            got = []
+            for argv in argvs:
+                rc = run_cli(argv)
+                captured = capsys.readouterr()
+                got.append((rc, captured.out, captured.err))
+            return got
+
+        cli._parser.cache_clear()
+        reused = run_all()
+        assert cli._parser.cache_info().misses == 1
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        assert run_all() == reused
+        assert [rc for rc, _, _ in reused] == [0, 1, 0, 0, 1, 1, 0, 2]
+
     def test_unknown_command(self, capsys):
         assert run_cli(["nosuch"]) == 1
 

@@ -33,6 +33,20 @@ def test_hurwitz_matches_mpmath(s):
         assert abs(value - want) <= 1e-13 * abs(want), (s, x)
 
 
+@pytest.mark.parametrize("s", (0.5, 0.5 + 0j))
+def test_central_point_grid_matches_mpmath(s):
+    # s = 1/2 takes (k+x)^{-1/2} as 1/sqrt; zeta(1/2, x) changes sign near
+    # x = 0.3027, so the error is scaled by max(1, |zeta|) rather than |zeta|
+    xs = np.concatenate([np.geomspace(1e-5, 1, 300), np.linspace(0.3, 0.305, 51)])
+    got = hurwitz_zeta_vec(s, xs)
+    assert np.isrealobj(got) == isinstance(s, float)
+    assert np.array_equal(got.real, hurwitz_zeta_vec(0.5, xs))
+    for x, value in zip(xs, got):
+        with mpmath.workdps(30):
+            want = float(mpmath.zeta(0.5, x))
+        assert abs(value - want) <= 1e-13 * max(1.0, abs(want)), x
+
+
 @pytest.mark.parametrize("q,ks", [(13, (2, 4, 6)), (29, (2, 10, 26))])
 def test_central_product_matches_mpmath(q, ks):
     psi = RealCharacter(5)

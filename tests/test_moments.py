@@ -230,19 +230,38 @@ class TestCensus:
         assert np.max(np.abs(plain - ref_plain)) < 1e-12
         assert np.max(np.abs(twist - ref_twist)) < 1e-12
 
-    @pytest.mark.parametrize("q,D", [(101, 5), (1009, 13), (9973, 13)])
-    def test_skipped_terms_do_not_change_bits(self, q, D):
-        # the b with psi(b) = 0 or q | b contribute exactly +-0 or land in
-        # the discarded bin 0, so the full sum through the same DFT gives
-        # the same bits
+    @pytest.mark.parametrize("q,D", [(13, 5), (101, 65), (13, 101), (1009, 13)])
+    def test_crt_rows_visit_each_unit_once(self, q, D, monkeypatch):
+        # every b < qD with psi(b) != 0 and q not dividing b, each exactly
+        # once, and each row laid out by residue r = 1..q-1
+        calls = []
+
+        def recording(s, x):
+            calls.append(np.array(x))
+            return hurwitz_zeta_vec(s, x)
+
+        monkeypatch.setattr("lmoll.moments.hurwitz_zeta_vec", recording)
         psi = RealCharacter(D)
-        z_plain, grouped = census_full_sum(q, psi)
-        by_dlog = np.empty((2, q - 1), dtype=np.float64)
-        by_dlog[:, build_group(q).dlog[1:]] = z_plain, grouped[1:]
-        sums = np.fft.ifft(by_dlog, axis=1, norm="forward")[:, 2:q - 2:2]
-        plain, twist = _census_values(q, psi)
-        assert np.array_equal(plain, q ** -0.5 * sums[0])
-        assert np.array_equal(twist, (q * D) ** -0.5 * sums[1])
+        _census_values(q, psi)
+        # calls[0] is the plain sum's zeta(1/2, a/q); the rest are CRT rows
+        rows = np.concatenate([np.reshape(x, (-1, q - 1)) for x in calls[1:]])
+        b = np.rint(rows * (q * D)).astype(np.int64)
+        assert np.array_equal(rows, b / (q * D))
+        assert np.all(b % q == np.arange(1, q))
+        everything = np.arange(1, q * D)
+        wanted = everything[(psi.values_at(everything) != 0) & (everything % q != 0)]
+        assert np.array_equal(np.sort(b, axis=None), wanted)
+
+    @pytest.mark.parametrize("q,D", [(101, 65), (13, 101)])
+    def test_counts_match_oracle_at_composite_and_large_D(self, q, D):
+        psi = RealCharacter(D)
+        family = enumerate_even_primitive(build_group(q))
+        plain = [oracle_L(0.5, chi) for chi in family]
+        product = oracle_products_at(0.5, family, psi)
+        for threshold in (1e-8, 0.5, 1.0):
+            want = (sum(abs(v) > threshold for v in product),
+                    sum(abs(v) > threshold for v in plain))
+            assert census(q, psi, threshold) == want
 
     def test_qD_cap_before_any_table(self, monkeypatch):
         # q D <= 10^8: 9973 * 10021 = 99,939,433 reaches the sum (stubbed
