@@ -8,12 +8,12 @@ share no code beyond the character tables.  Its shift N is the smallest whose
 remainder bound after the B16 term, 4|(s)_16|/(2 pi)^16 N^{1-sigma-16}/(sigma+15)
 (F. Johansson, Numer. Algorithms 69 (2015); DLMF 2.10), is at most 2^-60:
 N = 13 at s = 1/2.  The bound needs Re s > -15, and N is capped at 10^4.
-The zeta_H rows depend on the modulus alone, so a family of characters
-shares them (oracle_products_at).
-
-The product character chi*psi is always evaluated pointwise as
-chi(n) psi(n) (the moduli are coprime), never through a composite-modulus
-group.
+A single character takes one zeta_H row mod its modulus (oracle_L).  A
+family mod a prime q takes one for the whole character group (_family_L):
+(chi psi)(b) = chi(b mod q) psi(b mod D) for the coprime moduli, so one CRT
+row per unit class mod D and one inverse DFT over the group give L(s, chi)
+and L(s, chi psi) for every chi at once, with no composite-modulus group
+and no modulus-qD table per character.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import RealCharacter, one_star_psi_table
-from .characters import DirichletCharacter, epsilon, epsilon_product_direct, product_values
+from .characters import DirichletCharacter, build_group, epsilon, epsilon_product_direct
 from .special import _digamma_arr, eval_weight_many, gamma_complex, kernel_abs_moment
 
 # ---------------------------------------------------------------- oracle side
@@ -131,38 +131,69 @@ def hurwitz_zeta_vec(s: complex, x: np.ndarray) -> np.ndarray:
     return head + w_s * (w / (s - 1) + 0.5 + poly / w)
 
 
-def _dirichlet_L(s: complex, modulus: int, tables) -> list[complex]:
-    """L(s, chi) = modulus^{-s} sum_a chi(a) zeta_H(s, a/modulus) for the
-    residue table of each chi in tables; the zeta_H row, which depends on
-    the modulus alone, is computed once for all of them."""
-    a = np.arange(1, modulus + 1, dtype=np.float64)
-    row = _digamma_arr(a / modulus) if s == 1 else hurwitz_zeta_vec(s, a / modulus)
-    out = []
-    for values in tables:
-        vals = values[np.arange(1, modulus + 1) % modulus]
-        if s == 1:
-            # zeta_H(s,x) = 1/(s-1) - digamma(x) + O(s-1); the pole part carries
-            # coefficient sum(chi) = 0 for non-principal chi
-            if abs(complex(np.sum(vals))) > 1e-9:
-                raise ValueError("pole at s=1")
-            out.append(complex(-np.dot(vals, row) / modulus))
-        else:
-            out.append(complex(np.exp(-s * math.log(modulus)) * np.dot(vals, row)))
-    return out
-
-
 def oracle_L(s: complex, chi) -> complex:
-    """L(s, chi) by Hurwitz zeta; pole flagged for the principal character."""
+    """L(s, chi) for chi mod m from one zeta_H row mod m (-digamma at s = 1);
+    pole flagged for the principal character."""
     if chi.is_trivial and s == 1:
         raise ValueError("L(s, principal) has a pole at s=1")
     if not complex(s).real > 0:
         raise ValueError("oracle restricted to Re(s) > 0")
-    return _dirichlet_L(s, chi.modulus, [chi.values().astype(np.complex128)])[0]
+    m = chi.modulus
+    a = np.arange(1, m + 1, dtype=np.float64)
+    vals = chi.values().astype(np.complex128)[np.arange(1, m + 1) % m]
+    if s == 1:
+        # zeta_H(s,x) = 1/(s-1) - digamma(x) + O(s-1); the pole part carries
+        # coefficient sum(chi) = 0 for non-principal chi
+        if abs(complex(np.sum(vals))) > 1e-9:
+            raise ValueError("pole at s=1")
+        return complex(-np.dot(vals, _digamma_arr(a / m)) / m)
+    return complex(np.exp(-s * math.log(m)) * np.dot(vals, hurwitz_zeta_vec(s, a / m)))
+
+
+# b values of the modulus-qD Hurwitz sum handled at once, rounded down to
+# whole rows of q - 1 (at least one); bounds _family_L's memory
+_FAMILY_BLOCK = 1 << 13
+
+
+def _family_L(s: complex, q: int, psi: RealCharacter) -> tuple[np.ndarray, np.ndarray]:
+    """L(s, chi_k) and L(s, chi_k psi) for every index k = 0..q-2 mod the
+    prime q, from (q-1)(1 + phi(D)) Hurwitz points; Re s > 0, s != 1.
+
+    Both are sums of chi(a) against a function of a mod q: zeta_H(s, a/q),
+    and the modulus-qD sum grouped by b mod q, as (chi psi)(b) =
+    chi(b mod q) psi(b mod D).  That sum has one row per unit class c mod D,
+    b = CRT(r, c) for r = 1..q-1 weighted by psi(c) = +-1, added in ascending
+    c whatever the block size; every b it visits has psi(b) != 0, q not
+    dividing b, and sits in its residue.  Read in primitive-root order
+    a = g^j, each sum is sum_j e(jk/(q-1)) f(g^j): one inverse DFT of length
+    q-1 gives every k.
+    """
+    D = psi.D
+    group = build_group(q)
+    z_plain = hurwitz_zeta_vec(s, np.arange(1, q, dtype=np.float64) / q)
+    # b = r e_q + c e_D mod qD, with e_q = 1 mod q, 0 mod D and e_D the reverse
+    r_part = np.arange(1, q, dtype=np.int64) * (D * pow(D, -1, q)) % (q * D)
+    e_D = q * pow(q, -1, D)
+    table = psi.values()
+    units = np.flatnonzero(table)
+    grouped = np.zeros(q - 1, dtype=z_plain.dtype)
+    rows = max(1, _FAMILY_BLOCK // (q - 1))
+    for lo in range(0, len(units), rows):
+        c = units[lo:lo + rows]
+        b = (r_part + (c * e_D)[:, None]) % (q * D)
+        zb = hurwitz_zeta_vec(s, b.astype(np.float64) / (q * D))
+        zb *= table[c, None]
+        for row in zb:
+            grouped += row
+    by_dlog = np.empty((2, q - 1), dtype=z_plain.dtype)
+    by_dlog[:, group.dlog[1:]] = z_plain, grouped
+    sums = np.fft.ifft(by_dlog, axis=1, norm="forward")
+    return q ** -s * sums[0], (q * D) ** -s * sums[1]
 
 
 def oracle_products_at(s: complex, family, psi: RealCharacter) -> list[complex]:
-    """L(s,chi) L(s,chi psi) for each chi of a family mod q, both factors by
-    the Hurwitz route, from two zeta_H rows (moduli q and qD) for the family."""
+    """L(s,chi) L(s,chi psi) for each chi of a family mod the prime q, both
+    factors by the Hurwitz route, read off _family_L at each chi's index."""
     family = list(family)
     if any(chi.is_trivial for chi in family):
         raise ValueError("principal character rejected")
@@ -173,9 +204,8 @@ def oracle_products_at(s: complex, family, psi: RealCharacter) -> list[complex]:
     q = family[0].modulus
     if any(chi.modulus != q for chi in family):
         raise ValueError("family mixes moduli")
-    first = _dirichlet_L(s, q, (chi.values().astype(np.complex128) for chi in family))
-    second = _dirichlet_L(s, q * psi.D, (product_values(chi, psi) for chi in family))
-    return [x * y for x, y in zip(first, second)]
+    plain, twist = _family_L(s, q, psi)
+    return [complex(plain[chi.k] * twist[chi.k]) for chi in family]
 
 
 def oracle_product(chi: DirichletCharacter, psi: RealCharacter) -> complex:
@@ -199,6 +229,9 @@ def oracle_product_derivative(chi: DirichletCharacter, psi: RealCharacter,
 # the largest AFE length: at n_max = 1,997,758 (q = 28319, D = 5) _afe_tables
 # took 49 s and 152 MB above the import on a 2-vCPU Xeon VM
 _AFE_MAX_N = 2 * 10**6
+# the largest q D: epsilon_product_direct builds a modulus-qD table per
+# character, 48 B an entry: 197 MB at q = 41, D = 100,001, 480 MB here
+_AFE_MAX_QD = 10**7
 
 
 @dataclass(frozen=True)
@@ -227,7 +260,10 @@ def default_config(q: int, D: int) -> AFEConfig:
         raise ValueError(f"modulus must be positive, got {q}")
     Q = q * math.sqrt(D) / math.pi
     n_max = math.ceil(Q * max(30.0, 10.0 * math.log(Q)))
-    return AFEConfig(Q=Q, n_max=n_max)
+    cfg = AFEConfig(Q=Q, n_max=n_max)
+    if q * D > _AFE_MAX_QD:
+        raise ValueError(f"AFE modulus q D must be at most 10^7, got {q * D}")
+    return cfg
 
 
 @dataclass(frozen=True)

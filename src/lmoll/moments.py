@@ -38,7 +38,7 @@ from .characters import (
     epsilon,
     phi_plus,
 )
-from .lvalues import AFEConfig, _budgeted_tables, afe_central, default_config, hurwitz_zeta_vec
+from .lvalues import AFEConfig, _budgeted_tables, _family_L, afe_central, default_config
 from .reduction import exact_sum, fsum_complex
 
 __all__ = [
@@ -217,53 +217,12 @@ def first_moment_by_orthogonality(q: int, psi: RealCharacter, X: int,
 # nonvanishing census
 
 
-# b values of the modulus-qD Hurwitz sum handled at once, rounded down to
-# whole rows of q - 1 (at least one); bounds census memory
-_CENSUS_BLOCK = 1 << 13
-
-
-def _census_values(q: int, psi: RealCharacter) -> tuple[np.ndarray, np.ndarray]:
-    """L(1/2, chi) and L(1/2, chi psi) for the even primitive family mod q,
-    in enumerate_even_primitive order, from the Hurwitz-zeta oracle.
-
-    Both L-values are sums of chi(a) against a function of a mod q: the plain
-    one against zeta(1/2, a/q), the twisted one against the modulus-qD sum
-    grouped by residue r mod q.  That sum has one row per unit class c mod D:
-    b = CRT(r, c) for r = 1..q-1, weighted by psi(c) = +-1, so every b it
-    visits has psi(b) != 0 and q not dividing b, and already sits in its
-    residue.  Rows are added in ascending c, whatever the block size.  Read
-    in primitive-root order a = g^j, each sum is sum_j e(jk/(q-1)) f(g^j), so
-    one inverse DFT of length q-1 gives it for every character index k.
-    """
-    D = psi.D
-    group = build_group(q)
-    z_plain = hurwitz_zeta_vec(0.5, np.arange(1, q, dtype=np.float64) / q)
-    # b = r e_q + c e_D mod qD, with e_q = 1 mod q, 0 mod D and e_D the reverse
-    r_part = np.arange(1, q, dtype=np.int64) * (D * pow(D, -1, q)) % (q * D)
-    e_D = q * pow(q, -1, D)
-    table = psi.values()
-    units = np.flatnonzero(table)
-    grouped = np.zeros(q - 1, dtype=np.float64)
-    rows = max(1, _CENSUS_BLOCK // (q - 1))
-    for lo in range(0, len(units), rows):
-        c = units[lo:lo + rows]
-        b = (r_part + (c * e_D)[:, None]) % (q * D)
-        zb = hurwitz_zeta_vec(0.5, b.astype(np.float64) / (q * D))
-        zb *= table[c, None]
-        for row in zb:
-            grouped += row
-    by_dlog = np.empty((2, q - 1), dtype=np.float64)
-    by_dlog[:, group.dlog[1:]] = z_plain, grouped
-    sums = np.fft.ifft(by_dlog, axis=1, norm="forward")[:, 2:q - 2:2]
-    return q ** -0.5 * sums[0], (q * D) ** -0.5 * sums[1]
-
-
 def census(q: int, psi: RealCharacter, threshold: float) -> tuple[int, int]:
     """Count even primitive chi mod q with the product central value, and
     with the plain central value, exceeding the threshold in absolute value.
 
     Values come from the Hurwitz-zeta oracle through one FFT over the
-    discrete log (see _census_values): (q-1)(1 + phi(D)) Hurwitz points,
+    discrete log (see lvalues._family_L): (q-1)(1 + phi(D)) Hurwitz points,
     one row of q-1 per unit class mod D, in O(q log q + qD) time and O(q)
     memory plus one block of rows, whatever the size of D.
     """
@@ -274,7 +233,8 @@ def census(q: int, psi: RealCharacter, threshold: float) -> tuple[int, int]:
     if q * psi.D > 10**8:
         # the modulus-qD Hurwitz sum visits every unit b < qD
         raise ValueError(f"census limited to q D <= 10^8, got {q * psi.D}")
-    l_plain, l_twist = _census_values(q, psi)
+    # the even family is k = 2, 4, ..., q-3, as enumerate_even_primitive lists it
+    l_plain, l_twist = (v[2:q - 2:2] for v in _family_L(0.5, q, psi))
     count_product = int(np.count_nonzero(np.abs(l_plain * l_twist) > threshold))
     count_plain = int(np.count_nonzero(np.abs(l_plain) > threshold))
     return count_product, count_plain

@@ -52,16 +52,35 @@ def test_baseline_reads_the_config_and_table_arguments():
     assert list(params) == ["q", "D", "n_max", "Q"]
 
 
-@pytest.mark.parametrize("q,D", [(13, 5), (101, 65), (1009, 13)])
-def test_census_hurwitz_points(q, D, monkeypatch):
-    # the tracer's lvalues.hurwitz_points counts the size of each x that
-    # moments passes to hurwitz_zeta_vec: (q-1)(1 + phi(D)) per census
+def _hurwitz_points(monkeypatch, run) -> int:
+    """The tracer's lvalues.hurwitz_points for run(): the size of each x
+    passed to hurwitz_zeta_vec, which lvalues' family oracle looks up in
+    its own module."""
     sizes = []
+    original = lvalues.hurwitz_zeta_vec
 
     def counting(s, x):
         sizes.append(x.size)
-        return lvalues.hurwitz_zeta_vec(s, x)
+        return original(s, x)
 
-    monkeypatch.setattr(moments, "hurwitz_zeta_vec", counting)
-    moments.census(q, arith.RealCharacter(D), 1e-8)
-    assert sum(sizes) == (q - 1) * (1 + arith.euler_phi(D))
+    monkeypatch.setattr(lvalues, "hurwitz_zeta_vec", counting)
+    run()
+    return sum(sizes)
+
+
+@pytest.mark.parametrize("q,D", [(13, 5), (101, 65), (1009, 13)])
+def test_census_hurwitz_points(q, D, monkeypatch):
+    # (q-1)(1 + phi(D)) per census
+    points = _hurwitz_points(
+        monkeypatch, lambda: moments.census(q, arith.RealCharacter(D), 1e-8))
+    assert points == (q - 1) * (1 + arith.euler_phi(D))
+
+
+@pytest.mark.parametrize("q,D", [(13, 5), (101, 5), (101, 65)])
+def test_family_oracle_hurwitz_points(q, D, monkeypatch):
+    # afe-check's oracle over the even family takes the census's
+    # (q-1)(1 + phi(D)) points: 500 at q = 101, D = 5
+    family = characters.enumerate_even_primitive(characters.build_group(q))
+    points = _hurwitz_points(
+        monkeypatch, lambda: lvalues.oracle_products_at(0.5, family, arith.RealCharacter(D)))
+    assert points == (q - 1) * (1 + arith.euler_phi(D))

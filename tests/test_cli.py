@@ -106,6 +106,10 @@ CAPS = {
                      "--q/--D: AFE length n_max must be at most 2*10^6, got 7951683"),
     "moments-n_max": (["moments", "--q", "99991", "--D", "999997", "--X", "10"],
                       "--q/--D: AFE length n_max must be at most 2*10^6, got 5498573660"),
+    "afe-qD": (["afe-check", "--q", "43", "--D", "999997"],
+               "--q/--D: AFE modulus q D must be at most 10^7, got 42999871"),
+    "moments-qD": (["moments", "--q", "43", "--D", "999997", "--X", "10"],
+                   "--q/--D: AFE modulus q D must be at most 10^7, got 42999871"),
     "census-qD": (["census", "--q", "9973", "--D", "999997"],
                   "--q/--D/--threshold: census limited to q D <= 10^8, got 9972970081"),
 }

@@ -88,16 +88,16 @@ def test_afe_matches_oracle_family():
             assert abs(abs(pair.epsilon_product) - 1) < 1e-9
 
 
-def _oracle_product_per_character(chi, psi) -> complex:
-    """The oracle as written before the shared rows: each L-factor computes
-    its own Hurwitz row, zeta_H(1/2, a/m) for a = 1..m, and dots it with the
-    character's table."""
+def _oracle_product_per_character(chi, psi, s=0.5) -> complex:
+    """The oracle without the group's shared rows: each L-factor computes
+    its own Hurwitz row, zeta_H(s, a/m) for a = 1..m, and dots it with the
+    character's table, mod q and mod qD."""
 
     def dirichlet_L(modulus, values):
         a = np.arange(1, modulus + 1, dtype=np.float64)
         vals = values[np.arange(1, modulus + 1) % modulus]
-        total = np.dot(vals, hurwitz_zeta_vec(0.5, a / modulus))
-        return complex(np.exp(-0.5 * math.log(modulus)) * total)
+        total = np.dot(vals, hurwitz_zeta_vec(s, a / modulus))
+        return complex(np.exp(-s * math.log(modulus)) * total)
 
     q, D = chi.modulus, psi.D
     first = dirichlet_L(q, chi.values().astype(np.complex128))
@@ -116,7 +116,20 @@ def test_family_oracle_is_bit_identical_per_character(q, D):
     assert len(got) == len(family)
     for chi, z in zip(family, got):
         assert _hex(z) == _hex(oracle_product(chi, psi)), chi.k
-        assert _hex(z) == _hex(_oracle_product_per_character(chi, psi)), chi.k
+        want = _oracle_product_per_character(chi, psi)
+        assert abs(z - want) <= 1e-13 * max(1.0, abs(want)), chi.k
+
+
+@pytest.mark.parametrize("s", [0.4, 0.6, 0.5 + 3j])
+@pytest.mark.parametrize("q,D", [(13, 5), (29, 13), (101, 5)])
+def test_family_oracle_off_center_and_odd(q, D, s):
+    # every nontrivial character, odd ones included, off the central point
+    psi = RealCharacter(D)
+    group = build_group(q)
+    family = [group.character(k) for k in range(1, q - 1)]
+    for chi, z in zip(family, oracle_products_at(s, family, psi)):
+        want = _oracle_product_per_character(chi, psi, s)
+        assert abs(z - want) <= 1e-13 * max(1.0, abs(want)), chi.k
 
 
 def test_family_oracle_guards():
@@ -129,6 +142,8 @@ def test_family_oracle_guards():
                                  build_group(29).character(2)], psi)
     with pytest.raises(ValueError, match="Re"):
         oracle_products_at(0.0, [build_group(13).character(2)], psi)
+    with pytest.raises(ValueError, match="pole at s=1"):
+        oracle_products_at(1.0, [build_group(13).character(2)], psi)
 
 
 def test_afe_conjugation_symmetry():

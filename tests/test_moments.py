@@ -12,11 +12,22 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lmoll.arith import RealCharacter, _cpow, divisors, eval_rho, factor, kloosterman
+from lmoll.arith import (
+    RealCharacter,
+    _cpow,
+    divisors,
+    eval_rho,
+    factor,
+    kloosterman,
+    primes_up_to,
+)
 from lmoll.characters import build_group, enumerate_even_primitive, phi_plus
 from lmoll.lvalues import (
     AFEConfig,
+    _family_L,
     afe_central,
     default_config,
     hurwitz_zeta_vec,
@@ -27,7 +38,6 @@ from lmoll.moments import (
     EulerProductFamily,
     MollifierTable,
     MomentReport,
-    _census_values,
     _kloosterman_row,
     _restricted_inverse_triple_sums,
     build_mollifier,
@@ -195,7 +205,7 @@ def census_full_sum(q, psi):
 
 
 def census_values_by_loop(q, psi):
-    """Reference for _census_values: the full sum, then one length-q dot
+    """Reference for census's values: the full sum, then one length-q dot
     product per character."""
     D = psi.D
     z_plain, grouped = census_full_sum(q, psi)
@@ -213,10 +223,12 @@ class TestCensus:
     def test_matches_per_character_oracle(self, q):
         counts = census(q, PSI5, 1e-8)
         nprod = nplain = 0
-        for chi in enumerate_even_primitive(build_group(q)):
+        ref_plain, ref_twist = census_values_by_loop(q, PSI5)
+        for chi, product in zip(enumerate_even_primitive(build_group(q)),
+                                ref_plain * ref_twist):
             if abs(oracle_L(0.5, chi)) > 1e-8:
                 nplain += 1
-            if abs(oracle_products_at(0.5, [chi], PSI5)[0]) > 1e-8:
+            if abs(product) > 1e-8:
                 nprod += 1
         assert counts == (nprod, nplain)
 
@@ -224,7 +236,7 @@ class TestCensus:
                                      (1009, 13)])
     def test_fft_matches_per_character_loop(self, q, D):
         psi = RealCharacter(D)
-        plain, twist = _census_values(q, psi)
+        plain, twist = (v[2:q - 2:2] for v in _family_L(0.5, q, psi))
         ref_plain, ref_twist = census_values_by_loop(q, psi)
         assert plain.shape == twist.shape == (phi_plus(q),)
         assert np.max(np.abs(plain - ref_plain)) < 1e-12
@@ -240,9 +252,9 @@ class TestCensus:
             calls.append(np.array(x))
             return hurwitz_zeta_vec(s, x)
 
-        monkeypatch.setattr("lmoll.moments.hurwitz_zeta_vec", recording)
+        monkeypatch.setattr("lmoll.lvalues.hurwitz_zeta_vec", recording)
         psi = RealCharacter(D)
-        _census_values(q, psi)
+        _family_L(0.5, q, psi)
         # calls[0] is the plain sum's zeta(1/2, a/q); the rest are CRT rows
         rows = np.concatenate([np.reshape(x, (-1, q - 1)) for x in calls[1:]])
         b = np.rint(rows * (q * D)).astype(np.int64)
@@ -257,7 +269,8 @@ class TestCensus:
         psi = RealCharacter(D)
         family = enumerate_even_primitive(build_group(q))
         plain = [oracle_L(0.5, chi) for chi in family]
-        product = oracle_products_at(0.5, family, psi)
+        ref_plain, ref_twist = census_values_by_loop(q, psi)
+        product = ref_plain * ref_twist
         for threshold in (1e-8, 0.5, 1.0):
             want = (sum(abs(v) > threshold for v in product),
                     sum(abs(v) > threshold for v in plain))
@@ -266,14 +279,14 @@ class TestCensus:
     def test_qD_cap_before_any_table(self, monkeypatch):
         # q D <= 10^8: 9973 * 10021 = 99,939,433 reaches the sum (stubbed
         # here), 9973 * 10029 = 100,019,217 and 9973 * 999997 do not
-        monkeypatch.setattr("lmoll.moments._census_values",
-                            lambda q, psi: (np.ones(3), np.ones(3)))
-        assert census(9973, RealCharacter(10021), 1e-8) == (3, 3)
+        monkeypatch.setattr("lmoll.moments._family_L",
+                            lambda s, q, psi: (np.ones(q - 1), np.ones(q - 1)))
+        assert census(9973, RealCharacter(10021), 1e-8) == (phi_plus(9973),) * 2
 
-        def fail(q, psi):
+        def fail(s, q, psi):
             raise AssertionError("census summed past its cap")
 
-        monkeypatch.setattr("lmoll.moments._census_values", fail)
+        monkeypatch.setattr("lmoll.moments._family_L", fail)
         for D in (10029, 999997):
             tracemalloc.start()
             try:
@@ -286,9 +299,9 @@ class TestCensus:
 
     def test_block_size_does_not_change_bits(self, monkeypatch):
         psi = RealCharacter(13)
-        whole = _census_values(1009, psi)
-        monkeypatch.setattr("lmoll.moments._CENSUS_BLOCK", 1000)
-        blocked = _census_values(1009, psi)
+        whole = _family_L(0.5, 1009, psi)
+        monkeypatch.setattr("lmoll.lvalues._FAMILY_BLOCK", 1000)
+        blocked = _family_L(0.5, 1009, psi)
         assert all(np.array_equal(x, y) for x, y in zip(whole, blocked))
 
     def test_memory_bounded_by_block(self):
@@ -322,6 +335,48 @@ class TestCensus:
             census(10007 * 2, PSI5, 1e-8)   # composite
         with pytest.raises(ValueError):
             census(10037, PSI5, 1e-8)       # prime but beyond the cap
+
+
+# random families: prime q < 100 and squarefree D = 1 mod 4, D <= 101, coprime
+FAMILIES = st.tuples(
+    st.sampled_from([p for p in primes_up_to(100) if p >= 5]),
+    st.sampled_from([D for D in range(5, 102, 4) if factor(D).is_squarefree()]),
+).filter(lambda qD: math.gcd(*qD) == 1)
+
+
+class TestRandomFamilies:
+    """The independent routes of each L-value quantity agree on random
+    families, beyond the fixed moduli of the tests above."""
+
+    @settings(max_examples=8, deadline=None)
+    @given(FAMILIES)
+    def test_afe_matches_oracle(self, qD):
+        q, D = qD
+        psi = RealCharacter(D)
+        cfg = default_config(q, D)
+        family = enumerate_even_primitive(build_group(q))
+        for chi, want in zip(family, oracle_products_at(0.5, family, psi)):
+            got = afe_central(chi, psi, cfg).L_central
+            assert abs(got - want) <= 2 * cfg.tail_budget + 1e-12 * max(1.0, abs(want)), chi.k
+
+    @settings(max_examples=20, deadline=None)
+    @given(FAMILIES)
+    def test_census_values_match_loop(self, qD):
+        q, D = qD
+        psi = RealCharacter(D)
+        plain, twist = (v[2:q - 2:2] for v in _family_L(0.5, q, psi))
+        ref_plain, ref_twist = census_values_by_loop(q, psi)
+        assert np.max(np.abs(plain - ref_plain)) < 1e-12
+        assert np.max(np.abs(twist - ref_twist)) < 1e-12
+
+    @settings(max_examples=8, deadline=None)
+    @given(FAMILIES, st.data())
+    def test_first_moment_matches_orthogonality(self, qD, data):
+        q, D = qD
+        psi = RealCharacter(D)
+        X = data.draw(st.integers(1, q), label="X")
+        s1 = mollified_moments(q, psi, X).s1
+        assert abs(s1 - first_moment_by_orthogonality(q, psi, X)) <= 1e-12 * max(1.0, abs(s1))
 
 
 class TestEulerProducts:
