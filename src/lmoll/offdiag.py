@@ -6,7 +6,9 @@ main term built from a singular series of Ramanujan sums times smooth
 overlap integrals.  The singular series has a companion Dirichlet series in
 the shift variable whose value at 1 is 1/zeta(2) exactly; the Mellin-side
 kernel H(u, v) that controls the smooth integrals is checked against its
-Gauss-product form.
+Gauss-product form.  Both forms take each evaluation's Gamma and 1/Gamma
+values from one call of special.gamma_many; the overlap integrals of the
+main term are adaptive quad calls, one per shift.
 
 Truncated quantities always travel with a computed tail bound.  The shift
 series is only conditionally convergent, so partial sums are taken in
@@ -20,7 +22,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import rgamma
 
 from .arith import (
     RealCharacter,
@@ -34,7 +35,7 @@ from .arith import (
 )
 from .lvalues import oracle_L
 from .reduction import exact_sum
-from .special import SmoothBump, gamma_complex
+from .special import SmoothBump, gamma_complex, gamma_many, rgamma_complex
 
 __all__ = [
     "ShiftedConvParams",
@@ -535,16 +536,15 @@ def _check_kernel_point(u: complex, v: complex) -> tuple[complex, complex]:
 
 def H_kernel_plus(u: complex, v: complex) -> complex:
     u, v = _check_kernel_point(u, v)
-    return gamma_complex(u + v) * (
-        gamma_complex(0.5 - v) * complex(rgamma(0.5 + u))
-        + gamma_complex(0.5 - u) * complex(rgamma(0.5 + v))
-    )
+    g_w, g_v, g_u, r_u, r_v = gamma_many((u + v, 0.5 - v, 0.5 - u), (0.5 + u, 0.5 + v))
+    return g_w * (g_v * r_u + g_u * r_v)
 
 
 def H_kernel_minus(u: complex, v: complex) -> complex:
     # reciprocal gamma keeps the zero at u + v = 1 exact
     u, v = _check_kernel_point(u, v)
-    return gamma_complex(0.5 - u) * gamma_complex(0.5 - v) * complex(rgamma(1 - u - v))
+    g_u, g_v, r_w = gamma_many((0.5 - u, 0.5 - v), (1 - u - v,))
+    return g_u * g_v * r_w
 
 
 def H_kernel(u: complex, v: complex) -> complex:
@@ -554,9 +554,10 @@ def H_kernel(u: complex, v: complex) -> complex:
 def H_kernel_product_form(u: complex, v: complex) -> complex:
     """Gauss-product route: sqrt(pi) times a ratio of half-argument gammas."""
     u, v = _check_kernel_point(u, v)
-    num = gamma_complex((u + v) / 2) * gamma_complex((0.5 - u) / 2) * gamma_complex((0.5 - v) / 2)
-    den = complex(rgamma((1 - u - v) / 2)) * complex(rgamma((0.5 + u) / 2)) * complex(rgamma((0.5 + v) / 2))
-    return math.sqrt(math.pi) * num * den
+    g_w, g_u, g_v, r_w, r_u, r_v = gamma_many(
+        ((u + v) / 2, (0.5 - u) / 2, (0.5 - v) / 2),
+        ((1 - u - v) / 2, (0.5 + u) / 2, (0.5 + v) / 2))
+    return math.sqrt(math.pi) * (g_w * g_u * g_v) * (r_w * r_u * r_v)
 
 
 # ------------------------------------------------------------------ integrals
@@ -567,5 +568,5 @@ def power_overlap_closed(T: float, u: float, v: float) -> float:
     for 0 < v < 1/2 and u + v > 0."""
     if not (T > 0 and 0 < v < 0.5 and u + v > 0):
         raise ValueError("need T > 0, 0 < v < 1/2, u + v > 0")
-    value = gamma_complex(u + v) * gamma_complex(0.5 - v) * complex(rgamma(0.5 + u))
+    value = gamma_complex(u + v) * gamma_complex(0.5 - v) * rgamma_complex(0.5 + u)
     return T ** (-(u + v)) * value.real

@@ -1,7 +1,9 @@
 """Special functions for the central-value machinery.
 
 Gamma and digamma by a fixed Lanczos approximation with reflection, one
-array implementation each (the scalar forms call it on one element).  The
+array implementation each (the scalar forms call it on one element); the
+reciprocal gamma is 1/Gamma, set to exactly 0 at the poles, and gamma_many
+takes a kernel's Gamma and 1/Gamma values from one array call.  The
 three smooth weights V1, W1, W2 of the approximate functional equation are
 inverse Mellin transforms
 
@@ -27,7 +29,7 @@ per-point cost, and takes one product with the kinds' stacked kernel rows.
 The t-grid is symmetric about 0, so only the t <= 0 half of the row goes
 through exp; the t > 0 half is its mirror image conjugated, exactly (below).
 
-Also here: a C-infinity bump template.
+Also here: a C-infinity bump template, with its mass in closed form.
 """
 
 from __future__ import annotations
@@ -56,11 +58,29 @@ def _is_nonpositive_integer(s: complex) -> bool:
     return s.imag == 0.0 and s.real <= 0.0 and s.real == round(s.real)
 
 
+def gamma_many(gam, rgam=()) -> list[complex]:
+    """Gamma at each point of gam, then 1/Gamma at each point of rgam, from
+    one _gamma_arr call: each value has the bits of its scalar form, at the
+    cost of one scalar call.  A pole in gam raises; 1/Gamma is exactly 0 at
+    the poles s = 0, -1, -2, ..."""
+    for s in gam:
+        if _is_nonpositive_integer(s):
+            raise ValueError(f"gamma pole at s={s}")
+    poles = [_is_nonpositive_integer(s) for s in rgam]
+    # Gamma is not evaluated at a pole (its reflection would divide by 0)
+    points = [*gam, *(1.0 if pole else s for s, pole in zip(rgam, poles))]
+    vals = _gamma_arr(np.array(points, dtype=np.complex128)).tolist()
+    return vals[:len(gam)] + [0j if pole else 1 / g for pole, g in zip(poles, vals[len(gam):])]
+
+
 def gamma_complex(s: complex) -> complex:
     """Gamma(s) by Lanczos (g=7, 9 terms), reflection for Re(s) < 1/2."""
-    if _is_nonpositive_integer(s):
-        raise ValueError(f"gamma pole at s={s}")
-    return complex(_gamma_arr(np.array([s], dtype=np.complex128))[0])
+    return gamma_many((s,))[0]
+
+
+def rgamma_complex(s: complex) -> complex:
+    """1/Gamma(s), exactly 0 at the poles."""
+    return gamma_many((), (s,))[0]
 
 
 def digamma_complex(s: complex) -> complex:
@@ -224,6 +244,11 @@ def kernel_abs_moment(kind: str, logQ: float, sigma: float) -> float:
     return _QUAD_STEP / (2 * math.pi) * float(np.sum(np.abs(kern)))
 
 
+# (1/2) int_{-1}^{1} exp(1 - 1/(1 - v^2)) dv, the template's mass per unit
+# width of support (mpmath, 40 digits: 0.6034501612189380876681189981652416974166)
+_BUMP_MASS = 0.60345016121893808766811899816524
+
+
 class SmoothBump:
     """C-infinity bump supported on [lo, hi], sup-normalized to peak 1.
 
@@ -264,6 +289,8 @@ class SmoothBump:
             y[inside] = v
         return y if y.shape or out is not None else float(y)
 
-    def grid(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        xs = np.linspace(self.lo, self.hi, n)
-        return xs, self(xs)
+    @property
+    def mass(self) -> float:
+        """int g = (hi - lo) K, with K the template's mass on a unit width."""
+        return (self.hi - self.lo) * _BUMP_MASS
+

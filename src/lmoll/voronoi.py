@@ -2,9 +2,10 @@
 
 For a smooth compactly supported g, the sum of (1 * psi)(n) e(an/c) g(n)
 is evaluated two ways: directly over the support, and through its dual
-expansion -- a constant term proportional to L(1, psi) plus two Bessel
-sums (Y0 oscillatory, K0 exponentially decaying) over the convolution
-coefficients of the factor characters psi1 mod (c, D) and psi2 mod D/(c, D).
+expansion -- a constant term proportional to L(1, psi) and to the bump's
+closed-form mass, plus two Bessel sums (Y0 oscillatory, K0 exponentially
+decaying) over the convolution coefficients of the factor characters psi1
+mod (c, D) and psi2 mod D/(c, D).
 All three coprimality regimes of (c, D) go through the same formula, with
 the principal character mod 1 filling in the degenerate slots; it shares
 the real character's interface, so Gauss sums and the convolution
@@ -21,9 +22,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import k0 as bessel_k0
-from scipy.special import y0 as bessel_y0
+from scipy.special import k0 as bessel_k0, y0 as bessel_y0
 
 from .arith import (PrincipalCharacter, RealCharacter, ResidueCharacter,
                     character_convolution, one_star_psi_table)
@@ -246,13 +245,12 @@ def voronoi_rhs(case: VoronoiCase, g: SmoothBump, m_max: int = 100000) -> Vorono
     c, D = case.c, case.psi.D
     D_c = case.D_c
     t0, t1 = math.sqrt(g.lo), math.sqrt(g.hi)
-    g_mass = quad(g, g.lo, g.hi, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
 
     if case.shared == D:
         rho = gauss_sum(case.psi) * case.psi(case.a) / c
     else:
         rho = complex(case.psi(c)) / c
-    main = rho * oracle_L(1.0, case.psi).real * g_mass
+    main = rho * oracle_L(1.0, case.psi).real * g.mass
 
     tau2 = gauss_sum(case.psi2)
     psi2_c = case.psi2(c)
@@ -305,7 +303,7 @@ def voronoi_rhs(case: VoronoiCase, g: SmoothBump, m_max: int = 100000) -> Vorono
                for mm in range(1, m_stop_k + 1)]
     dual_k = pref_k * fsum_complex(k_terms)
     k_cut = float(np.dot(np.arange(1, m_stop_k + 1), k_vals[:, 1]))
-    k_tail = _k0_sum_tail(beta, m_stop_k, g_mass) + k_cut
+    k_tail = _k0_sum_tail(beta, m_stop_k, g.mass) + k_cut
 
     insufficient = (not y_settled) or (m_stop_k == m_max and k_tail > 1e-10)
     tail = (abs(pref_y) * y_tail + abs(pref_k) * k_tail

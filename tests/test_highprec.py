@@ -1,15 +1,18 @@
 """High-precision oracle tier: the Hurwitz-zeta route against mpmath at 30
-digits, and the certified Euler-Maclaurin shift behind it."""
+digits, and the certified Euler-Maclaurin shift behind it; the bump's
+closed-form mass and the reciprocal gamma of the H kernels."""
 
 from __future__ import annotations
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 
 from lmoll.arith import RealCharacter
+from lmoll.cli import _H_POINTS
 from lmoll.characters import build_group, product_values
 from lmoll.lvalues import (
     _EM_TOL,
@@ -18,6 +21,7 @@ from lmoll.lvalues import (
     hurwitz_zeta_vec,
     oracle_product,
 )
+from lmoll.special import SmoothBump, gamma_complex, gamma_many, rgamma_complex
 
 # 1/129649 = 1/(9973*13), the smallest x of a census at q = 9973, D = 13
 XS = (1 / 129649, 1e-5, 0.1, 0.5, 1.0)
@@ -109,3 +113,50 @@ def test_em_bound_covers_the_remainder(s, n):
 def test_rejections(s, x, match):
     with pytest.raises(ValueError, match=match):
         hurwitz_zeta_vec(s, np.array(x))
+
+
+# the bump template's mass per unit width, (1/2) int_{-1}^{1} e^{1 - 1/(1 - v^2)} dv
+BUMP_MASS_30 = "0.603450161218938087668118998165"
+
+
+def _bump_mass_mp():
+    return mpmath.quad(lambda v: mpmath.exp(1 - 1 / (1 - v * v)), [-1, 0, 1]) / 2
+
+
+def test_bump_mass_constant_to_30_digits():
+    with mpmath.workdps(30):
+        assert abs(_bump_mass_mp() - mpmath.mpf(BUMP_MASS_30)) < mpmath.mpf("1e-29")
+
+
+@pytest.mark.parametrize("lo,hi", [(50, 4850), (30, 3630), (10, 100), (1, 1.5)])
+def test_bump_mass_within_one_ulp(lo, hi):
+    with mpmath.workdps(30):
+        want = float((mpmath.mpf(hi) - lo) * _bump_mass_mp())
+    assert abs(SmoothBump(lo, hi).mass - want) <= math.ulp(want)
+
+
+def _h_kernel_rgamma_args():
+    """Every argument the H kernels hand to the reciprocal gamma, at the
+    identity suite's points and on its u + v = 1 line."""
+    points = list(_H_POINTS) + [(1.0 - v, v) for v in (0.1, 0.2)]
+    args = []
+    for u, v in points:
+        u, v = complex(u), complex(v)
+        args += [0.5 + u, 0.5 + v, 1 - u - v, (1 - u - v) / 2, (0.5 + u) / 2, (0.5 + v) / 2]
+    return args
+
+
+@pytest.mark.parametrize("s", _h_kernel_rgamma_args())
+def test_rgamma_matches_mpmath_on_kernel_arguments(s):
+    with mpmath.workdps(30):
+        want = complex(mpmath.rgamma(s))
+    assert abs(rgamma_complex(s) - want) <= 1e-14 * abs(want), s
+
+
+@pytest.mark.parametrize("s", (0, -1, -2, -3, 0j, -2.0 + 0j))
+def test_rgamma_is_exactly_zero_at_poles(s):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no division by zero on the way
+        got = rgamma_complex(s)
+        assert gamma_many((0.5,), (s, 0.5)) == [gamma_complex(0.5), 0j, rgamma_complex(0.5)]
+    assert type(got) is complex and got == 0j

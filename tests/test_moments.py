@@ -24,9 +24,10 @@ from lmoll.arith import (
     kloosterman,
     primes_up_to,
 )
-from lmoll.characters import build_group, enumerate_even_primitive, phi_plus
+from lmoll.characters import build_group, enumerate_even_primitive, epsilon, phi_plus
 from lmoll.lvalues import (
     AFEConfig,
+    _budgeted_tables,
     _family_L,
     afe_central,
     default_config,
@@ -54,6 +55,7 @@ from lmoll.moments import (
     tau4_table,
 )
 from lmoll.reduction import fsum_complex
+from lmoll.special import eval_weight
 
 PSI5 = RealCharacter(5)
 
@@ -377,6 +379,55 @@ class TestRandomFamilies:
         X = data.draw(st.integers(1, q), label="X")
         s1 = mollified_moments(q, psi, X).s1
         assert abs(s1 - first_moment_by_orthogonality(q, psi, X)) <= 1e-12 * max(1.0, abs(s1))
+
+
+FIRST_MOMENT_PARTS = ("a = n = 1", "other an = +-1", "-1 mean", "dual")
+
+
+def first_moment_parts(q, psi, X):
+    """first_moment_by_orthogonality split into its four parts, on the same
+    tables and truncation: the a = n = 1 term (q-1)/2 V(1/Q), the other
+    terms with an = +-1 mod q, the -1 mean over units n, and the dual side
+    of Kloosterman sums S(1, +-n/(Da); q).  Keyed by FIRST_MOMENT_PARTS."""
+    D = psi.D
+    cfg = default_config(q, D)
+    vcol = _budgeted_tables(q, D, cfg)["V"]
+    n_mod = np.arange(1, cfg.n_max + 1, dtype=np.int64) % q
+    unit = n_mod != 0
+    kl = _kloosterman_row(q)
+    phi_q = q - 1
+    c_eps = complex(psi(q) * epsilon(psi)) / (2.0 * q)
+    table = build_mollifier(psi, X)
+    parts = {name: [] for name in FIRST_MOMENT_PARTS}
+    for a, rho in zip(table.a.tolist(), table.rho.tolist()):
+        if a % q == 0:
+            continue
+        weight = rho / math.sqrt(a)
+        an_mod = (a * n_mod) % q
+        hits = float(np.sum(vcol[unit & ((an_mod == 1) | (an_mod == q - 1))]))
+        first = vcol[0] if a == 1 else 0.0  # n = 1 is a hit exactly when a = 1
+        parts["a = n = 1"].append(weight * 0.5 * phi_q * first)
+        parts["other an = +-1"].append(weight * 0.5 * phi_q * (hits - first))
+        parts["-1 mean"].append(-weight * float(np.sum(vcol[unit])))
+        w = (n_mod * pow(D * a, -1, q)) % q
+        dual = vcol * (c_eps * (phi_q * (kl[w] + kl[(q - w) % q]) - 2.0))
+        parts["dual"].append(weight * complex(np.sum(dual[unit])))
+    return {name: fsum_complex(terms) for name, terms in parts.items()}
+
+
+class TestFirstMomentParts:
+    """The first moment by orthogonality, split into the four parts that
+    locate criterion 12a's miss; the parts must add back up."""
+
+    @pytest.mark.parametrize("q", [101, 211])
+    def test_parts_sum_back(self, q):
+        whole = first_moment_by_orthogonality(q, PSI5, 25)
+        parts = first_moment_parts(q, PSI5, 25)
+        assert abs(sum(parts.values()) - whole) <= 1e-12 * max(1.0, abs(whole))
+        # the a = n = 1 term is (q-1)/2 V(1/Q), real
+        cfg = default_config(q, 5)
+        v1 = eval_weight("V1", math.log(cfg.Q), 1.0 / cfg.Q)
+        assert parts["a = n = 1"] == pytest.approx(0.5 * (q - 1) * v1, rel=1e-10)
 
 
 class TestEulerProducts:

@@ -1,5 +1,6 @@
-"""Gamma/digamma, the Mellin-inversion weights and their transforms, the
-Bessel kernels the Voronoi side evaluates, and the bump template."""
+"""Gamma, its reciprocal and digamma, the Mellin-inversion weights and
+their transforms, the Bessel kernels the Voronoi side evaluates, and the
+bump template."""
 
 from __future__ import annotations
 
@@ -33,9 +34,11 @@ from lmoll.special import (
     eval_weight,
     eval_weight_many,
     gamma_complex,
+    gamma_many,
     kernel_abs_moment,
     mellin_principal_part,
     mellin_weight,
+    rgamma_complex,
 )
 from lmoll.voronoi import bessel_k0, bessel_y0
 
@@ -80,6 +83,32 @@ def test_gamma_matches_reference_random(re, im):
     ref = scipy.special.gamma(complex(re, im))
     assume(0 < abs(ref) < math.inf)
     assert abs(gamma_complex(complex(re, im)) - ref) / abs(ref) < 1e-12
+
+
+def test_rgamma_matches_scipy_on_grid():
+    # the grid crosses the poles 0, -1, ..., -6 on the real line, where both
+    # sides are exactly 0
+    zeros = 0
+    for re in np.arange(-6.0, 6.01, 0.25):
+        for im in (0.0, 0.5, -0.5, 2.0, -2.0, 5.0, -5.0):
+            s = complex(re, im)
+            ref = complex(scipy.special.rgamma(s))
+            got = rgamma_complex(s)
+            if ref == 0:
+                assert got == 0j, s
+                zeros += 1
+            else:
+                assert abs(got - ref) <= 1e-13 * abs(ref), s
+    assert zeros == 7
+
+
+def test_gamma_many_has_the_bits_of_the_scalar_forms():
+    rng = np.random.default_rng(3)
+    pts = (rng.uniform(-20, 20, 64) + 1j * rng.uniform(-10, 10, 64)).tolist()
+    want = [gamma_complex(s) for s in pts] + [rgamma_complex(s) for s in pts + [-4.0]]
+    assert gamma_many(pts, pts + [-4.0]) == want
+    with pytest.raises(ValueError, match="pole"):
+        gamma_many((0.5, -3.0))
 
 
 def test_digamma_matches_reference():
