@@ -43,9 +43,6 @@ class CharacterGroup:
     def character(self, k: int) -> "DirichletCharacter":
         return DirichletCharacter(self, k % (self.q - 1))
 
-    def __iter__(self):
-        return (self.character(k) for k in range(self.q - 1))
-
 
 class DirichletCharacter(ResidueCharacter):
     """chi_k mod prime q; chi_k(g^j) = e(jk/(q-1))."""

@@ -113,7 +113,7 @@ def _render(record: dict, fmt: str = "json", fields: tuple[str, ...] = ()) -> st
     """The payload: canonical JSON (sorted keys, one line), or for csv a
     header of fields and one row of the record's values in that order."""
     if fmt == "json":
-        return json.dumps(record, sort_keys=True)
+        return json.dumps(record, sort_keys=True, allow_nan=False)
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(fields)
@@ -151,9 +151,9 @@ def _cmd_moments(args) -> int:
     with _flags("--D"):
         psi = RealCharacter(args.D)
     with _flags("--q/--D"):
-        cfg = default_config(args.q, args.D)
+        default_config(args.q, args.D)  # the AFE caps, before any table
     with _flags("--q/--X"):
-        report = mollified_moments(args.q, psi, args.X, cfg, args.threshold)
+        report = mollified_moments(args.q, psi, args.X, args.threshold)
     payload = _render(report.record(), args.format,
                       ("q", "D", "X", "s1_re", "s1_im", "s2", "ratio",
                        "census_nonzero", "phi_plus"))
@@ -168,9 +168,9 @@ def _cmd_afe_check(args) -> int:
     with _flags("--D"):
         psi = RealCharacter(args.D)
     with _flags("--q/--D"):
-        cfg = default_config(args.q, args.D)
+        default_config(args.q, args.D)  # the AFE caps, before any table
         family = enumerate_even_primitive(build_group(args.q))
-        centrals = [afe_central(chi, psi, cfg).L_central for chi in family]
+        centrals = [afe_central(chi, psi).L_central for chi in family]
         oracles = oracle_products_at(0.5, family, psi)
         residuals = [abs(c - o) for c, o in zip(centrals, oracles)]
     worst = max(residuals, default=0.0)
@@ -325,7 +325,8 @@ def _cmd_voronoi_check(args) -> int:
         "lhs": [lhs.real, lhs.imag],
         "residual": residual,
         "rhs": [rhs.value.real, rhs.value.imag],
-        "tail_bound": rhs.tail_bound,
+        # an inf bound (the sum stopped short of its certified stop) is null
+        "tail_bound": rhs.tail_bound if math.isfinite(rhs.tail_bound) else None,
     })
     _emit(payload,
           f"voronoi-check D={args.D} c={args.c} a={args.a}: "

@@ -22,6 +22,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 
@@ -236,19 +237,13 @@ _AFE_MAX_QD = 10**7
 
 @dataclass(frozen=True)
 class AFEConfig:
+    """The AFE setup of the family mod q twisted by psi mod D, as
+    default_config(q, D) derives it."""
+
     Q: float
     n_max: int
-    tail_budget: float = 1e-10
-
-    def __post_init__(self):
-        if not self.Q > 0:
-            raise ValueError("Q must be positive")
-        if self.n_max < math.ceil(self.Q):
-            raise ValueError("n_max must be at least ceil(Q)")
-        if self.n_max > _AFE_MAX_N:
-            raise ValueError(f"AFE length n_max must be at most 2*10^6, got {self.n_max}")
-        if not 0 < self.tail_budget <= 1e-10:
-            raise ValueError("tail_budget must be in (0, 1e-10]")
+    # the most any certified truncation tail may be
+    tail_budget: ClassVar[float] = 1e-10
 
     @property
     def logQ(self) -> float:
@@ -256,14 +251,18 @@ class AFEConfig:
 
 
 def default_config(q: int, D: int) -> AFEConfig:
+    """The analytic conductor Q = q sqrt(D)/pi of L(s,chi)L(s,chi psi) and
+    the AFE length n_max = ceil(Q max(30, 10 log Q)); raises beyond the
+    caps on n_max and q D, before any table."""
     if q < 1:
         raise ValueError(f"modulus must be positive, got {q}")
     Q = q * math.sqrt(D) / math.pi
     n_max = math.ceil(Q * max(30.0, 10.0 * math.log(Q)))
-    cfg = AFEConfig(Q=Q, n_max=n_max)
+    if n_max > _AFE_MAX_N:
+        raise ValueError(f"AFE length n_max must be at most 2*10^6, got {n_max}")
     if q * D > _AFE_MAX_QD:
         raise ValueError(f"AFE modulus q D must be at most 10^7, got {q * D}")
-    return cfg
+    return AFEConfig(Q=Q, n_max=n_max)
 
 
 @dataclass(frozen=True)
@@ -304,7 +303,7 @@ def _afe_tables(q: int, D: int, n_max: int, Q: float):
 
     "tails" holds the certified tail bound of each weight.  The bounds
     depend only on Q and n_max, so they are computed here once per entry;
-    afe_central compares them with its config's budget."""
+    _budgeted_tables compares them with the budget."""
     psi = RealCharacter(D)
     coeff = one_star_psi_table(psi, n_max)[1:].astype(np.float64)
     n = np.arange(1, n_max + 1, dtype=np.float64)
@@ -320,27 +319,26 @@ def _afe_tables(q: int, D: int, n_max: int, Q: float):
     return {"V": coeff * v, "W1": coeff * w1, "W2": coeff * w2, "tails": tails}
 
 
-def _budgeted_tables(q: int, D: int, cfg: AFEConfig):
-    """_afe_tables for cfg, raising when cfg.Q is not q sqrt(D)/pi or a
-    certified tail exceeds cfg.tail_budget, so no truncated sum leaves
+def _budgeted_tables(q: int, D: int):
+    """The family's AFE setup and its _afe_tables columns, raising when a
+    certified tail exceeds AFEConfig.tail_budget, so no truncated sum leaves
     without its bound."""
-    if abs(cfg.Q - q * math.sqrt(D) / math.pi) > 1e-9 * cfg.Q:
-        raise ValueError("cfg.Q inconsistent with q sqrt(D)/pi")
+    cfg = default_config(q, D)
     cols = _afe_tables(q, D, cfg.n_max, cfg.Q)
     for kind, t in cols["tails"].items():
         if t > cfg.tail_budget:
             raise ValueError(
                 f"certified {kind} tail {t:.3e} exceeds budget {cfg.tail_budget:.3e}"
             )
-    return cols
+    return cfg, cols
 
 
-def afe_central(chi: DirichletCharacter, psi: RealCharacter,
-                cfg: AFEConfig | None = None) -> CentralValuePair:
+def afe_central(chi: DirichletCharacter, psi: RealCharacter) -> CentralValuePair:
     """Central value and derivative combination for L(s,chi)L(s,chi psi).
 
-    Truncation at cfg.n_max carries a certified tail bound; if the bound
-    exceeds cfg.tail_budget this raises rather than return a doubtful value.
+    Truncation at n_max carries a certified tail bound; if the bound
+    exceeds AFEConfig.tail_budget this raises rather than return a doubtful
+    value.
     """
     if chi.is_trivial:
         raise ValueError("principal character rejected")
@@ -349,9 +347,7 @@ def afe_central(chi: DirichletCharacter, psi: RealCharacter,
     q, D = chi.modulus, psi.D
     if math.gcd(q, D) != 1:
         raise ValueError("moduli must be coprime")
-    if cfg is None:
-        cfg = default_config(q, D)
-    cols = _budgeted_tables(q, D, cfg)
+    cfg, cols = _budgeted_tables(q, D)
     chivals = chi.values_at(np.arange(1, cfg.n_max + 1))
     eps = epsilon(chi) * epsilon_product_direct(chi, psi)
     s_v1 = complex(np.dot(cols["V"], chivals))

@@ -38,7 +38,7 @@ from .characters import (
     epsilon,
     phi_plus,
 )
-from .lvalues import AFEConfig, _budgeted_tables, _family_L, afe_central, default_config
+from .lvalues import _budgeted_tables, _family_L, afe_central
 from .reduction import exact_sum, fsum_complex
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
     "first_moment_by_orthogonality",
     "census",
     "euler_product",
-    "restricted_divisor_product_check",
     "restricted_divisor_product_residuals",
     "g_family_eval",
     "tau4_table",
@@ -128,11 +127,10 @@ def _moment_guards(q: int, psi: RealCharacter, X: int) -> None:
     if math.gcd(q, psi.D) != 1:
         raise ValueError("moduli must be coprime")
     if not 1 <= X <= q:
-        raise ValueError("mollifier cutoff limited to X <= q")
+        raise ValueError(f"mollifier cutoff X must lie in [1, q], got {X}")
 
 
 def mollified_moments(q: int, psi: RealCharacter, X: int,
-                      cfg: AFEConfig | None = None,
                       threshold: float = 1e-8) -> MomentReport:
     """First and second mollified moments over the even primitive family.
 
@@ -143,15 +141,13 @@ def mollified_moments(q: int, psi: RealCharacter, X: int,
     threshold in absolute value.
     """
     _moment_guards(q, psi, X)
-    if cfg is None:
-        cfg = default_config(q, psi.D)
     table = build_mollifier(psi, X)
     family = enumerate_even_primitive(build_group(q))
 
     terms = []
     nonzero = 0
     for chi in family:
-        central = afe_central(chi, psi, cfg).L_central
+        central = afe_central(chi, psi).L_central
         terms.append(central * eval_mollifier(table, chi))
         nonzero += int(abs(central) > threshold)
     s1 = fsum_complex(terms)
@@ -174,8 +170,7 @@ def _kloosterman_row(q: int) -> np.ndarray:
     return np.fft.ifft(f, norm="forward").real
 
 
-def first_moment_by_orthogonality(q: int, psi: RealCharacter, X: int,
-                                  cfg: AFEConfig | None = None) -> complex:
+def first_moment_by_orthogonality(q: int, psi: RealCharacter, X: int) -> complex:
     """The first mollified moment without looping over characters: it
     cross-checks S1 of mollified_moments, the character-by-character route.
 
@@ -184,13 +179,11 @@ def first_moment_by_orthogonality(q: int, psi: RealCharacter, X: int,
     reduces, through the square of the Gauss sum, to Kloosterman values
     S(1, +-n/(Da); q).  Truncations match afe_central exactly, so the two
     routes differ only by floating-point reordering, and like afe_central
-    this raises when a certified tail exceeds cfg.tail_budget.
+    this raises when a certified tail exceeds AFEConfig.tail_budget.
     """
     _moment_guards(q, psi, X)
     D = psi.D
-    if cfg is None:
-        cfg = default_config(q, D)
-    cols = _budgeted_tables(q, D, cfg)
+    cfg, cols = _budgeted_tables(q, D)
     vcol = cols["V"]
     n_mod = np.arange(1, cfg.n_max + 1, dtype=np.int64) % q
     unit = n_mod != 0
@@ -352,7 +345,8 @@ def _restricted_inverse_triple_sums(D: int, shifts) -> list[complex]:
 
 
 def restricted_divisor_product_residuals(D: int, shifts) -> list[float]:
-    """restricted_divisor_product_check at each (u, v) of shifts."""
+    """|triple sum - product over p|D of (1 + 1/p - p^{-1-u} - p^{-1-v})|
+    at each (u, v) of shifts."""
     f = factor(D)
     if not f.is_squarefree():
         raise ValueError("D must be squarefree")
@@ -364,11 +358,6 @@ def restricted_divisor_product_residuals(D: int, shifts) -> list[float]:
             rhs *= 1 + 1 / p - _cpow(p, -(1 + u)) - _cpow(p, -(1 + v))
         out.append(abs(lhs - rhs))
     return out
-
-
-def restricted_divisor_product_check(D: int, u: complex, v: complex) -> float:
-    """|triple sum - product over p|D of (1 + 1/p - p^{-1-u} - p^{-1-v})|."""
-    return restricted_divisor_product_residuals(D, [(u, v)])[0]
 
 
 # ---------------------------------------------------------------------------

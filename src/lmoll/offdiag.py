@@ -19,7 +19,7 @@ increasing modulus order and never reordered.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 from typing import Iterator
@@ -62,17 +62,14 @@ _ZETA2 = math.pi * math.pi / 6.0
 _SIGNS = ("+", "-", "both")
 
 
-def _default_bump() -> SmoothBump:
-    return SmoothBump(1.0, 2.0)
+# the weight of both variables, at m/M and n/N: lattice support (M, 2M) x (N, 2N)
+_BUMP = SmoothBump(1.0, 2.0)
 
 
 @dataclass(frozen=True)
 class ShiftedConvParams:
-    """Inputs for the congruence-restricted double sum.
-
-    The weights omega1, omega2 are smooth bumps evaluated at m/M and n/N;
-    with the default template the lattice support is (M, 2M) x (N, 2N).
-    """
+    """Inputs for the congruence-restricted double sum, weighted by _BUMP
+    at m/M and n/N."""
 
     a: int
     b: int
@@ -81,8 +78,6 @@ class ShiftedConvParams:
     N: float
     psi: RealCharacter
     sign: str = "both"
-    omega1: SmoothBump = field(default_factory=_default_bump)
-    omega2: SmoothBump = field(default_factory=_default_bump)
 
     def __post_init__(self):
         _check_pair(self.a, self.b)
@@ -116,22 +111,22 @@ class ShiftedConvParams:
         return (1, -1)
 
 
-def _lattice_range(bump: SmoothBump, scale: float) -> tuple[int, int]:
-    lo = int(math.floor(bump.lo * scale)) + 1
-    hi = int(math.ceil(bump.hi * scale)) - 1
+def _lattice_range(scale: float) -> tuple[int, int]:
+    lo = int(math.floor(_BUMP.lo * scale)) + 1
+    hi = int(math.ceil(_BUMP.hi * scale)) - 1
     return lo, hi
 
 
 def _weight_arrays(p: ShiftedConvParams):
-    m_lo, m_hi = _lattice_range(p.omega1, p.M)
-    n_lo, n_hi = _lattice_range(p.omega2, p.N)
+    m_lo, m_hi = _lattice_range(p.M)
+    n_lo, n_hi = _lattice_range(p.N)
     if m_hi < m_lo or n_hi < n_lo:
         return m_lo, m_hi, n_lo, n_hi, None, None
     tab = one_star_psi_table(p.psi, max(m_hi, n_hi)).astype(np.float64)
     m_all = np.arange(m_lo, m_hi + 1)
     n_all = np.arange(n_lo, n_hi + 1)
-    wm = p.omega1(m_all / p.M) * tab[m_all]
-    wn = p.omega2(n_all / p.N) * tab[n_all]
+    wm = _BUMP(m_all / p.M) * tab[m_all]
+    wn = _BUMP(n_all / p.N) * tab[n_all]
     return m_lo, m_hi, n_lo, n_hi, wm, wn
 
 
@@ -476,15 +471,15 @@ def _overlaps(p: ShiftedConvParams, aM: float, bN: float,
     """(r, sgn, lo, hi) of every shift 0 < |r| <= r_cap whose bump supports
     overlap on (lo, hi), branch by branch, r increasing."""
     q = p.q
-    lo1, hi1 = p.omega1.lo * aM, p.omega1.hi * aM
+    lo1, hi1 = _BUMP.lo * aM, _BUMP.hi * aM
     for sgn in p.branches():
         for r in range(-r_cap, r_cap + 1):
             if r == 0:
                 continue
             if sgn == 1:
-                lo2, hi2 = q * r + p.omega2.lo * bN, q * r + p.omega2.hi * bN
+                lo2, hi2 = q * r + _BUMP.lo * bN, q * r + _BUMP.hi * bN
             else:
-                lo2, hi2 = q * r - p.omega2.hi * bN, q * r - p.omega2.lo * bN
+                lo2, hi2 = q * r - _BUMP.hi * bN, q * r - _BUMP.lo * bN
             lo, hi = max(lo1, lo2), min(hi1, hi2)
             if hi > lo:
                 yield r, sgn, lo, hi
@@ -494,7 +489,7 @@ def main_term(params: ShiftedConvParams, L_max: int = 100000) -> tuple[float, fl
     """Arithmetic prediction for the congruence sum, with tail bound.
 
     L(1, psi)^2/(ab) times the shift series against the smooth overlap
-    integrals int omega1(x/aM) omega2(-+(qr-x)/bN) dx, the r-range forced
+    integrals int _BUMP(x/aM) _BUMP(-+(qr-x)/bN) dx, the r-range forced
     by the bump supports.  The tail bound aggregates the series tails
     weighted by |integral|; the r-truncation itself is exact.
 
@@ -530,11 +525,11 @@ def main_term(params: ShiftedConvParams, L_max: int = 100000) -> tuple[float, fl
         plus = np.array(sgns) == 1
 
         def integrand(x: np.ndarray, owner: np.ndarray) -> np.ndarray:
-            # omega1(x/aM) omega2(+-(x - qr)/bN), with each node's own r and branch
+            # _BUMP(x/aM) _BUMP(+-(x - qr)/bN), with each node's own r and branch
             qr_x = qr[owner]
             second = np.where(plus[owner], x - qr_x, qr_x - x)
             second /= bN
-            return p.omega1(x / aM) * p.omega2(second, out=second)
+            return _BUMP(x / aM) * _BUMP(second, out=second)
 
         integrals = quad(integrand, los, his, epsabs=1e-10, epsrel=1e-10, limit=200)
         for r, (integral, _) in zip(rs, integrals):

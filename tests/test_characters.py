@@ -33,7 +33,7 @@ def test_build_group_validation():
 def test_group_structure_small():
     G = build_group(7)
     assert G.g == 3  # least primitive root mod 7
-    chars = list(G)
+    chars = [G.character(k) for k in range(6)]
     assert len(chars) == 6
     triv = G.character(0)
     assert all(triv(n) == 1 for n in range(1, 7))
@@ -57,7 +57,7 @@ def test_character_multiplicative_exhaustive():
     # full multiplication table for every character, q <= 101
     for q in (5, 13, 101):
         G = build_group(q)
-        for chi in G:
+        for chi in map(G.character, range(q - 1)):
             vals = chi.values()
             mn = np.outer(np.arange(q), np.arange(q)) % q
             assert np.max(np.abs(vals[mn] - np.outer(vals, vals))) < 1e-9
@@ -65,7 +65,7 @@ def test_character_multiplicative_exhaustive():
 
 def test_character_order_divides_group_order():
     G = build_group(11)
-    for chi in G:
+    for chi in map(G.character, range(10)):
         prod = 1 + 0j
         for _ in range(10):
             prod *= chi(G.g)
@@ -133,7 +133,7 @@ def test_even_family_pair_sum_rejects_divisible_args():
 def test_gauss_sum_magnitude_and_conjugation():
     for q in (7, 13, 29):
         G = build_group(q)
-        for chi in G:
+        for chi in map(G.character, range(q - 1)):
             if chi.is_trivial:
                 continue
             tau = gauss_sum(chi)

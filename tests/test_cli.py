@@ -51,7 +51,7 @@ USAGE_ERRORS = {
     "moments-D": (["moments", "--q", "29", "--D", "9", "--X", "10"],
                   "--D: modulus 9 is not squarefree"),
     "moments-X": (["moments", "--q", "29", "--D", "5", "--X", "30"],
-                  "--q/--X: mollifier cutoff limited to X <= q"),
+                  "--q/--X: mollifier cutoff X must lie in [1, q], got 30"),
     "afe-check-D": (["afe-check", "--q", "13", "--D", "1"],
                     "--D: modulus must exceed 1"),
     "afe-check-q": (["afe-check", "--q", "12", "--D", "5"],
@@ -122,9 +122,18 @@ def run_cli(argv):
         return e.code
 
 
+def _reject_constant(name):
+    raise ValueError(f"payload holds {name}, which is not JSON")
+
+
+def strict_json(text: str):
+    """json.loads that refuses NaN, Infinity and -Infinity."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def payload_of(capsys):
     out = capsys.readouterr().out.splitlines()
-    return json.loads("\n".join(out[1:]))
+    return strict_json("\n".join(out[1:]))
 
 
 def payload_bytes(argv, out_path: pathlib.Path) -> tuple[int, bytes]:
@@ -193,6 +202,11 @@ class TestPlumbing:
                       "--D", "5", "--scales", "200", "--L-max", L_max])
         assert rc == 1
         assert "--L-max" in capsys.readouterr().err
+
+    def test_render_refuses_non_json_floats(self):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                cli._render({"x": value})
 
     @pytest.mark.parametrize("m_max", ["0", "-5", "2000000"])
     def test_m_max_out_of_range_named(self, m_max, capsys):
@@ -279,7 +293,7 @@ class TestGoldenPayloads:
     @pytest.mark.parametrize("name", sorted(GOLDEN_ARGVS))
     def test_payload_bytes(self, name, tmp_path, capsys):
         argv = GOLDEN_ARGVS[name]
-        golden = json.loads(GOLDEN_PAYLOADS.read_text())
+        golden = strict_json(GOLDEN_PAYLOADS.read_text())
         rc, got = payload_bytes(argv, tmp_path / "payload")
         assert rc == 0
         assert got == golden[" ".join(argv)].encode()
@@ -301,7 +315,7 @@ class TestCensus:
         assert run_cli(["census", "--q", "29", "--D", "5",
                         "--out", str(f2)]) == 0
         assert f1.read_bytes() == f2.read_bytes()
-        json.loads(f1.read_text())
+        strict_json(f1.read_text())
         # summary only on stdout when writing to a file
         out = capsys.readouterr().out
         assert "census q=29" in out and "{" not in out
@@ -405,6 +419,16 @@ class TestVoronoiCheck:
                       "--tol", "1e-30"])
         assert rc == 2
 
+    def test_unbounded_tail_is_null(self, capsys):
+        # --m-max stops the K0 sum before its analytic bound applies, so the
+        # tail is unbounded: the payload says null, not Infinity
+        rc = run_cli(["voronoi-check", "--D", "5", "--c", "1001", "--a", "1",
+                      "--bump-lo", "1", "--bump-hi", "50", "--m-max", "1000"])
+        assert rc == 2
+        rec = payload_of(capsys)
+        assert rec["tail_bound"] is None
+        assert rec["insufficient"] is True
+
     def test_twist_flag_named(self, capsys):
         rc = run_cli(["voronoi-check", "--D", "5", "--c", "10", "--a", "4",
                       "--bump-lo", "50", "--bump-hi", "4850"])
@@ -414,7 +438,8 @@ class TestVoronoiCheck:
 
 @pytest.mark.parametrize("module", ["lmoll", "lmoll.arith", "lmoll.characters",
                                     "lmoll.lvalues", "lmoll.moments", "lmoll.offdiag",
-                                    "lmoll.reduction", "lmoll.special", "lmoll.voronoi"])
+                                    "lmoll.quadpack", "lmoll.reduction", "lmoll.special",
+                                    "lmoll.voronoi"])
 def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)
     for name in getattr(mod, "__all__", ()):

@@ -1,6 +1,7 @@
 """High-precision oracle tier: the Hurwitz-zeta route against mpmath at 30
-digits, and the certified Euler-Maclaurin shift behind it; the bump's
-closed-form mass and the reciprocal gamma of the H kernels."""
+digits, and the certified Euler-Maclaurin shift behind it; the AFE weight V1
+against its Bessel integral; the bump's closed-form mass and the reciprocal
+gamma of the H kernels."""
 
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from lmoll.lvalues import (
     hurwitz_zeta_vec,
     oracle_product,
 )
-from lmoll.special import SmoothBump, gamma_complex, gamma_many, rgamma_complex
+from lmoll.special import SmoothBump, eval_weight, gamma_complex, gamma_many, rgamma_complex
 
 # 1/129649 = 1/(9973*13), the smallest x of a census at q = 9973, D = 13
 XS = (1 / 129649, 1e-5, 0.1, 0.5, 1.0)
@@ -113,6 +114,20 @@ def test_em_bound_covers_the_remainder(s, n):
 def test_rejections(s, x, match):
     with pytest.raises(ValueError, match=match):
         hurwitz_zeta_vec(s, np.array(x))
+
+
+@pytest.mark.parametrize("x", (0.01, 0.5, 2.0))
+def test_v1_matches_bessel_integral(x):
+    # V1(x) = C int_x^inf y^{-1/2} K0(2y) dy with C = 4/Gamma(1/4)^2 (DLMF
+    # 10.43.19 gives V1(0) = 1); an independent route to the Mellin
+    # quadrature, on both of its contours (x <= 1 and x > 1).  V1 does not
+    # depend on logQ.
+    with mpmath.workdps(20):
+        c = 4 / mpmath.gamma(0.25) ** 2
+        want = float(c * mpmath.quad(lambda y: y**-0.5 * mpmath.besselk(0, 2 * y),
+                                     [x, mpmath.inf]))
+    # eval_weight_many's documented accuracy: absolute, far below 1e-10
+    assert abs(eval_weight("V1", 5.0, x) - want) < 1e-10
 
 
 # the bump template's mass per unit width, (1/2) int_{-1}^{1} e^{1 - 1/(1 - v^2)} dv

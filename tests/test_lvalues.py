@@ -80,9 +80,8 @@ def test_afe_matches_oracle_family():
     psi = RealCharacter(5)
     for q in (13, 29):
         G = build_group(q)
-        cfg = default_config(q, 5)
         for chi in enumerate_even_primitive(G):
-            pair = afe_central(chi, psi, cfg)
+            pair = afe_central(chi, psi)
             orc = oracle_product(chi, psi)
             assert abs(pair.L_central - orc) < 1e-6, (q, chi.k)
             assert abs(abs(pair.epsilon_product) - 1) < 1e-9
@@ -165,13 +164,6 @@ def test_afe_nonvanishing_family_q29():
 
 
 def test_afe_config_validation():
-    cfg = default_config(13, 5)
-    with pytest.raises(ValueError):
-        AFEConfig(Q=cfg.Q, n_max=int(cfg.Q) - 2)
-    with pytest.raises(ValueError):
-        AFEConfig(Q=cfg.Q, n_max=cfg.n_max, tail_budget=1e-9)
-    with pytest.raises(ValueError):
-        AFEConfig(Q=-1.0, n_max=10)
     with pytest.raises(ValueError):
         default_config(0, 5)
 
@@ -224,12 +216,18 @@ def test_afe_tables_equal_coefficients_times_every_weight(q, D):
         assert cols[key][nonzero].tobytes() == want[nonzero].tobytes()
 
 
-def test_afe_tail_certificate_blocks_short_truncation():
+def _setup_as(monkeypatch, cfg: AFEConfig) -> None:
+    """Make cfg the AFE setup that default_config derives for any family."""
+    monkeypatch.setattr(lvalues, "default_config", lambda q, D: cfg)
+
+
+def test_afe_tail_certificate_blocks_short_truncation(monkeypatch):
     cfg_short = AFEConfig(Q=default_config(13, 5).Q, n_max=math.ceil(default_config(13, 5).Q))
     assert afe_tail_bound("V1", cfg_short) > 1e-10
+    _setup_as(monkeypatch, cfg_short)
     for _ in range(2):  # the second call finds its table entry cached
         with pytest.raises(ValueError):
-            afe_central(build_group(13).character(2), RealCharacter(5), cfg_short)
+            afe_central(build_group(13).character(2), RealCharacter(5))
 
 
 def test_afe_tail_bounds_computed_once_per_config(monkeypatch):
@@ -251,26 +249,26 @@ def test_afe_tail_bounds_computed_once_per_config(monkeypatch):
     assert tails == {kind: real(kind, cfg) for kind in ("V1", "W1", "W2")}
 
 
-def test_afe_tail_budget_checked_against_cached_tails():
+def test_afe_tail_budget_checked_against_cached_tails(monkeypatch):
     # the table entry is shared by every budget: a tighter budget on the
     # same (Q, n_max) must still raise after a call that passed
     psi = RealCharacter(5)
     chi = build_group(13).character(2)
     cfg = default_config(13, 5)
-    afe_central(chi, psi, cfg)
+    afe_central(chi, psi)
     worst = max(afe_tail_bound(kind, cfg) for kind in ("V1", "W1", "W2"))
-    tight = AFEConfig(Q=cfg.Q, n_max=cfg.n_max, tail_budget=worst / 2)
+    monkeypatch.setattr(AFEConfig, "tail_budget", worst / 2)
     with pytest.raises(ValueError, match="exceeds budget"):
-        afe_central(chi, psi, tight)
+        afe_central(chi, psi)
 
 
-def test_afe_truncation_doubling_stability():
+def test_afe_truncation_doubling_stability(monkeypatch):
     psi = RealCharacter(5)
     chi = build_group(13).character(2)
     cfg = default_config(13, 5)
-    doubled = AFEConfig(Q=cfg.Q, n_max=2 * cfg.n_max, tail_budget=cfg.tail_budget)
-    a = afe_central(chi, psi, cfg)
-    b = afe_central(chi, psi, doubled)
+    a = afe_central(chi, psi)
+    _setup_as(monkeypatch, AFEConfig(Q=cfg.Q, n_max=2 * cfg.n_max))
+    b = afe_central(chi, psi)
     assert abs(a.L_central - b.L_central) < 1e-8
     assert abs(a.L_combo - b.L_combo) < 1e-8
 
@@ -287,7 +285,7 @@ def test_derivative_combo_vs_finite_difference():
     for q, k in [(13, 2), (29, 4)]:
         chi = build_group(q).character(k)
         cfg = default_config(q, 5)
-        pair = afe_central(chi, psi, cfg)
+        pair = afe_central(chi, psi)
         fd = oracle_product(chi, psi) + oracle_product_derivative(chi, psi) / (
             2 * math.log(cfg.Q)
         )

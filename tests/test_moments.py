@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lmoll import lvalues
 from lmoll.arith import (
     RealCharacter,
     _cpow,
@@ -49,7 +50,6 @@ from lmoll.moments import (
     g_family_eval,
     lacunary_divisor_sum,
     mollified_moments,
-    restricted_divisor_product_check,
     restricted_divisor_product_residuals,
     tau4_prime_power,
     tau4_table,
@@ -162,28 +162,19 @@ class TestMoments:
         assert (s1.real.hex(), s1.imag.hex()) == ("0x1.2bad8497ff8c4p+5",
                                                   "-0x1.650da7f97be74p-50")
 
-    def test_first_moment_by_orthogonality_checks_tail_budget(self):
+    def test_first_moment_by_orthogonality_checks_tail_budget(self, monkeypatch):
         # the orthogonality route reads the same truncated columns as
-        # afe_central, so a config whose certified tail is over budget must
-        # raise here too; the default config still agrees with the afe route
-        cfg = default_config(13, 5)
-        short = AFEConfig(Q=cfg.Q, n_max=math.ceil(cfg.Q))
-        with pytest.raises(ValueError, match="exceeds budget"):
-            first_moment_by_orthogonality(13, PSI5, 5, short)
-        with pytest.raises(ValueError, match="exceeds budget"):
-            afe_central(build_group(13).character(2), PSI5, short)
+        # afe_central, so a setup whose certified tail is over budget must
+        # raise here too; the default setup still agrees with the afe route
         s1_characters = mollified_moments(13, PSI5, 5).s1
         assert abs(first_moment_by_orthogonality(13, PSI5, 5) - s1_characters) < 1e-12
-
-    def test_first_moment_by_orthogonality_checks_Q(self):
-        # a config whose Q is not q sqrt(D)/pi gives wrong weights (3.4997
-        # here against 2.8118), so both routes must refuse it alike
         cfg = default_config(13, 5)
-        wrong_Q = AFEConfig(Q=1.5 * cfg.Q, n_max=cfg.n_max)
-        with pytest.raises(ValueError, match=r"cfg\.Q inconsistent with q sqrt\(D\)/pi"):
-            first_moment_by_orthogonality(13, PSI5, 5, wrong_Q)
-        with pytest.raises(ValueError, match=r"cfg\.Q inconsistent with q sqrt\(D\)/pi"):
-            afe_central(build_group(13).character(2), PSI5, wrong_Q)
+        short = AFEConfig(Q=cfg.Q, n_max=math.ceil(cfg.Q))
+        monkeypatch.setattr(lvalues, "default_config", lambda q, D: short)
+        with pytest.raises(ValueError, match="exceeds budget"):
+            first_moment_by_orthogonality(13, PSI5, 5)
+        with pytest.raises(ValueError, match="exceeds budget"):
+            afe_central(build_group(13).character(2), PSI5)
 
     def test_kloosterman_row_matches_scalar(self):
         for q in (13, 101):
@@ -358,7 +349,7 @@ class TestRandomFamilies:
         cfg = default_config(q, D)
         family = enumerate_even_primitive(build_group(q))
         for chi, want in zip(family, oracle_products_at(0.5, family, psi)):
-            got = afe_central(chi, psi, cfg).L_central
+            got = afe_central(chi, psi).L_central
             assert abs(got - want) <= 2 * cfg.tail_budget + 1e-12 * max(1.0, abs(want)), chi.k
 
     @settings(max_examples=20, deadline=None)
@@ -390,8 +381,8 @@ def first_moment_parts(q, psi, X):
     terms with an = +-1 mod q, the -1 mean over units n, and the dual side
     of Kloosterman sums S(1, +-n/(Da); q).  Keyed by FIRST_MOMENT_PARTS."""
     D = psi.D
-    cfg = default_config(q, D)
-    vcol = _budgeted_tables(q, D, cfg)["V"]
+    cfg, cols = _budgeted_tables(q, D)
+    vcol = cols["V"]
     n_mod = np.arange(1, cfg.n_max + 1, dtype=np.int64) % q
     unit = n_mod != 0
     kl = _kloosterman_row(q)
@@ -476,17 +467,16 @@ class TestDivisorProductIdentity:
     def test_hand_value_d5(self):
         # four supported triples give 1 + 1/5 - 5^{-1.3} - 5^{-0.9}
         rhs = 1 + 1 / 5 - 5.0**-1.3 - 5.0**-0.9
-        assert abs(restricted_divisor_product_check(5, 0.3, -0.1)) < 1e-15
+        assert restricted_divisor_product_residuals(5, [(0.3, -0.1)])[0] < 1e-15
         assert abs(_restricted_inverse_triple_sums(5, [(0.3, -0.1)])[0] - rhs) < 1e-15
 
     def test_composite_modulus(self):
-        assert restricted_divisor_product_check(65, 0.0, 0.0) < 1e-14
+        assert restricted_divisor_product_residuals(65, [(0.0, 0.0)])[0] < 1e-14
 
     @pytest.mark.parametrize("D", SQUAREFREE_1MOD4)
     def test_grid(self, D):
-        for u in SHIFT_GRID:
-            for v in SHIFT_GRID:
-                assert restricted_divisor_product_check(D, u, v) < 1e-12
+        shifts = [(u, v) for u in SHIFT_GRID for v in SHIFT_GRID]
+        assert max(restricted_divisor_product_residuals(D, shifts)) < 1e-12
 
     def test_shift_symmetry(self):
         a = _restricted_inverse_triple_sums(5, [(0.17, -0.05)])[0]
@@ -494,8 +484,6 @@ class TestDivisorProductIdentity:
         assert abs(a - b) < 1e-15
 
     def test_rejects_squareful(self):
-        with pytest.raises(ValueError):
-            restricted_divisor_product_check(45, 0.0, 0.0)
         with pytest.raises(ValueError):
             restricted_divisor_product_residuals(45, [(0.0, 0.0)])
 

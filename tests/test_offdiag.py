@@ -19,6 +19,7 @@ from lmoll import offdiag
 from lmoll.arith import RealCharacter, factor, ramanujan_sum
 from lmoll.lvalues import oracle_L
 from lmoll.offdiag import (
+    _BUMP,
     ShiftedConvParams,
     _mobius_table,
     _ramanujan_column,
@@ -38,7 +39,6 @@ from lmoll.offdiag import (
     singular_series_term,
 )
 from lmoll.reduction import exact_sum
-from lmoll.special import SmoothBump
 
 PSI5 = RealCharacter(5)
 # squarefree D = 1 mod 4 below 200
@@ -77,21 +77,21 @@ def per_r_main_term(params: ShiftedConvParams, L_max: int) -> tuple[float, float
     terms: list[float] = []
     tail = 0.0
     for sgn in p.branches():
-        lo1, hi1 = p.omega1.lo * aM, p.omega1.hi * aM
+        lo1, hi1 = _BUMP.lo * aM, _BUMP.hi * aM
         for r in range(-r_cap, r_cap + 1):
             if r == 0:
                 continue
             if sgn == 1:
-                lo2, hi2 = q * r + p.omega2.lo * bN, q * r + p.omega2.hi * bN
+                lo2, hi2 = q * r + _BUMP.lo * bN, q * r + _BUMP.hi * bN
             else:
-                lo2, hi2 = q * r - p.omega2.hi * bN, q * r - p.omega2.lo * bN
+                lo2, hi2 = q * r - _BUMP.hi * bN, q * r - _BUMP.lo * bN
             lo, hi = max(lo1, lo2), min(hi1, hi2)
             if hi <= lo:
                 continue
 
             def integrand(x: float, _r=r, _sgn=sgn) -> float:
-                first = p.omega1(x / aM)
-                second = p.omega2((x - q * _r) / bN if _sgn == 1 else (q * _r - x) / bN)
+                first = _BUMP(x / aM)
+                second = _BUMP((x - q * _r) / bN if _sgn == 1 else (q * _r - x) / bN)
                 return float(first) * float(second)
 
             integral = quad(integrand, lo, hi, epsabs=1e-10, epsrel=1e-10, limit=200)[0]
@@ -106,12 +106,12 @@ def dense_oracle(p: ShiftedConvParams) -> float:
     from lmoll.arith import one_star_psi_table
     from lmoll.offdiag import _lattice_range
 
-    m_lo, m_hi = _lattice_range(p.omega1, p.M)
-    n_lo, n_hi = _lattice_range(p.omega2, p.N)
+    m_lo, m_hi = _lattice_range(p.M)
+    n_lo, n_hi = _lattice_range(p.N)
     tab = one_star_psi_table(p.psi, max(m_hi, n_hi)).astype(np.float64)
     m = np.arange(m_lo, m_hi + 1)
     n = np.arange(n_lo, n_hi + 1)
-    w = np.outer(p.omega1(m / p.M) * tab[m], p.omega2(n / p.N) * tab[n])
+    w = np.outer(_BUMP(m / p.M) * tab[m], _BUMP(n / p.N) * tab[n])
     am = (p.a * m)[:, None]
     bn = (p.b * n)[None, :]
     off_diag = am != bn
@@ -474,10 +474,3 @@ class TestMainTerm:
         got = main_term(p, L_max=5000)
         want = per_r_main_term(p, L_max=5000)
         assert [x.hex() for x in got] == [x.hex() for x in want]
-
-    def test_custom_bumps(self):
-        narrow = SmoothBump(1.0, 1.5)
-        p = ShiftedConvParams(1, 1, 31, 200.0, 200.0, PSI5,
-                              omega1=narrow, omega2=narrow)
-        got = brute_shifted_conv(p)
-        assert abs(got - dense_oracle(p)) < 1e-12 * max(1.0, abs(got))
