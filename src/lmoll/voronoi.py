@@ -15,6 +15,10 @@ Oscillatory integrals use Gauss-Legendre panels sized to the cycle count,
 targeting 1e-11 per integral, their tables built in place in one workspace
 per voronoi_rhs call; every truncated sum reports a tail estimate and an
 insufficiency flag instead of failing silently.
+
+The Y0/K0 kernels are scipy.special's y0/k0, bound as bessel_y0/bessel_k0
+on first use (the first read of either name through the module's PEP 562
+__getattr__, or the first integral), so importing lmoll loads no scipy.
 """
 from __future__ import annotations
 
@@ -22,7 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import k0 as bessel_k0, y0 as bessel_y0
 
 from .arith import (PrincipalCharacter, RealCharacter, ResidueCharacter,
                     character_convolution, one_star_psi_table)
@@ -117,6 +120,25 @@ def voronoi_lhs(case: VoronoiCase, g: SmoothBump) -> complex:
 
 # ------------------------------------------------------------------ integrals
 
+
+def _bind_bessel() -> None:
+    """Import scipy.special's y0/k0 as this module's bessel_y0/bessel_k0,
+    keeping a name that is already bound (a patched kernel stays patched)."""
+    names = globals()
+    if "bessel_y0" in names and "bessel_k0" in names:
+        return
+    from scipy.special import k0, y0
+    names.setdefault("bessel_y0", y0)
+    names.setdefault("bessel_k0", k0)
+
+
+def __getattr__(name: str):
+    if name in ("bessel_y0", "bessel_k0"):
+        _bind_bessel()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 
@@ -171,6 +193,7 @@ def _decaying_integral(g: SmoothBump, t0: float, t1: float, alpha: float,
 
     Returns the integral and a bound on the discarded piece (g <= 1).
     """
+    _bind_bessel()
     t_hi = min(t1, t0 + 60.0 / alpha)
     value = _panel_integral(_panels(g, t0, t_hi, 40, work), alpha, bessel_k0)
     rem = 0.0 if t_hi >= t1 else _k0_upper(alpha * t_hi) * (t1 * t1 - t_hi * t_hi)
@@ -242,6 +265,7 @@ def voronoi_rhs(case: VoronoiCase, g: SmoothBump, m_max: int = 100000) -> Vorono
     place in one (4, 12 _PANEL_CAP) workspace that the K0 tables reuse.
     """
     _check_m_max(m_max)
+    _bind_bessel()
     c, D = case.c, case.psi.D
     D_c = case.D_c
     t0, t1 = math.sqrt(g.lo), math.sqrt(g.hi)

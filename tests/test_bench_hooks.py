@@ -9,9 +9,15 @@ benchmark test.
 from __future__ import annotations
 
 import inspect
+import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import lmoll
 from lmoll import arith, characters, lvalues, moments, offdiag, special, voronoi
 
 # (owner, attribute) pairs that Tracer.install patches by name
@@ -84,3 +90,43 @@ def test_family_oracle_hurwitz_points(q, D, monkeypatch):
     points = _hurwitz_points(
         monkeypatch, lambda: lvalues.oracle_products_at(0.5, family, arith.RealCharacter(D)))
     assert points == (q - 1) * (1 + arith.euler_phi(D))
+
+
+# patches voronoi's kernels as Tracer._set does (getattr, then setattr) in an
+# interpreter that has not bound them yet, runs voronoi_rhs patched, sets the
+# originals back and runs it again
+_PATCH_UNBOUND_KERNELS = """
+import collections, dataclasses, json, sys
+from lmoll import arith, special, voronoi
+unbound = "scipy" not in sys.modules and not {"bessel_y0", "bessel_k0"} & set(vars(voronoi))
+calls, undo = collections.Counter(), []
+for attr in ("bessel_y0", "bessel_k0"):
+    undo.append((attr, getattr(voronoi, attr)))
+
+    def counting(*args, _attr=attr, _fn=undo[-1][1], **kwargs):
+        calls[_attr] += 1
+        return _fn(*args, **kwargs)
+
+    setattr(voronoi, attr, counting)
+case = voronoi.factor_character(arith.RealCharacter(5), 3, 2)
+g = special.SmoothBump(50.0, 4850.0)
+patched = repr(dataclasses.astuple(voronoi.voronoi_rhs(case, g, m_max=120)))
+for attr, fn in undo:
+    setattr(voronoi, attr, fn)
+restored = [getattr(voronoi, attr) is fn for attr, fn in undo]
+again = repr(dataclasses.astuple(voronoi.voronoi_rhs(case, g, m_max=120)))
+print(json.dumps([unbound, calls, patched, restored, again]))
+"""
+
+
+def test_tracer_patch_of_unbound_bessel_kernels_takes_effect():
+    # voronoi binds its kernels on first use; the tracer's patch, made before
+    # that, must still be what voronoi_rhs calls, and must leave no trace
+    src = pathlib.Path(lmoll.__file__).parent.parent
+    out = subprocess.run([sys.executable, "-c", _PATCH_UNBOUND_KERNELS], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    unbound, calls, patched, restored, again = json.loads(out.stdout)
+    assert unbound
+    assert calls["bessel_y0"] > 0 and calls["bessel_k0"] > 0
+    assert restored == [True, True]
+    assert patched == again

@@ -1,8 +1,10 @@
 """The scipy surface of src/lmoll: every import of scipy, read from the
-source with ast, so that a new dependency cannot slip in unnoticed."""
+source with ast, so that a new dependency cannot slip in unnoticed, and
+the commands that load scipy at run time: voronoi-check alone."""
 from __future__ import annotations
 
 import ast
+import json
 import os
 import pathlib
 import subprocess
@@ -11,9 +13,11 @@ import sys
 import lmoll
 
 SRC = pathlib.Path(lmoll.__file__).parent
+GOLDEN_PAYLOADS = pathlib.Path(__file__).parent / "golden" / "cli_payloads.json"
 
 # (module file, scipy module, imported name): the two Bessel kernels of the
-# Voronoi dual sums
+# Voronoi dual sums, imported on first use (voronoi._bind_bessel), not when
+# lmoll.voronoi is imported
 ALLOWED = {
     ("voronoi.py", "scipy.special", "k0"),
     ("voronoi.py", "scipy.special", "y0"),
@@ -38,14 +42,51 @@ def test_scipy_imports_are_the_allowed_ones():
     assert scipy_imports() == ALLOWED
 
 
-def test_cli_import_leaves_heavy_scipy_subpackages_unloaded():
-    # a fresh interpreter: what `lmoll` pays at start-up, whatever the tests loaded
-    code = ("import sys, lmoll.cli; "
-            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.sparse') "
-            "if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+def _fresh(code: str, *args: str) -> str:
+    """stdout of code run in a fresh interpreter on this checkout's lmoll:
+    what a CLI user pays, whatever the tests have loaded."""
+    out = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
-    assert out.stdout.strip() == "[]"
+    return out.stdout
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, lmoll, lmoll.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert _fresh(code).strip() == "[]"
+
+
+# runs each argv in argv[1] through lmoll.cli.main, output to argv[2], and
+# prints the scipy modules loaded after each
+_RUN_COMMANDS = """
+import contextlib, io, json, sys
+from lmoll.cli import main
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            rc = main(argv if argv == ["--version"] else argv + ["--out", sys.argv[2]])
+        except SystemExit as e:
+            rc = e.code
+    print(json.dumps([argv[0], rc, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+def test_only_voronoi_check_loads_scipy(tmp_path):
+    golden = json.loads(GOLDEN_PAYLOADS.read_text())
+    voronoi = "voronoi-check --D 5 --c 3 --a 2 --bump-lo 50 --bump-hi 4850"
+    # one cheap argv per other command, then the Voronoi one last
+    others = {}
+    for key in golden:
+        others.setdefault(key.split()[0], key.split())
+    del others["voronoi-check"]
+    assert set(others) == {"census", "moments", "afe-check", "identity-suite", "shifted-conv"}
+    argvs = [["--version"], *others.values(), voronoi.split()]
+    out = tmp_path / "payload"
+    lines = [json.loads(line) for line in _fresh(_RUN_COMMANDS, json.dumps(argvs), str(out)).splitlines()]
+    assert [(cmd, rc) for cmd, rc, _ in lines] == [(a[0], 0) for a in argvs]
+    assert all(loaded == [] for _, _, loaded in lines[:-1])
+    assert "scipy.special" in lines[-1][2]
+    assert out.read_bytes() == golden[voronoi].encode()
 
 
 def test_scanner_sees_every_import_form(tmp_path):
