@@ -234,7 +234,8 @@ class RealCharacter(ResidueCharacter):
         if self.D <= 1:
             raise ValueError("modulus must exceed 1")
         if self.D > 10**6:
-            # values() builds a D-long table one Kronecker symbol at a time
+            # values() is a D-long table, and the work that reads it (the
+            # Gauss sum, census's (q-1) phi(D) Hurwitz points) grows with D
             raise ValueError(f"modulus {self.D} is above the cap 10^6")
         if self.D % 4 != 1:
             raise ValueError(f"modulus {self.D} is not 1 mod 4; even squarefree case only")
@@ -250,7 +251,15 @@ class RealCharacter(ResidueCharacter):
 
     @cached_property
     def _table(self) -> np.ndarray:
-        table = np.array([kronecker(self.D, r) for r in range(self.D)], dtype=np.int8)
+        # for squarefree D = 1 (mod 4), (D/n) is the Jacobi symbol (n/D), the
+        # product over p | D of the Legendre symbols (n/p)
+        r = np.arange(self.D)
+        table = np.ones(self.D, dtype=np.int8)
+        for p, _ in factor(self.D).factors:
+            legendre = np.full(p, -1, dtype=np.int8)
+            legendre[np.arange(p, dtype=np.int64) ** 2 % p] = 1
+            legendre[0] = 0
+            table *= legendre[r % p]
         table.flags.writeable = False
         return table
 
@@ -275,7 +284,7 @@ class PrincipalCharacter(ResidueCharacter):
     def values(self) -> np.ndarray:
         """chi_0(r) for residues r = 0..m-1, as int8."""
         m = self.modulus
-        return np.array([math.gcd(r, m) == 1 for r in range(m)], dtype=np.int8)
+        return (np.gcd(np.arange(m), m) == 1).astype(np.int8)
 
 
 def dirichlet_convolution(f: np.ndarray, g: np.ndarray,

@@ -15,7 +15,7 @@ an auxiliary real character to a coprime modulus.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -30,15 +30,48 @@ class CharacterGroup:
             raise ValueError(f"modulus must be a prime in [5, 10^5], got {q}")
         self.q = q
         self.g = _least_primitive_root(q)
+        # powers[j] = g^j mod q for j < q - 1, in the baby-step/giant-step
+        # layout: j = B t + i, g^j = (g^B)^t g^i for B baby steps i and B
+        # giant steps t, B^2 >= q - 1; the products stay below q^2 <= 10^10
+        B = math.isqrt(q - 2) + 1
+        baby = _geometric_row(self.g, B, q)
+        giant = _geometric_row(pow(self.g, B, q), B, q)
+        self.powers = (giant[:, None] * baby % q).ravel()[:q - 1]
         # dlog[g^j mod q] = j; dlog[a] = -1 for q | a
         dlog = np.full(q, -1, dtype=np.int64)
-        acc = 1
-        for j in range(q - 1):
-            dlog[acc] = j
-            acc = acc * self.g % q
+        dlog[self.powers] = np.arange(q - 1)
         self.dlog = dlog
         j = np.arange(q - 1)
         self.unity = np.exp(2j * np.pi * j / (q - 1))
+
+    def transform(self, values_by_residue: np.ndarray) -> np.ndarray:
+        """sum_a f(a) chi_k(a) for every index k = 0..q-2, along the last
+        axis of f, which holds f(a) for a = 1..q-1.
+
+        Read in primitive-root order a = g^j the sum is
+        sum_j f(g^j) e(jk/(q-1)): bin f by dlog, then one inverse DFT."""
+        by_dlog = np.empty_like(values_by_residue)
+        by_dlog[..., self.dlog[1:]] = values_by_residue
+        return np.fft.ifft(by_dlog, axis=-1, norm="forward")
+
+    @cached_property
+    def even_pair_sums(self) -> np.ndarray:
+        """sum over even nontrivial chi of chi(m) conj(chi(n)), an integer,
+        at index delta = dlog m - dlog n mod q-1.
+
+        As a function of delta it is sum over even k != 0 of e(k delta/(q-1)),
+        the transform of the indicator of the nontrivial squares g^k.  Every
+        entry must land within 1e-9 of an integer or this raises."""
+        k = self.dlog[1:]
+        squares = ((k % 2 == 0) & (k > 0)).astype(np.float64)
+        sums = self.transform(squares)
+        nearest = np.round(sums.real)
+        worst = int(np.argmax(np.abs(sums - nearest)))
+        if abs(sums[worst] - nearest[worst]) > 1e-9:
+            raise ArithmeticError(f"pair sum {sums[worst]} not within 1e-9 of an integer")
+        table = nearest.astype(np.int64)
+        table.flags.writeable = False
+        return table
 
     def character(self, k: int) -> "DirichletCharacter":
         return DirichletCharacter(self, k % (self.q - 1))
@@ -89,6 +122,14 @@ def _least_primitive_root(q: int) -> int:
     raise ArithmeticError(f"no primitive root mod {q}")  # q prime: unreachable
 
 
+def _geometric_row(r: int, n: int, q: int) -> np.ndarray:
+    """r^i mod q for i = 0..n-1, as int64."""
+    row = [1] * n
+    for i in range(1, n):
+        row[i] = row[i - 1] * r % q
+    return np.array(row, dtype=np.int64)
+
+
 @lru_cache(maxsize=64)
 def build_group(q: int) -> CharacterGroup:
     return CharacterGroup(q)
@@ -105,23 +146,13 @@ def phi_plus(q: int) -> int:
 
 
 def even_family_pair_sum(group: CharacterGroup, m: int, n: int) -> int:
-    """sum over even nontrivial chi of chi(m) conj(chi(n)), for (mn, q) = 1.
-
-    The sum is an integer; the complex accumulation must land within 1e-9
-    of one or this raises.
-    """
+    """sum over even nontrivial chi of chi(m) conj(chi(n)), for (mn, q) = 1,
+    read off the group's pair-sum table."""
     q = group.q
     dm, dn = group.dlog[m % q], group.dlog[n % q]
     if dm < 0 or dn < 0:
         raise ValueError("m and n must be coprime to the modulus")
-    delta = (dm - dn) % (q - 1)
-    total = 0j
-    for k in range(2, q - 2, 2):
-        total += group.unity[k * delta % (q - 1)]
-    nearest = round(total.real)
-    if abs(total - nearest) > 1e-9:
-        raise ArithmeticError(f"pair sum {total} not within 1e-9 of an integer")
-    return int(nearest)
+    return int(group.even_pair_sums[(dm - dn) % (q - 1)])
 
 
 def _gauss_sum(table: np.ndarray) -> complex:

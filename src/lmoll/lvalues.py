@@ -165,9 +165,8 @@ def _family_L(s: complex, q: int, psi: RealCharacter) -> tuple[np.ndarray, np.nd
     chi(b mod q) psi(b mod D).  That sum has one row per unit class c mod D,
     b = CRT(r, c) for r = 1..q-1 weighted by psi(c) = +-1, added in ascending
     c whatever the block size; every b it visits has psi(b) != 0, q not
-    dividing b, and sits in its residue.  Read in primitive-root order
-    a = g^j, each sum is sum_j e(jk/(q-1)) f(g^j): one inverse DFT of length
-    q-1 gives every k.
+    dividing b, and sits in its residue.  One group transform of the two
+    rows gives every k.
     """
     D = psi.D
     group = build_group(q)
@@ -186,9 +185,7 @@ def _family_L(s: complex, q: int, psi: RealCharacter) -> tuple[np.ndarray, np.nd
         zb *= table[c, None]
         for row in zb:
             grouped += row
-    by_dlog = np.empty((2, q - 1), dtype=z_plain.dtype)
-    by_dlog[:, group.dlog[1:]] = z_plain, grouped
-    sums = np.fft.ifft(by_dlog, axis=1, norm="forward")
+    sums = group.transform(np.stack((z_plain, grouped)))
     return q ** -s * sums[0], (q * D) ** -s * sums[1]
 
 

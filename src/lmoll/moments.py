@@ -163,8 +163,10 @@ def mollified_moments(q: int, psi: RealCharacter, X: int,
 
 def _kloosterman_row(q: int) -> np.ndarray:
     """S(1, w; q) for w = 0..q-1.  S(1, w; q) = sum_y e(ybar/q) e(wy/q) is the
-    inverse DFT of f(y) = e(ybar/q), f(0) = 0, so one FFT gives the row."""
-    inv = np.array([pow(y, -1, q) for y in range(1, q)], dtype=np.float64)
+    inverse DFT of f(y) = e(ybar/q), f(0) = 0, so one FFT gives the row.
+    The inverses come from the group's power table: (g^j)^-1 = g^-j."""
+    group = build_group(q)
+    inv = group.powers[-group.dlog[1:] % (q - 1)].astype(np.float64)
     f = np.zeros(q, dtype=np.complex128)
     f[1:] = np.exp(2j * np.pi * inv / q)
     return np.fft.ifft(f, norm="forward").real

@@ -139,7 +139,15 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+# the 12-point Gauss-Legendre rule on [-1, 1], the doubles of
+# numpy.polynomial.legendre.leggauss(12), which are exactly symmetric;
+# written out so that no command imports numpy.polynomial
+_GL_HALF_NODES = np.array([0.1252334085114689, 0.3678314989981802, 0.5873179542866175,
+                           0.7699026741943047, 0.9041172563704748, 0.9815606342467192])
+_GL_HALF_WEIGHTS = np.array([0.2491470458134027, 0.2334925365383546, 0.20316742672306573,
+                             0.16007832854334642, 0.10693932599531907, 0.04717533638651141])
+_GL_NODES = np.concatenate((-_GL_HALF_NODES[::-1], _GL_HALF_NODES))
+_GL_WEIGHTS = np.concatenate((_GL_HALF_WEIGHTS[::-1], _GL_HALF_WEIGHTS))
 
 
 def _panels(g: SmoothBump, t0: float, t1: float, panels: int,

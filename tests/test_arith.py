@@ -136,6 +136,23 @@ def test_real_character_table_read_only_and_owned():
     assert ref() is None
 
 
+def test_real_character_table_is_kronecker():
+    # the table is a product of Legendre tables, one per prime of D; the
+    # oracle is the Kronecker symbol at every residue, for every admitted D
+    # below 3000, and on a seeded sample of residues next to the cap
+    for D in range(5, 3000, 4):
+        if factor(D).is_squarefree():
+            tab = RealCharacter(D).values()
+            assert tab.dtype == np.int8
+            assert tab.tolist() == [kronecker(D, r) for r in range(D)], D
+    rng = np.random.default_rng(20)
+    for D in (999_985, 999_997):
+        tab = RealCharacter(D).values()
+        assert tab.dtype == np.int8 and len(tab) == D
+        r = rng.integers(0, D, 20_000)
+        assert tab[r].tolist() == [kronecker(D, int(n)) for n in r], D
+
+
 def test_real_character_rejects_bad_moduli():
     for bad in (1, 0, -5, 7, 12, 25, 45):  # wrong residue, not squarefree, tiny
         with pytest.raises(ValueError):
@@ -143,7 +160,7 @@ def test_real_character_rejects_bad_moduli():
 
 
 def test_real_character_cap_before_any_table():
-    # values() would build a D-long table, one Kronecker symbol at a time
+    # values() would build a D-long table
     tracemalloc.start()
     try:
         for D in (1_000_001, 1_000_000_001):
@@ -262,6 +279,14 @@ def test_principal_character():
     trivial = PrincipalCharacter()
     assert trivial.modulus == 1 and trivial.is_trivial
     assert trivial(0) == trivial(-7) == 1
+
+
+def test_principal_character_table_bits():
+    # oracle: one math.gcd per residue, as the table was first built
+    for m in (1, 2, 12, 97, 210, 1001, 65536):
+        want = np.array([math.gcd(r, m) == 1 for r in range(m)], dtype=np.int8)
+        got = PrincipalCharacter(m).values()
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), m
 
 
 def test_eval_rho_values():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from lmoll.arith import PrincipalCharacter, RealCharacter, factor, primes_up_to
 from lmoll.characters import (
+    CharacterGroup,
     build_group,
     enumerate_even_primitive,
     epsilon,
@@ -22,6 +23,7 @@ from lmoll.characters import (
     gauss_sum,
     phi_plus,
 )
+from lmoll.lvalues import _family_L
 
 
 def test_build_group_validation():
@@ -128,6 +130,70 @@ def test_even_family_pair_sum_rejects_divisible_args():
     G = build_group(7)
     with pytest.raises(ValueError):
         even_family_pair_sum(G, 7, 1)
+
+
+@pytest.mark.parametrize("q", [5, 7, 11, 9973, 99991])
+def test_dlog_matches_power_walk(q):
+    # oracle: g^j by one multiply per step, as the table was first built;
+    # 99991 is the largest prime under the cap 10^5
+    G = CharacterGroup(q)
+    want = np.full(q, -1, dtype=np.int64)
+    powers = []
+    acc = 1
+    for j in range(q - 1):
+        want[acc] = j
+        powers.append(acc)
+        acc = acc * G.g % q
+    assert G.dlog.dtype == want.dtype and np.array_equal(G.dlog, want)
+    assert np.array_equal(G.powers, powers)
+
+
+# every prime below 2000, then larger ones up to the cap: 2^16 + 1 (q - 1 a
+# power of two), safe primes (q - 1 = 2 * prime) and the largest two
+PAIR_SUM_QS = [p for p in primes_up_to(2000) if p >= 5] + [9973, 65537, 99839, 99989, 99991]
+
+
+def test_even_pair_sums_closed_form():
+    # sum over even nontrivial chi of chi(m) conj(chi(n)) is
+    # -1 + (q-1)/2 ([m = n] + [m = -n]); in delta = dlog m - dlog n that is
+    # [delta = 0] and [delta = (q-1)/2], as -1 = g^((q-1)/2)
+    for q in PAIR_SUM_QS:
+        table = CharacterGroup(q).even_pair_sums
+        want = np.full(q - 1, -1, dtype=np.int64)
+        want[[0, (q - 1) // 2]] += (q - 1) // 2
+        assert np.array_equal(table, want), q
+
+
+def test_even_pair_sums_reject_non_integers(monkeypatch):
+    G = CharacterGroup(13)
+    plain = CharacterGroup.transform
+    monkeypatch.setattr(CharacterGroup, "transform", lambda self, f: plain(self, f) + 2e-9)
+    with pytest.raises(ArithmeticError, match="not within 1e-9 of an integer"):
+        G.even_pair_sums
+
+
+def test_transform_is_the_family_dft(monkeypatch):
+    # _family_L's two rows are q^-s and (qD)^-s times the transform of the
+    # rows it builds; the transform must give the bits of binning by dlog
+    # and one inverse DFT along axis 1
+    seen = []
+    plain = CharacterGroup.transform
+
+    def spy(self, f):
+        seen.append(f.copy())
+        return plain(self, f)
+
+    monkeypatch.setattr(CharacterGroup, "transform", spy)
+    for q, D, s in ((29, 5, 0.5), (101, 65, 0.5), (1009, 13, 0.75 + 2j)):
+        G = build_group(q)
+        plain_row, twisted_row = _family_L(s, q, RealCharacter(D))
+        f = seen.pop()
+        assert f.shape == (2, q - 1)
+        by_dlog = np.empty((2, q - 1), dtype=f.dtype)
+        by_dlog[:, G.dlog[1:]] = f[0], f[1]
+        sums = np.fft.ifft(by_dlog, axis=1, norm="forward")
+        assert (q ** -s * sums[0]).tobytes() == plain_row.tobytes()
+        assert ((q * D) ** -s * sums[1]).tobytes() == twisted_row.tobytes()
 
 
 def test_gauss_sum_magnitude_and_conjugation():

@@ -18,6 +18,7 @@ import tracemalloc
 import pytest
 
 from lmoll import cli
+from lmoll.characters import CharacterGroup
 from lmoll.cli import main
 
 GOLDEN_PAYLOADS = pathlib.Path(__file__).parent / "golden" / "cli_payloads.json"
@@ -367,6 +368,14 @@ class TestIdentitySuite:
         for name in ("orthogonality", "epsilon", "restricted_divisor", "h_kernel"):
             assert rec[name]["pass"] is True
             assert rec[name]["cases"] > 0
+
+    def test_pair_sum_off_an_integer_exits_2(self, monkeypatch, capsys):
+        # fresh groups, so no pair-sum table cached by an earlier test is read
+        plain = CharacterGroup.transform
+        monkeypatch.setattr(CharacterGroup, "transform", lambda self, f: plain(self, f) + 2e-9)
+        monkeypatch.setattr(cli, "build_group", CharacterGroup)
+        assert run_cli(["identity-suite", "--max-q", "7", "--max-D", "5"]) == 2
+        assert "not within 1e-9 of an integer" in capsys.readouterr().err
 
     def test_smallest_bounds_leave_no_battery_empty(self, capsys):
         assert run_cli(["identity-suite", "--max-q", "7", "--max-D", "5"]) == 0

@@ -1,6 +1,7 @@
 """The scipy surface of src/lmoll: every import of scipy, read from the
 source with ast, so that a new dependency cannot slip in unnoticed, and
-the commands that load scipy at run time: voronoi-check alone."""
+the commands that load scipy at run time: voronoi-check alone.  Also that
+the CLI's import loads no numpy.polynomial."""
 from __future__ import annotations
 
 import ast
@@ -53,6 +54,13 @@ def _fresh(code: str, *args: str) -> str:
 def test_cli_import_loads_no_scipy():
     code = ("import sys, lmoll, lmoll.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert _fresh(code).strip() == "[]"
+
+
+def test_cli_import_loads_no_numpy_polynomial():
+    # voronoi's Gauss-Legendre rule is written out as literals
+    code = ("import sys, lmoll, lmoll.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))")
     assert _fresh(code).strip() == "[]"
 
 

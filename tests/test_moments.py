@@ -182,6 +182,16 @@ class TestMoments:
             for w in range(q):
                 assert abs(row[w] - kloosterman(1, w, q)) < 1e-12, (q, w)
 
+    def test_kloosterman_row_bits(self):
+        # oracle: the inverses by one pow(y, -1, q) per y, as the row was
+        # first built; the group's power table must give the same integers
+        for q in (5, 13, 101, 9973, 99991):
+            inv = np.array([pow(y, -1, q) for y in range(1, q)], dtype=np.float64)
+            f = np.zeros(q, dtype=np.complex128)
+            f[1:] = np.exp(2j * np.pi * inv / q)
+            want = np.fft.ifft(f, norm="forward").real
+            assert _kloosterman_row(q).tobytes() == want.tobytes(), q
+
 
 def census_full_sum(q, psi):
     """zeta(1/2, a/q) for a = 1..q-1, and the whole modulus-qD Hurwitz sum

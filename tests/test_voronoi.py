@@ -254,6 +254,12 @@ class TestIntegrals:
         assert rem >= 0.0
         assert abs(value - ref) <= rem + 1e-12
 
+    def test_gauss_legendre_literals_are_leggauss(self):
+        nodes, weights = np.polynomial.legendre.leggauss(12)
+        assert _GL_NODES.dtype == _GL_WEIGHTS.dtype == np.float64
+        assert _GL_NODES.tobytes() == nodes.tobytes()
+        assert _GL_WEIGHTS.tobytes() == weights.tobytes()
+
     @staticmethod
     def _inline_panel_integral(g, t0, t1, alpha, bessel, panels):
         # the panel rule written out in one expression, nodes rebuilt per call
