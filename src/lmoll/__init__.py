@@ -2,13 +2,16 @@
 real quadratic character: multiplicative sums, character groups, approximate
 functional equations, mollified moments, shifted convolutions, and twisted
 Voronoi summation.  Every identity the library computes has an independent
-brute-force or oracle route exercised by the test suite."""
+brute-force or oracle route, run by the commands' cross-checks or by the
+test suite.  Reference forms that only the tests use (the Kronecker symbol,
+Ramanujan and Kloosterman sums, scalar gamma and digamma) live beside the
+tests, in tests/oracles.py."""
 
 __version__ = "1.0.0"
 
-from .arith import RealCharacter, factor, one_star_psi, eval_rho
+from .arith import RealCharacter, factor, eval_rho
 from .characters import build_group, enumerate_even_primitive
-from .lvalues import afe_central, oracle_L, oracle_product
+from .lvalues import afe_central, oracle_L
 from .moments import census, mollified_moments
 from .offdiag import (
     ShiftedConvParams,
@@ -25,13 +28,11 @@ __all__ = [
     "__version__",
     "RealCharacter",
     "factor",
-    "one_star_psi",
     "eval_rho",
     "build_group",
     "enumerate_even_primitive",
     "afe_central",
     "oracle_L",
-    "oracle_product",
     "census",
     "mollified_moments",
     "ShiftedConvParams",

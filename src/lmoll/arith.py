@@ -2,30 +2,26 @@
 
 Factorization, the real quadratic character psi(n) = (D/n) for a squarefree
 D = 1 (mod 4), the principal character, the divisor-type sum
-(1*psi)(n) = sum_{d|n} psi(d), its Dirichlet inverse rho, the one
-Dirichlet-convolution sieve every divisor-sum table is built with,
-Ramanujan sums, Kloosterman sums, and the long partial sums
-sum_{n<=x} (1*psi)(n)/n.
+(1*psi)(n) = sum_{d|n} psi(d), its Dirichlet inverse rho, and the one
+Dirichlet-convolution sieve every divisor-sum table is built with.
 
 Every character (these two and chi mod q in `characters`) is a
 ResidueCharacter: its residue table values() is the one source of its
 array values, and character_convolution is the one place such a table is
 tiled out to a convolution.
 
-Everything here is exact integer arithmetic except the final partial sums,
-which are exactly rounded by reduction.exact_sum.
+Everything here is exact integer arithmetic, apart from the complex power
+_cpow.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-
-from .reduction import exact_sum
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -160,52 +156,6 @@ def divisors(n: int) -> list[int]:
     return factor(n).divisors()
 
 
-def mobius(n: int) -> int:
-    f = factor(n)
-    if not f.is_squarefree():
-        return 0
-    return -1 if len(f.factors) % 2 else 1
-
-
-def euler_phi(n: int) -> int:
-    out = n
-    for p, _ in factor(n).factors:
-        out -= out // p
-    return out
-
-
-def kronecker(a: int, n: int) -> int:
-    """Kronecker symbol (a/n), full sign and 2-adic rules, any integers."""
-    if n == 0:
-        return 1 if a in (1, -1) else 0
-    result = 1
-    if n < 0:
-        n = -n
-        if a < 0:
-            result = -result
-    # factor out 2s of n: (a/2) = 0, 1, -1 for a even, a = +-1 (8), a = +-3 (8)
-    while n % 2 == 0:
-        n //= 2
-        if a % 2 == 0:
-            return 0
-        if a % 8 in (3, 5):
-            result = -result
-    if n == 1:
-        return result
-    a %= n
-    # Jacobi loop on odd n > 1
-    while a != 0:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
-
-
 class ResidueCharacter:
     """A Dirichlet character given by its residue table.
 
@@ -247,7 +197,7 @@ class RealCharacter(ResidueCharacter):
         return self.D
 
     def __call__(self, n: int) -> int:
-        return kronecker(self.D, n)
+        return int(self._table[n % self.D])
 
     @cached_property
     def _table(self) -> np.ndarray:
@@ -332,21 +282,6 @@ def _cpow(n: int, z: complex) -> complex:
     return cmath.exp(z * math.log(n))
 
 
-def one_star_psi(psi: RealCharacter, n: int) -> int:
-    """(1*psi)(n) = sum_{d|n} psi(d).  Nonnegative for real psi."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    out = 1
-    for p, e in factor(n).factors:
-        v = psi(p)
-        if v == 1:
-            out *= e + 1
-        elif v == -1 and e % 2 == 1:
-            return 0
-        # v == 0, or v == -1 with e even: local factor 1
-    return out
-
-
 def one_star_psi_table(psi: RealCharacter, limit: int) -> np.ndarray:
     """(1*psi)(n) for n = 0..limit by a divisor sieve (entry 0 unused)."""
     return character_convolution(psi, PrincipalCharacter(), limit)
@@ -368,44 +303,3 @@ def eval_rho(psi: RealCharacter, a: int) -> int:
         if out == 0:
             return 0
     return out
-
-
-def ramanujan_sum(r: int, ell: int) -> int:
-    """sum_{x mod ell, (x,ell)=1} e(rx/ell), by the divisor formula
-    sum_{d | gcd(r,ell)} mu(ell/d) d."""
-    if ell < 1:
-        raise ValueError("modulus must be positive")
-    g = math.gcd(abs(r), ell)  # gcd(0, ell) = ell handles r = 0
-    out = 0
-    for d in divisors(g):
-        out += mobius(ell // d) * d
-    return out
-
-
-def kloosterman(m: int, n: int, c: int) -> complex:
-    """S(m,n;c) = sum*_{x mod c} e((mx + n xbar)/c).
-
-    The sum is real (x <-> -x symmetry); callers should expect a complex
-    return regardless.
-    """
-    if c < 1:
-        raise ValueError("modulus must be positive")
-    if c == 1:
-        return complex(1.0)
-    total = 0j
-    w = 2j * math.pi / c
-    for x in range(1, c):
-        if math.gcd(x, c) != 1:
-            continue
-        xbar = pow(x, -1, c)
-        total += cmath.exp(w * ((m * x + n * xbar) % c))
-    return total
-
-
-def lacunary_partial_sum(psi: RealCharacter, x: float) -> float:
-    """sum_{n<=x} (1*psi)(n)/n, exactly rounded."""
-    if x < 1:
-        raise ValueError("x must be at least 1")
-    limit = int(math.floor(x))
-    table = one_star_psi_table(psi, limit)
-    return exact_sum(table[1:] / np.arange(1, limit + 1))

@@ -7,9 +7,9 @@ even nontrivial characters.
 
 A character here is an arith.ResidueCharacter like the real and principal
 characters, so one Gauss sum (a DFT of the residue table) and one root number
-eps = tau/sqrt(m) serve all three.  Also: the root-number sum over the even
-family in both its direct and Kloosterman-reduced forms, and products with
-an auxiliary real character to a coprime modulus.
+eps = tau/sqrt(m) serve all three.  Also: products with an auxiliary real
+character to a coprime modulus, and their root numbers both from the
+mod-qD Gauss sum and factored.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .arith import RealCharacter, ResidueCharacter, euler_phi, factor, is_prime, kloosterman
+from .arith import RealCharacter, ResidueCharacter, factor, is_prime
 
 
 class CharacterGroup:
@@ -145,16 +145,6 @@ def phi_plus(q: int) -> int:
     return (q - 3) // 2
 
 
-def even_family_pair_sum(group: CharacterGroup, m: int, n: int) -> int:
-    """sum over even nontrivial chi of chi(m) conj(chi(n)), for (mn, q) = 1,
-    read off the group's pair-sum table."""
-    q = group.q
-    dm, dn = group.dlog[m % q], group.dlog[n % q]
-    if dm < 0 or dn < 0:
-        raise ValueError("m and n must be coprime to the modulus")
-    return int(group.even_pair_sums[(dm - dn) % (q - 1)])
-
-
 def _gauss_sum(table: np.ndarray) -> complex:
     """sum_a table[a] e(a/m) over a = 0..m-1, m = len(table): the frequency-1
     DFT of a residue table, which is the Gauss sum of the character it holds."""
@@ -189,27 +179,3 @@ def epsilon_product_direct(chi: DirichletCharacter, psi: RealCharacter) -> compl
 def epsilon_product_factored(chi: DirichletCharacter, psi: RealCharacter) -> complex:
     """eps(chi psi) = chi(D) psi(q) eps(chi) eps(psi)."""
     return chi(psi.D) * psi(chi.modulus) * epsilon(chi) * epsilon(psi)
-
-
-def epsilon_pair_sum(group: CharacterGroup, psi: RealCharacter):
-    """sum over the even family of eps(chi) eps(chi psi), two ways.
-
-    Returns (direct, closed): `direct` accumulates per-character Gauss sums
-    mod q and mod qD; `closed` is the Kloosterman reduction
-
-        psi(q) eps(psi) [ (phi(q)/2q) (S(1, Dbar; q) + S(1, -Dbar; q)) - 1/q ]
-
-    with Dbar the inverse of D mod q.
-    """
-    q, D = group.q, psi.D
-    if math.gcd(q, D) != 1:
-        raise ValueError("moduli must be coprime")
-    direct = 0j
-    for chi in enumerate_even_primitive(group):
-        direct += epsilon(chi) * epsilon_product_direct(chi, psi)
-    dbar = pow(D, -1, q)
-    eps_psi = epsilon(psi)
-    s_plus = kloosterman(1, dbar, q)
-    s_minus = kloosterman(1, -dbar, q)
-    closed = psi(q) * eps_psi * (euler_phi(q) / (2 * q) * (s_plus + s_minus) - 1 / q)
-    return direct, closed

@@ -6,7 +6,9 @@ validated, but has no effect.  Payloads are canonical JSON (sorted keys);
 census and moments also offer CSV.  With --out the payload is
 written atomically (temp file in the target directory, then rename) and a
 one-line summary goes to stdout; without --out the payload itself is
-printed.  Exit codes: 0 success, 2 tolerance failure, 1 usage error.
+printed.  --out must name a file in an existing directory, which is checked
+before the first sum; a write that fails is a usage error too.  Exit codes:
+0 success, 2 tolerance failure, 1 usage error.
 """
 from __future__ import annotations
 
@@ -20,6 +22,8 @@ import math
 import os
 import sys
 import tempfile
+
+import numpy as np
 
 from . import __version__
 from .arith import RealCharacter
@@ -104,7 +108,10 @@ def _emit(payload: str, summary: str, out: str | None) -> None:
         print(summary)
         print(payload, end="" if payload.endswith("\n") else "\n")
     else:
-        _write_atomic(out, payload if payload.endswith("\n") else payload + "\n")
+        try:
+            _write_atomic(out, payload if payload.endswith("\n") else payload + "\n")
+        except OSError as e:
+            raise _UsageError(f"--out: {e}") from e
         print(summary)
 
 
@@ -190,15 +197,19 @@ def _cmd_afe_check(args) -> int:
 
 
 def _suite_orthogonality(max_q: int) -> dict:
-    cases = 0
+    cases, ok = 0, True
     for q in _IDENTITY_QS:
         if q > max_q:
             continue
         # the table raises unless every entry is within 1e-9 of an integer;
         # each entry, delta = dlog m - dlog n, serves q - 1 pairs of units
+        # and must be -1 + ((q-1)/2) [m = +-n mod q]: m = n at delta = 0,
+        # m = -n at delta = (q-1)/2
         table = build_group(q).even_pair_sums
+        half = (q - 1) // 2
+        ok &= np.array_equal(table, np.where(np.arange(q - 1) % half == 0, half - 1, -1))
         cases += (q - 1) * len(table)
-    return {"cases": cases, "pass": True}
+    return {"cases": cases, "pass": ok}
 
 
 def _suite_epsilon(max_q: int, max_D: int) -> dict:
@@ -429,6 +440,12 @@ def main(argv: list[str] | None = None) -> int:
         threshold = getattr(args, "threshold", 0.0)
         if not (math.isfinite(threshold) and threshold >= 0):
             raise _UsageError(f"--threshold: must be finite and non-negative, got {threshold}")
+        if args.out is not None:
+            target = os.path.abspath(args.out)
+            if os.path.isdir(target):
+                raise _UsageError(f"--out: {target} is a directory")
+            if not os.path.isdir(os.path.dirname(target)):
+                raise _UsageError(f"--out: no directory {os.path.dirname(target)}")
         return args.run(args)
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .arith import RealCharacter, one_star_psi_table
 from .characters import DirichletCharacter, build_group, epsilon, epsilon_product_direct
-from .special import _digamma_arr, eval_weight_many, gamma_complex, kernel_abs_moment
+from .special import _digamma_arr, eval_weight_many, kernel_abs_moment
 
 # ---------------------------------------------------------------- oracle side
 
@@ -206,22 +206,6 @@ def oracle_products_at(s: complex, family, psi: RealCharacter) -> list[complex]:
     return [complex(plain[chi.k] * twist[chi.k]) for chi in family]
 
 
-def oracle_product(chi: DirichletCharacter, psi: RealCharacter) -> complex:
-    return oracle_products_at(0.5, [chi], psi)[0]
-
-
-_STENCIL = ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0))
-
-
-def oracle_product_derivative(chi: DirichletCharacter, psi: RealCharacter,
-                              h: float = 1e-3) -> complex:
-    """d/ds [L(s,chi)L(s,chi psi)] at s = 1/2, five-point stencil."""
-    acc = 0j
-    for k, c in _STENCIL:
-        acc += c * oracle_products_at(0.5 + k * h, [chi], psi)[0]
-    return acc / (12 * h)
-
-
 # ------------------------------------------------------------------ AFE side
 
 # the largest AFE length: at n_max = 1,997,758 (q = 28319, D = 5) _afe_tables
@@ -356,21 +340,3 @@ def afe_central(chi: DirichletCharacter, psi: RealCharacter) -> CentralValuePair
         L_combo=s_w1 + eps * s_w2,
         epsilon_product=eps,
     )
-
-
-def epsilon_consistency_residual(chi: DirichletCharacter, psi: RealCharacter,
-                                 alpha: float = 0.1) -> float:
-    """|eps(chi)eps(chi psi) - ratio forced by the functional equation|.
-
-    The completed product Q^s Gamma(s/2)^2 L(s,chi)L(s,chi psi) at
-    s = 1/2 + alpha equals eps-product times its conjugate-character value
-    at 1/2 - alpha, so the eps-product is a computable ratio of oracle
-    values.
-    """
-    Q = chi.modulus * math.sqrt(psi.D) / math.pi
-    num = oracle_products_at(0.5 + alpha, [chi], psi)[0]
-    den = oracle_products_at(0.5 - alpha, [chi.conjugate()], psi)[0]
-    gamma_ratio = (gamma_complex((0.5 + alpha) / 2) / gamma_complex((0.5 - alpha) / 2)) ** 2
-    forced = Q ** (2 * alpha) * gamma_ratio * num / den
-    eps = epsilon(chi) * epsilon_product_direct(chi, psi)
-    return abs(eps - forced)

@@ -53,7 +53,6 @@ __all__ = [
     "euler_product",
     "restricted_divisor_product_residuals",
     "g_family_eval",
-    "tau4_table",
     "tau4_prime_power",
     "lacunary_divisor_sum",
 ]
@@ -372,12 +371,6 @@ def _tau_table(limit: int) -> np.ndarray:
     return dirichlet_convolution(ones, ones)
 
 
-def tau4_table(limit: int) -> np.ndarray:
-    """tau4 = tau * tau by direct Dirichlet convolution, exact integers."""
-    tau = _tau_table(limit)
-    return dirichlet_convolution(tau, tau)
-
-
 def tau4_prime_power(j: int) -> int:
     # convolution tau * tau restricted to a prime power
     return sum((i + 1) * (j - i + 1) for i in range(j + 1))
@@ -450,8 +443,8 @@ def g_family_eval(name: str, p: int, j: int, u: complex, v: complex,
 def lacunary_divisor_sum(psi: RealCharacter, A: int, k: int = 1) -> Fraction:
     """sum of tau(n)^k (1*psi)(n)/n over D^4 < n <= D^A as an exact rational.
 
-    Cross-checks lacunary_partial_sum: at k = 0 this is the exact value of
-    lacunary_partial_sum(psi, D^A) - lacunary_partial_sum(psi, D^4).
+    At k = 0 this is the exact difference of the partial sums
+    sum_{n<=x} (1*psi)(n)/n at x = D^A and x = D^4.
 
     Common denominator lcm(1..D^A) keeps every addition integral; the one
     gcd happens at the end.

@@ -39,14 +39,13 @@ from .arith import (
 from .lvalues import oracle_L
 from .quadpack import qags_block as quad
 from .reduction import exact_sum
-from .special import SmoothBump, gamma_complex, gamma_many, rgamma_complex
+from .special import SmoothBump, gamma_many
 
 __all__ = [
     "ShiftedConvParams",
     "brute_shifted_conv",
     "shifted_conv_r_decomposed",
     "singular_series",
-    "singular_series_term",
     "singular_series_factored",
     "singular_series_r_sum",
     "dirichlet_series_G",
@@ -55,7 +54,6 @@ __all__ = [
     "H_kernel_plus",
     "H_kernel_minus",
     "H_kernel_product_form",
-    "power_overlap_closed",
 ]
 
 _ZETA2 = math.pi * math.pi / 6.0
@@ -301,14 +299,6 @@ def singular_series(a: int, b: int, r: int, psi: RealCharacter,
     _check_L_max(L_max)
     value = _series_sum(*_series_coeff(a, b, psi, L_max), r)
     return value, _series_tail(a, b, r, psi.D, L_max)
-
-
-def singular_series_term(a: int, b: int, r: int, psi: RealCharacter, ell: int) -> float:
-    """Single ell-term of the shift series, for hand cross-checks."""
-    _check_pair(a, b, r)
-    if ell < 1:
-        raise ValueError("ell must be positive")
-    return float(_series_terms(*_series_coeff(a, b, psi, ell), r)[-1])
 
 
 def _local_term_sum(p: int, alpha: int, beta: int, vr: int, psi_p: int,
@@ -582,15 +572,3 @@ def H_kernel_product_form(u: complex, v: complex) -> complex:
         ((u + v) / 2, (0.5 - u) / 2, (0.5 - v) / 2),
         ((1 - u - v) / 2, (0.5 + u) / 2, (0.5 + v) / 2))
     return math.sqrt(math.pi) * (g_w * g_u * g_v) * (r_w * r_u * r_v)
-
-
-# ------------------------------------------------------------------ integrals
-
-
-def power_overlap_closed(T: float, u: float, v: float) -> float:
-    """Gamma-ratio closed form of int_{x>T} x^{-(1/2+u)} (x-T)^{-(1/2+v)} dx,
-    for 0 < v < 1/2 and u + v > 0."""
-    if not (T > 0 and 0 < v < 0.5 and u + v > 0):
-        raise ValueError("need T > 0, 0 < v < 1/2, u + v > 0")
-    value = gamma_complex(u + v) * gamma_complex(0.5 - v) * rgamma_complex(0.5 + u)
-    return T ** (-(u + v)) * value.real

@@ -1,11 +1,10 @@
 """Special functions for the central-value machinery.
 
 Gamma and digamma by a fixed Lanczos approximation with reflection, one
-array implementation each (the scalar forms call it on one element); the
-reciprocal gamma is 1/Gamma, set to exactly 0 at the poles, and gamma_many
-takes a kernel's Gamma and 1/Gamma values from one array call.  The
-three smooth weights V1, W1, W2 of the approximate functional equation are
-inverse Mellin transforms
+array implementation each; the reciprocal gamma is 1/Gamma, set to exactly
+0 at the poles, and gamma_many takes a kernel's Gamma and 1/Gamma values
+from one array call.  The three smooth weights V1, W1, W2 of the
+approximate functional equation are inverse Mellin transforms
 
     weight(x) = (1/2 pi i) int K(s) x^{-s} ds
 
@@ -61,9 +60,9 @@ def _is_nonpositive_integer(s: complex) -> bool:
 
 def gamma_many(gam, rgam=()) -> list[complex]:
     """Gamma at each point of gam, then 1/Gamma at each point of rgam, from
-    one _gamma_arr call: each value has the bits of its scalar form, at the
-    cost of one scalar call.  A pole in gam raises; 1/Gamma is exactly 0 at
-    the poles s = 0, -1, -2, ...  A point where Gamma or 1/Gamma is not a
+    one _gamma_arr call: each value has the bits of a one-point call, and the
+    whole call costs about as much as one.  A pole in gam raises; 1/Gamma is
+    exactly 0 at the poles s = 0, -1, -2, ...  A point where Gamma or 1/Gamma is not a
     finite double (Re s beyond about 171.6, or below about -170.6 off the
     poles, or Gamma underflowing at large |Im s|) raises ValueError."""
     for s in gam:
@@ -78,23 +77,6 @@ def gamma_many(gam, rgam=()) -> list[complex]:
         if not (cmath.isfinite(g) and g != 0 and cmath.isfinite(1 / g)):
             raise ValueError(f"Gamma({s}) or its reciprocal leaves the double range")
     return vals[:len(gam)] + [0j if pole else 1 / g for pole, g in zip(poles, vals[len(gam):])]
-
-
-def gamma_complex(s: complex) -> complex:
-    """Gamma(s) by Lanczos (g=7, 9 terms), reflection for Re(s) < 1/2."""
-    return gamma_many((s,))[0]
-
-
-def rgamma_complex(s: complex) -> complex:
-    """1/Gamma(s), exactly 0 at the poles."""
-    return gamma_many((), (s,))[0]
-
-
-def digamma_complex(s: complex) -> complex:
-    """digamma(s) from the same Lanczos data; reflection for Re(s) < 1/2."""
-    if _is_nonpositive_integer(s):
-        raise ValueError(f"digamma pole at s={s}")
-    return complex(_digamma_arr(np.array([s], dtype=np.complex128))[0])
 
 
 def _gamma_arr(s: np.ndarray) -> np.ndarray:
@@ -154,15 +136,6 @@ def _kernel_arr(kind: str, logQ: float, s: np.ndarray, b: np.ndarray) -> np.ndar
     if kind == "W2":
         return b / 2 * ((1 - c_over) / s - 1 / (logQ * s * s))
     raise ValueError(kind)
-
-
-def mellin_weight(kind: str, logQ: float, s: complex) -> complex:
-    """Closed-form Mellin transform of any of the three weights."""
-    _check_weight(kind, logQ)
-    if s == 0:
-        raise ValueError("pole at s=0")
-    s_arr = np.array([s], dtype=complex)
-    return complex(_kernel_arr(kind, logQ, s_arr, _b_arr(s_arr))[0])
 
 
 def mellin_principal_part(kind: str, logQ: float) -> tuple[float, float]:

@@ -16,22 +16,18 @@ import numpy as np
 import pytest
 from scipy.special import zeta
 
-from lmoll.arith import RealCharacter, lacunary_partial_sum
+from lmoll.arith import RealCharacter
 from lmoll.characters import (
     build_group,
     enumerate_even_primitive,
-    epsilon_pair_sum,
     epsilon_product_direct,
     epsilon_product_factored,
-    even_family_pair_sum,
     phi_plus,
 )
 from lmoll.lvalues import (
     afe_central,
     default_config,
     oracle_L,
-    oracle_product,
-    oracle_product_derivative,
 )
 from lmoll.moments import (
     EulerProductFamily,
@@ -51,6 +47,13 @@ from lmoll.offdiag import (
 )
 from lmoll.special import SmoothBump
 from lmoll.voronoi import factor_character, voronoi_lhs, voronoi_rhs
+from oracles import (
+    epsilon_pair_sum,
+    even_family_pair_sum,
+    lacunary_partial_sum,
+    oracle_product,
+    oracle_product_derivative,
+)
 
 PSI5 = RealCharacter(5)
 EULER = 0.5772156649015329

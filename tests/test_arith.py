@@ -20,17 +20,19 @@ from lmoll.arith import (
     RealCharacter,
     dirichlet_convolution,
     divisors,
-    euler_phi,
     eval_rho,
     factor,
     is_prime,
+    one_star_psi_table,
+    primes_up_to,
+)
+from oracles import (
+    euler_phi,
     kloosterman,
     kronecker,
     lacunary_partial_sum,
     mobius,
     one_star_psi,
-    one_star_psi_table,
-    primes_up_to,
     ramanujan_sum,
 )
 
@@ -139,12 +141,18 @@ def test_real_character_table_read_only_and_owned():
 def test_real_character_table_is_kronecker():
     # the table is a product of Legendre tables, one per prime of D; the
     # oracle is the Kronecker symbol at every residue, for every admitted D
-    # below 3000, and on a seeded sample of residues next to the cap
+    # below 3000, and on a seeded sample of residues next to the cap.  psi(n)
+    # reads the table at n mod D: below D = 1000 it is held to the oracle at
+    # every n in [-2D, 2D]
     for D in range(5, 3000, 4):
         if factor(D).is_squarefree():
-            tab = RealCharacter(D).values()
+            psi = RealCharacter(D)
+            tab = psi.values()
             assert tab.dtype == np.int8
             assert tab.tolist() == [kronecker(D, r) for r in range(D)], D
+            if D < 1000:
+                ns = range(-2 * D, 2 * D + 1)
+                assert [psi(n) for n in ns] == [kronecker(D, n) for n in ns], D
     rng = np.random.default_rng(20)
     for D in (999_985, 999_997):
         tab = RealCharacter(D).values()

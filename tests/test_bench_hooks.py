@@ -19,6 +19,7 @@ import pytest
 
 import lmoll
 from lmoll import arith, characters, lvalues, moments, offdiag, special, voronoi
+from oracles import euler_phi
 
 # (owner, attribute) pairs that Tracer.install patches by name
 PATCHED = {
@@ -79,7 +80,7 @@ def test_census_hurwitz_points(q, D, monkeypatch):
     # (q-1)(1 + phi(D)) per census
     points = _hurwitz_points(
         monkeypatch, lambda: moments.census(q, arith.RealCharacter(D), 1e-8))
-    assert points == (q - 1) * (1 + arith.euler_phi(D))
+    assert points == (q - 1) * (1 + euler_phi(D))
 
 
 @pytest.mark.parametrize("q,D", [(13, 5), (101, 5), (101, 65)])
@@ -89,7 +90,7 @@ def test_family_oracle_hurwitz_points(q, D, monkeypatch):
     family = characters.enumerate_even_primitive(characters.build_group(q))
     points = _hurwitz_points(
         monkeypatch, lambda: lvalues.oracle_products_at(0.5, family, arith.RealCharacter(D)))
-    assert points == (q - 1) * (1 + arith.euler_phi(D))
+    assert points == (q - 1) * (1 + euler_phi(D))
 
 
 # patches voronoi's kernels as Tracer._set does (getattr, then setattr) in an

@@ -16,14 +16,13 @@ from lmoll.characters import (
     build_group,
     enumerate_even_primitive,
     epsilon,
-    epsilon_pair_sum,
     epsilon_product_direct,
     epsilon_product_factored,
-    even_family_pair_sum,
     gauss_sum,
     phi_plus,
 )
 from lmoll.lvalues import _family_L
+from oracles import epsilon_pair_sum, even_family_pair_sum
 
 
 def test_build_group_validation():

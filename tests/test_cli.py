@@ -260,6 +260,9 @@ class TestPlumbing:
         (_VORONOI + ["--m-max", "0"], "--bump-hi/--m-max: m_max must be at least 1, got 0"),
         (["identity-suite", "--max-D", "10001"], "--max-D: must be at most 10^4, got 10001"),
         (["identity-suite", "--max-q", "0", "--max-D", "0"], "--max-q: must be at least 7, got 0"),
+        (GOLDEN_ARGVS["census"] + ["--out", "/nonexistent/x.json"],
+         "--out: no directory /nonexistent"),
+        (["identity-suite", "--out", "/"], "--out: / is a directory"),
     ])
     def test_flags_checked_before_any_sum(self, argv, message, monkeypatch, capsys):
         def compute(*args, **kwargs):
@@ -270,6 +273,17 @@ class TestPlumbing:
             monkeypatch.setattr(cli, name, compute)
         assert run_cli(argv) == 1
         assert capsys.readouterr().err == f"usage error: {message}\n"
+
+    def test_failed_write_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
+        def no_space(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli.os, "replace", no_space)
+        assert run_cli(GOLDEN_ARGVS["census"] + ["--out", str(tmp_path / "payload")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "usage error: --out: [Errno 28] No space left on device\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []  # no .lmoll-* temp file left
 
     @pytest.mark.parametrize("q,D", [("5", "5"), ("13", "65")])
     def test_shifted_conv_rejects_q_dividing_D(self, q, D, tmp_path, capsys):
@@ -376,6 +390,16 @@ class TestIdentitySuite:
         monkeypatch.setattr(cli, "build_group", CharacterGroup)
         assert run_cli(["identity-suite", "--max-q", "7", "--max-D", "5"]) == 2
         assert "not within 1e-9 of an integer" in capsys.readouterr().err
+
+    def test_pair_sum_off_its_closed_form_exits_2(self, monkeypatch, capsys):
+        # every entry still an integer, each one above the closed form
+        plain = CharacterGroup.transform
+        monkeypatch.setattr(CharacterGroup, "transform", lambda self, f: plain(self, f) + 1.0)
+        monkeypatch.setattr(cli, "build_group", CharacterGroup)
+        assert run_cli(["identity-suite", "--max-q", "29", "--max-D", "5"]) == 2
+        rec = payload_of(capsys)
+        assert rec["orthogonality"] == {"cases": 1064, "pass": False}
+        assert rec["pass"] is False
 
     def test_smallest_bounds_leave_no_battery_empty(self, capsys):
         assert run_cli(["identity-suite", "--max-q", "7", "--max-D", "5"]) == 0

@@ -1,7 +1,9 @@
 """The scipy surface of src/lmoll: every import of scipy, read from the
 source with ast, so that a new dependency cannot slip in unnoticed, and
 the commands that load scipy at run time: voronoi-check alone.  Also that
-the CLI's import loads no numpy.polynomial."""
+the CLI's import loads no numpy.polynomial, and that every public function
+and class of src/lmoll has a caller in the library or is a named second
+route: reference forms that only tests call belong in tests/oracles.py."""
 from __future__ import annotations
 
 import ast
@@ -107,3 +109,69 @@ def test_scanner_sees_every_import_form(tmp_path):
     assert scipy_imports(tmp_path) == {("mod.py", "scipy", None), ("mod.py", "scipy.special", None),
                                ("mod.py", "scipy.integrate", "quad"),
                                ("mod.py", "scipy.integrate", "trapezoid")}
+
+
+# public names that nothing else in src/lmoll calls, kept on purpose: the
+# second routes that cross-check a production route (first moment, singular
+# series, shifted convolution, Euler product, lacunary divisor sum), the
+# series and Dirichlet series the tests hold them to, and eval_weight, which
+# perfbench/tracer.py patches by name
+SECOND_ROUTES = (
+    "first_moment_by_orthogonality",
+    "singular_series_factored",
+    "singular_series_r_sum",
+    "shifted_conv_r_decomposed",
+    "euler_product",
+    "lacunary_divisor_sum",
+    "singular_series",
+    "dirichlet_series_G",
+    "eval_weight",
+)
+
+
+def uncalled_public_names(root: pathlib.Path = SRC) -> set[tuple[str, str]]:
+    """(module file, name) of each public top-level function or class of
+    root's modules (__init__.py aside) that no other top-level statement of
+    them reads, by name, as an attribute, or under an import alias."""
+    defs, reads = {}, []
+    for path in sorted(root.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        alias = {a.asname: a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                 for a in node.names if a.asname}
+        for stmt in tree.body:
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names |= {node.id, alias.get(node.id, node.id)}
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+            reads.append((stmt, names))
+            if (isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                    and not stmt.name.startswith("_")):
+                defs[stmt.name] = (path.name, stmt)
+    return {(file, name) for name, (file, stmt) in defs.items()
+            if not any(name in names for other, names in reads if other is not stmt)}
+
+
+def test_every_public_name_has_a_caller_or_is_a_second_route():
+    uncalled = uncalled_public_names()
+    assert {name for _, name in uncalled} <= set(SECOND_ROUTES), sorted(uncalled)
+    # no stale entry: each one is still defined and still has no caller
+    assert {name for _, name in uncalled} == set(SECOND_ROUTES)
+
+
+def test_caller_scan_sees_names_attributes_and_aliases(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from .b import g as h\n"
+        "def f():\n"
+        "    return f()\n"
+        "def used():\n"
+        "    return h(mod.attr)\n"
+        "class K:\n"
+        "    pass\n"
+        "x = K\n")
+    (tmp_path / "b.py").write_text("def g():\n    return used()\ndef attr():\n    pass\n")
+    (tmp_path / "__init__.py").write_text("from .a import f\n")
+    assert uncalled_public_names(tmp_path) == {("a.py", "f")}

@@ -20,9 +20,9 @@ from lmoll.lvalues import (
     _em_bound,
     _em_shift,
     hurwitz_zeta_vec,
-    oracle_product,
 )
-from lmoll.special import SmoothBump, eval_weight, gamma_complex, gamma_many, rgamma_complex
+from lmoll.special import SmoothBump, eval_weight, gamma_many
+from oracles import gamma_complex, oracle_product, rgamma_complex
 
 # 1/129649 = 1/(9973*13), the smallest x of a census at q = 9973, D = 13
 XS = (1 / 129649, 1e-5, 0.1, 0.5, 1.0)

@@ -21,15 +21,13 @@ from lmoll.lvalues import (
     afe_central,
     afe_tail_bound,
     default_config,
-    epsilon_consistency_residual,
     hurwitz_zeta_vec,
     oracle_L,
-    oracle_product,
-    oracle_product_derivative,
     oracle_products_at,
 )
 from lmoll.moments import mollified_moments
 from lmoll.special import eval_weight_many
+from oracles import epsilon_consistency_residual, oracle_product, oracle_product_derivative
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "central_values.csv"
 

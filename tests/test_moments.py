@@ -22,7 +22,6 @@ from lmoll.arith import (
     divisors,
     eval_rho,
     factor,
-    kloosterman,
     primes_up_to,
 )
 from lmoll.characters import build_group, enumerate_even_primitive, epsilon, phi_plus
@@ -52,10 +51,10 @@ from lmoll.moments import (
     mollified_moments,
     restricted_divisor_product_residuals,
     tau4_prime_power,
-    tau4_table,
 )
 from lmoll.reduction import fsum_complex
 from lmoll.special import eval_weight
+from oracles import kloosterman, tau4_table
 
 PSI5 = RealCharacter(5)
 

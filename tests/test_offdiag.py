@@ -16,7 +16,7 @@ from scipy.integrate import quad
 from scipy.special import zeta
 
 from lmoll import offdiag
-from lmoll.arith import RealCharacter, factor, ramanujan_sum
+from lmoll.arith import RealCharacter, factor
 from lmoll.lvalues import oracle_L
 from lmoll.offdiag import (
     _BUMP,
@@ -31,14 +31,13 @@ from lmoll.offdiag import (
     H_kernel,
     H_kernel_product_form,
     main_term,
-    power_overlap_closed,
     shifted_conv_r_decomposed,
     singular_series,
     singular_series_factored,
     singular_series_r_sum,
-    singular_series_term,
 )
 from lmoll.reduction import exact_sum
+from oracles import power_overlap_closed, ramanujan_sum, singular_series_term
 
 PSI5 = RealCharacter(5)
 # squarefree D = 1 mod 4 below 200

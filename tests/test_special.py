@@ -30,17 +30,14 @@ from lmoll.special import (
     _kernel_arr,
     _line_b,
     _line_kernel,
-    digamma_complex,
     eval_weight,
     eval_weight_many,
-    gamma_complex,
     gamma_many,
     kernel_abs_moment,
     mellin_principal_part,
-    mellin_weight,
-    rgamma_complex,
 )
 from lmoll.voronoi import bessel_k0, bessel_y0
+from oracles import digamma_complex, gamma_complex, mellin_weight, rgamma_complex
 
 LOGQ = math.log(13 * math.sqrt(5) / math.pi)
 
