@@ -4,12 +4,13 @@ functional equations, mollified moments, shifted convolutions, and twisted
 Voronoi summation.  Every identity the library computes has an independent
 brute-force or oracle route, run by the commands' cross-checks or by the
 test suite.  Reference forms that only the tests use (the Kronecker symbol,
-Ramanujan and Kloosterman sums, scalar gamma and digamma) live beside the
-tests, in tests/oracles.py."""
+the mollifier coefficient rho one integer at a time, Ramanujan and
+Kloosterman sums, scalar gamma and digamma) live beside the tests, in
+tests/oracles.py."""
 
 __version__ = "1.0.0"
 
-from .arith import RealCharacter, factor, eval_rho
+from .arith import RealCharacter, factor
 from .characters import build_group, enumerate_even_primitive
 from .lvalues import afe_central, oracle_L
 from .moments import census, mollified_moments
@@ -28,7 +29,6 @@ __all__ = [
     "__version__",
     "RealCharacter",
     "factor",
-    "eval_rho",
     "build_group",
     "enumerate_even_primitive",
     "afe_central",

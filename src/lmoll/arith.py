@@ -1,9 +1,11 @@
 """Multiplicative arithmetic.
 
 Factorization, the real quadratic character psi(n) = (D/n) for a squarefree
-D = 1 (mod 4), the principal character, the divisor-type sum
-(1*psi)(n) = sum_{d|n} psi(d), its Dirichlet inverse rho, and the one
-Dirichlet-convolution sieve every divisor-sum table is built with.
+D = 1 (mod 4), the principal character, and the one Dirichlet-convolution
+sieve every multiplicative table is built with: the divisor-type sum
+(1*psi)(n) = sum_{d|n} psi(d), its Dirichlet inverse rho = mu * (mu psi),
+and the divisor count 1*1.  The Mobius table mu, which rho and the
+Ramanujan sums of `offdiag` read, keeps its own prime sieve.
 
 Every character (these two and chi mod q in `characters`) is a
 ResidueCharacter: its residue table values() is the one source of its
@@ -43,7 +45,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid for all 64-bit n."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -154,6 +156,22 @@ def factor(n: int) -> FactoredInt:
 
 def divisors(n: int) -> list[int]:
     return factor(n).divisors()
+
+
+@lru_cache(maxsize=8)
+def _mobius_table(limit: int) -> np.ndarray:
+    """mu(n) for n = 0..limit (entry 0 unused), sieved by the primes up to
+    sqrt(limit).  `small` collects the product of those primes dividing n;
+    a squarefree n with small < n has one prime factor above sqrt(limit)
+    left, which flips its sign once more."""
+    mu = np.ones(limit + 1, dtype=np.int64)
+    small = np.ones(limit + 1, dtype=np.int64)
+    for p in primes_up_to(math.isqrt(limit)):
+        mu[p::p] *= -1
+        small[p::p] *= p
+        mu[p * p :: p * p] = 0
+    mu[small < np.arange(limit + 1)] *= -1
+    return mu
 
 
 class ResidueCharacter:
@@ -287,19 +305,9 @@ def one_star_psi_table(psi: RealCharacter, limit: int) -> np.ndarray:
     return character_convolution(psi, PrincipalCharacter(), limit)
 
 
-def eval_rho(psi: RealCharacter, a: int) -> int:
-    """The Dirichlet inverse of 1*psi: multiplicative, supported on cubefree a,
-    with value -(1+psi(p)) at p and psi(p) at p^2."""
-    if a < 1:
-        raise ValueError("a must be positive")
-    out = 1
-    for p, e in factor(a).factors:
-        if e == 1:
-            out *= -(1 + psi(p))
-        elif e == 2:
-            out *= psi(p)
-        else:
-            return 0
-        if out == 0:
-            return 0
-    return out
+def rho_table(psi: RealCharacter, limit: int) -> np.ndarray:
+    """rho(n) for n = 0..limit (entry 0 unused), the Dirichlet inverse of 1*psi,
+    in exact int64.  psi is completely multiplicative, so rho = mu * (mu psi):
+    -(1+psi(p)) at p, psi(p) at p^2 and 0 on every cube multiple."""
+    mu = _mobius_table(limit)
+    return dirichlet_convolution(mu, mu * psi.values_at(np.arange(limit + 1)))

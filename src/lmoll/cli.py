@@ -26,7 +26,7 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .arith import RealCharacter
+from .arith import RealCharacter, factor
 from .characters import (
     build_group,
     enumerate_even_primitive,
@@ -234,10 +234,9 @@ def _suite_restricted_divisor(max_D: int) -> dict:
     worst, cases = 0.0, 0
     shifts = [(u, v) for u in _SHIFT_GRID for v in _SHIFT_GRID]
     for D in range(5, max_D + 1, 4):
-        try:
-            residuals = restricted_divisor_product_residuals(D, shifts)
-        except ValueError:
-            continue        # not squarefree
+        if not factor(D).is_squarefree():
+            continue
+        residuals = restricted_divisor_product_residuals(D, shifts)
         worst = max(worst, *residuals)
         cases += len(residuals)
     return {"cases": cases, "max_residual": worst, "pass": worst < RESTRICTED_DIVISOR_TOL}

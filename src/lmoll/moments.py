@@ -21,15 +21,17 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import (
+    PrincipalCharacter,
     RealCharacter,
     _cpow,
-    dirichlet_convolution,
+    _mobius_table,
+    character_convolution,
     divisors,
-    eval_rho,
     factor,
     is_prime,
     one_star_psi_table,
     primes_up_to,
+    rho_table,
 )
 from .characters import (
     DirichletCharacter,
@@ -74,9 +76,10 @@ class MollifierTable:
 def build_mollifier(psi: RealCharacter, X: int) -> MollifierTable:
     if X < 1:
         raise ValueError("cutoff must be positive")
-    a = np.array([n for n in range(1, X + 1) if n % psi.D], dtype=np.int64)
-    rho = np.array([eval_rho(psi, n) for n in a.tolist()], dtype=np.float64)
-    return MollifierTable(a=a[rho != 0], rho=rho[rho != 0])
+    a = np.arange(1, X + 1, dtype=np.int64)
+    rho = rho_table(psi, X)[1:]
+    keep = (a % psi.D != 0) & (rho != 0)
+    return MollifierTable(a=a[keep], rho=rho[keep].astype(np.float64))
 
 
 def eval_mollifier(table: MollifierTable, chi: DirichletCharacter) -> complex:
@@ -320,22 +323,15 @@ def _split_smooth_terms(psi: RealCharacter, X: int, u: complex, v: complex):
 
 def _restricted_inverse_triple_sums(D: int, shifts) -> list[complex]:
     """Triple sum over d, e, g | D with (e, g) = 1 of
-    rho(de) rho(dg) / (d e^{1+u} g^{1+v}) at each (u, v) of shifts; rho kills
-    every unsupported term.  The integer terms are found once for D."""
-    psi = RealCharacter(D)
+    rho(de) rho(dg) / (d e^{1+u} g^{1+v}) at each (u, v) of shifts, for a
+    squarefree D.  Every prime of de and dg divides D, where psi vanishes,
+    so rho(de) rho(dg) is mu(e) mu(g) when d, e and g are pairwise coprime
+    and 0 otherwise, whatever psi is.  The integer terms are found once for D."""
+    mu = _mobius_table(D)
     divs = divisors(D)
-    triples = []
-    for d in divs:
-        for e in divs:
-            re = eval_rho(psi, d * e)
-            if re == 0:
-                continue
-            for g in divs:
-                if math.gcd(e, g) != 1:
-                    continue
-                rg = eval_rho(psi, d * g)
-                if rg != 0:
-                    triples.append((re * rg, d, e, g))
+    triples = [(int(mu[e] * mu[g]), d, e, g)
+               for d in divs for e in divs if math.gcd(d, e) == 1
+               for g in divs if math.gcd(e, g) == 1 and math.gcd(d, g) == 1]
     sums = []
     for u, v in shifts:
         total = 0.0 + 0.0j
@@ -363,12 +359,6 @@ def restricted_divisor_product_residuals(D: int, shifts) -> list[float]:
 
 # ---------------------------------------------------------------------------
 # the multiplicative family feeding the split-prime factor
-
-
-def _tau_table(limit: int) -> np.ndarray:
-    """tau = 1 * 1, the divisor count, for n = 0..limit."""
-    ones = np.ones(limit + 1, dtype=np.int64)
-    return dirichlet_convolution(ones, ones)
 
 
 def tau4_prime_power(j: int) -> int:
@@ -456,7 +446,7 @@ def lacunary_divisor_sum(psi: RealCharacter, A: int, k: int = 1) -> Fraction:
     if hi > 10**6:
         raise ValueError("range too large for exact summation")
     lo = D**4
-    tau = _tau_table(hi)
+    tau = character_convolution(PrincipalCharacter(), PrincipalCharacter(), hi)
     ospi = one_star_psi_table(psi, hi)
     lcm = 1
     for n in range(lo + 1, hi + 1):

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import islice
 from typing import Iterator
 
@@ -29,12 +28,12 @@ import numpy as np
 from .arith import (
     RealCharacter,
     _cpow,
+    _mobius_table,
     dirichlet_convolution,
     divisors,
     factor,
     is_prime,
     one_star_psi_table,
-    primes_up_to,
 )
 from .lvalues import oracle_L
 from .quadpack import qags_block as quad
@@ -202,22 +201,6 @@ def shifted_conv_r_decomposed(params: ShiftedConvParams) -> float:
 # ------------------------------------------------------------------ series
 
 
-@lru_cache(maxsize=8)
-def _mobius_table(limit: int) -> np.ndarray:
-    """mu(n) for n = 0..limit (entry 0 unused), sieved by the primes up to
-    sqrt(limit).  `small` collects the product of those primes dividing n;
-    a squarefree n with small < n has one prime factor above sqrt(limit)
-    left, which flips its sign once more."""
-    mu = np.ones(limit + 1, dtype=np.int64)
-    small = np.ones(limit + 1, dtype=np.int64)
-    for p in primes_up_to(math.isqrt(limit)):
-        mu[p::p] *= -1
-        small[p::p] *= p
-        mu[p * p :: p * p] = 0
-    mu[small < np.arange(limit + 1)] *= -1
-    return mu
-
-
 def _ramanujan_column(r: int, limit: int, out: np.ndarray | None = None) -> np.ndarray:
     """c_ell(r) for ell = 1..limit via sum_{d | (r,ell)} mu(ell/d) d, sieved
     into out (int64, length limit + 1) when given; the column is out[1:]."""
@@ -341,23 +324,14 @@ def singular_series_factored(a: int, b: int, r: int, psi: RealCharacter) -> floa
     rr = abs(r)
     piece1 = 1.0 / _ZETA2
     piece2 = float(D) / _ZETA2
+    fa, fb, fr = (dict(factor(n).factors) for n in (a, b, rr))
     for p in sorted({f[0] for f in factor(rr * a * b * D).factors}):
-        alpha = _valuation(a, p)
-        beta = _valuation(b, p)
-        vr = _valuation(rr, p)
+        alpha, beta, vr = fa.get(p, 0), fb.get(p, 0), fr.get(p, 0)
         psi_p = psi(p)
         generic = 1.0 - p ** -2.0
         piece1 *= _local_term_sum(p, alpha, beta, vr, psi_p, reduced=False) / generic
         piece2 *= _local_term_sum(p, alpha, beta, vr, psi_p, reduced=True) / generic
     return piece1 + piece2
-
-
-def _valuation(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 def singular_series_r_sum(a: int, b: int, R: int, psi: RealCharacter,
@@ -409,9 +383,9 @@ def dirichlet_series_G(a: int, b: int, s: complex, psi: RealCharacter) -> comple
     prefactor = 1.0 / _ZETA2
     piece1 = 1.0 + 0j
     piece2 = complex(D)
+    fa, fb = dict(factor(a).factors), dict(factor(b).factors)
     for p in sorted({f[0] for f in factor(a * b * D).factors}):
-        alpha = _valuation(a, p)
-        beta = _valuation(b, p)
+        alpha, beta = fa.get(p, 0), fb.get(p, 0)
         prefactor *= (1 - _cpow(p, -1 - s)) / (1 - p ** -2.0)
         l1, l2 = _g_local_pair(p, alpha, beta, s, psi(p))
         piece1 *= l1

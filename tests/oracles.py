@@ -2,10 +2,11 @@
 
 No command of the library and none of its cross-checks calls these: each is
 a direct or scalar form of something lmoll computes another way (the
-Kronecker symbol behind psi's residue table, Kloosterman and Ramanujan sums
-behind the orthogonality expansions, scalar gamma and digamma behind the
-array Lanczos evaluation), or a closed form that a test holds a library
-route to.  Test modules import them as `from oracles import ...`.
+Kronecker symbol behind psi's residue table, rho one a at a time behind
+its sieved table, Kloosterman and Ramanujan sums behind the orthogonality
+expansions, scalar gamma and digamma behind the array Lanczos
+evaluation), or a closed form that a test holds a library route to.  Test
+modules import them as `from oracles import ...`.
 """
 from __future__ import annotations
 
@@ -15,7 +16,9 @@ import math
 import numpy as np
 
 from lmoll.arith import (
+    PrincipalCharacter,
     RealCharacter,
+    character_convolution,
     dirichlet_convolution,
     divisors,
     factor,
@@ -29,7 +32,6 @@ from lmoll.characters import (
     epsilon_product_direct,
 )
 from lmoll.lvalues import oracle_products_at
-from lmoll.moments import _tau_table
 from lmoll.offdiag import _check_pair, _series_coeff, _series_terms
 from lmoll.reduction import exact_sum
 from lmoll.special import (
@@ -55,6 +57,25 @@ def euler_phi(n: int) -> int:
     out = n
     for p, _ in factor(n).factors:
         out -= out // p
+    return out
+
+
+def eval_rho(psi: RealCharacter, a: int) -> int:
+    """The Dirichlet inverse of 1*psi at one a, from a's factorization:
+    multiplicative, supported on cubefree a, with value -(1+psi(p)) at p and
+    psi(p) at p^2.  The reference for arith.rho_table."""
+    if a < 1:
+        raise ValueError("a must be positive")
+    out = 1
+    for p, e in factor(a).factors:
+        if e == 1:
+            out *= -(1 + psi(p))
+        elif e == 2:
+            out *= psi(p)
+        else:
+            return 0
+        if out == 0:
+            return 0
     return out
 
 
@@ -254,7 +275,7 @@ def epsilon_consistency_residual(chi: DirichletCharacter, psi: RealCharacter,
 
 def tau4_table(limit: int) -> np.ndarray:
     """tau4 = tau * tau by direct Dirichlet convolution, exact integers."""
-    tau = _tau_table(limit)
+    tau = character_convolution(PrincipalCharacter(), PrincipalCharacter(), limit)
     return dirichlet_convolution(tau, tau)
 
 

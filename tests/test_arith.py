@@ -20,14 +20,15 @@ from lmoll.arith import (
     RealCharacter,
     dirichlet_convolution,
     divisors,
-    eval_rho,
     factor,
     is_prime,
     one_star_psi_table,
     primes_up_to,
+    rho_table,
 )
 from oracles import (
     euler_phi,
+    eval_rho,
     kloosterman,
     kronecker,
     lacunary_partial_sum,
@@ -323,7 +324,8 @@ def test_rho_is_dirichlet_inverse():
 @given(st.sampled_from(SQUAREFREE_D), st.integers(1, 2000))
 def test_rho_inverts_one_star_psi_by_convolution(D, limit):
     psi = RealCharacter(D)
-    rho = np.array([0] + [eval_rho(psi, a) for a in range(1, limit + 1)], dtype=np.int64)
+    rho = rho_table(psi, limit)
+    assert rho[1:].tolist() == [eval_rho(psi, a) for a in range(1, limit + 1)]
     delta = dirichlet_convolution(rho, one_star_psi_table(psi, limit))
     assert delta.tolist() == [0, 1] + [0] * (limit - 1)
 

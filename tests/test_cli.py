@@ -401,6 +401,19 @@ class TestIdentitySuite:
         assert rec["orthogonality"] == {"cases": 1064, "pass": False}
         assert rec["pass"] is False
 
+    def test_restricted_divisor_error_is_not_skipped(self, monkeypatch):
+        # only a non-squarefree D is skipped: any other error stops the suite
+        plain = cli.restricted_divisor_product_residuals
+
+        def faulty(D, shifts):
+            if D == 13:
+                raise ValueError("fault at D = 13")
+            return plain(D, shifts)
+
+        monkeypatch.setattr(cli, "restricted_divisor_product_residuals", faulty)
+        with pytest.raises(ValueError, match="fault at D = 13"):
+            run_cli(["identity-suite", "--max-D", "100"])
+
     def test_smallest_bounds_leave_no_battery_empty(self, capsys):
         assert run_cli(["identity-suite", "--max-q", "7", "--max-D", "5"]) == 0
         rec = payload_of(capsys)

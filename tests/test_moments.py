@@ -20,7 +20,6 @@ from lmoll.arith import (
     RealCharacter,
     _cpow,
     divisors,
-    eval_rho,
     factor,
     primes_up_to,
 )
@@ -54,7 +53,7 @@ from lmoll.moments import (
 )
 from lmoll.reduction import fsum_complex
 from lmoll.special import eval_weight
-from oracles import kloosterman, tau4_table
+from oracles import eval_rho, kloosterman, tau4_table
 
 PSI5 = RealCharacter(5)
 

@@ -16,12 +16,11 @@ from scipy.integrate import quad
 from scipy.special import zeta
 
 from lmoll import offdiag
-from lmoll.arith import RealCharacter, factor
+from lmoll.arith import RealCharacter, _mobius_table, factor
 from lmoll.lvalues import oracle_L
 from lmoll.offdiag import (
     _BUMP,
     ShiftedConvParams,
-    _mobius_table,
     _ramanujan_column,
     _series_coeff,
     _series_sum,
