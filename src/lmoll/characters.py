@@ -96,9 +96,6 @@ class DirichletCharacter(ResidueCharacter):
     def is_even(self) -> bool:
         return self.k % 2 == 0
 
-    def conjugate(self) -> "DirichletCharacter":
-        return DirichletCharacter(self.group, (-self.k) % (self.group.q - 1))
-
     def __call__(self, n: int) -> complex:
         d = self.group.dlog[n % self.group.q]
         if d < 0:

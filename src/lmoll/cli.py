@@ -1,14 +1,16 @@
 """Batch command-line surface with machine-readable output.
 
 Every command is deterministic: no seeds, no environment configuration.
-Every command runs on one thread; --threads is still accepted and
-validated, but has no effect.  Payloads are canonical JSON (sorted keys);
-census and moments also offer CSV.  With --out the payload is
-written atomically (temp file in the target directory, then rename) and a
-one-line summary goes to stdout; without --out the payload itself is
-printed.  --out must name a file in an existing directory, which is checked
-before the first sum; a write that fails is a usage error too.  Exit codes:
-0 success, 2 tolerance failure, 1 usage error.
+Every command runs on one thread; --threads is validated but has no effect.
+Each command maps its parsed flags to (record, summary, ok); main alone
+renders the record, writes it and sets the exit code.  Payloads are
+canonical JSON (sorted keys); census and moments also offer CSV, headed by
+the record's keys in its order.  The one-line summary goes to stdout, then
+the payload, or with --out the payload is written atomically (temp file in
+the target directory, then rename) to a file in an existing directory,
+which is checked before the first sum; a failed write is a usage error.
+Exit codes: 0 success, 1 usage error, 2 a failed check: ok false, or no
+record, when the summary goes to stderr and no payload is written.
 """
 from __future__ import annotations
 
@@ -90,8 +92,7 @@ def _flags(label: str):
         raise _UsageError(f"{label}: {e}") from e
 
 
-def _write_atomic(path: str, text: str) -> None:
-    target = os.path.abspath(path)
+def _write_atomic(target: str, text: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".lmoll-")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
@@ -103,76 +104,54 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _emit(payload: str, summary: str, out: str | None) -> None:
-    if out is None:
-        print(summary)
-        print(payload, end="" if payload.endswith("\n") else "\n")
-    else:
-        try:
-            _write_atomic(out, payload if payload.endswith("\n") else payload + "\n")
-        except OSError as e:
-            raise _UsageError(f"--out: {e}") from e
-        print(summary)
-
-
-def _render(record: dict, fmt: str = "json", fields: tuple[str, ...] = ()) -> str:
+def _render(record: dict, fmt: str = "json") -> str:
     """The payload: canonical JSON (sorted keys, one line), or for csv a
-    header of fields and one row of the record's values in that order."""
+    header of the record's keys and one row of its values, in its order."""
     if fmt == "json":
-        return json.dumps(record, sort_keys=True, allow_nan=False)
+        return json.dumps(record, sort_keys=True, allow_nan=False) + "\n"
     buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(fields)
-    w.writerow([record[f] for f in fields])
+    csv.writer(buf, lineterminator="\n").writerows((record, record.values()))
     return buf.getvalue()
 
 
 # ------------------------------------------------------------------ commands
 
 
-def _cmd_census(args) -> int:
+def _psi(D: int) -> RealCharacter:
     with _flags("--D"):
-        psi = RealCharacter(args.D)
+        return RealCharacter(D)
+
+
+def _cmd_census(args) -> tuple[dict, str, bool]:
+    psi = _psi(args.D)
     with _flags("--q/--D/--threshold"):
         nonzero_product, nonzero_plain = census(args.q, psi, args.threshold)
     fam = phi_plus(args.q)
     record = {
-        "D": args.D,
-        "nonzero_plain": nonzero_plain,
-        "nonzero_product": nonzero_product,
-        "phi_plus": fam,
         "q": args.q,
+        "D": args.D,
         "threshold": args.threshold,
+        "phi_plus": fam,
+        "nonzero_product": nonzero_product,
+        "nonzero_plain": nonzero_plain,
     }
-    payload = _render(record, args.format, ("q", "D", "threshold", "phi_plus",
-                                            "nonzero_product", "nonzero_plain"))
-    _emit(payload,
-          f"census q={args.q} D={args.D}: product {nonzero_product}/{fam}, "
-          f"plain {nonzero_plain}/{fam}",
-          args.out)
-    return 0
+    return (record, f"census q={args.q} D={args.D}: product {nonzero_product}/{fam}, "
+                    f"plain {nonzero_plain}/{fam}", True)
 
 
-def _cmd_moments(args) -> int:
-    with _flags("--D"):
-        psi = RealCharacter(args.D)
+def _cmd_moments(args) -> tuple[dict, str, bool]:
+    psi = _psi(args.D)
     with _flags("--q/--D"):
         default_config(args.q, args.D)  # the AFE caps, before any table
     with _flags("--q/--X"):
         report = mollified_moments(args.q, psi, args.X, args.threshold)
-    payload = _render(report.record(), args.format,
-                      ("q", "D", "X", "s1_re", "s1_im", "s2", "ratio",
-                       "census_nonzero", "phi_plus"))
-    _emit(payload,
-          f"moments q={args.q} D={args.D} X={args.X}: ratio={report.ratio:.6f} "
-          f"census={report.census_nonzero}/{phi_plus(args.q)}",
-          args.out)
-    return 0
+    return (report.record(),
+            f"moments q={args.q} D={args.D} X={args.X}: ratio={report.ratio:.6f} "
+            f"census={report.census_nonzero}/{phi_plus(args.q)}", True)
 
 
-def _cmd_afe_check(args) -> int:
-    with _flags("--D"):
-        psi = RealCharacter(args.D)
+def _cmd_afe_check(args) -> tuple[dict, str, bool]:
+    psi = _psi(args.D)
     with _flags("--q/--D"):
         default_config(args.q, args.D)  # the AFE caps, before any table
         family = enumerate_even_primitive(build_group(args.q))
@@ -181,19 +160,16 @@ def _cmd_afe_check(args) -> int:
         residuals = [abs(c - o) for c, o in zip(centrals, oracles)]
     worst = max(residuals, default=0.0)
     ok = worst < args.tol
-    payload = _render({
+    record = {
         "D": args.D,
         "count": len(residuals),
         "max_residual": worst,
         "pass": ok,
         "q": args.q,
         "tol": args.tol,
-    })
-    _emit(payload,
-          f"afe-check q={args.q} D={args.D}: {len(residuals)} characters, "
-          f"max residual {worst:.3e} ({'ok' if ok else 'FAIL'})",
-          args.out)
-    return 0 if ok else 2
+    }
+    return (record, f"afe-check q={args.q} D={args.D}: {len(residuals)} characters, "
+                    f"max residual {worst:.3e} ({'ok' if ok else 'FAIL'})", ok)
 
 
 def _suite_orthogonality(max_q: int) -> dict:
@@ -254,7 +230,7 @@ def _suite_h_kernel() -> dict:
             "pass": worst < H_KERNEL_TOL}
 
 
-def _cmd_identity_suite(args) -> int:
+def _cmd_identity_suite(args) -> tuple[dict | None, str, bool]:
     # below the smallest q and D of the batteries, a battery would pass with no case
     if args.max_q < 7:
         raise _UsageError(f"--max-q: must be at least 7, got {args.max_q}")
@@ -270,22 +246,14 @@ def _cmd_identity_suite(args) -> int:
             "orthogonality": _suite_orthogonality(args.max_q),
         }
     except ArithmeticError as e:
-        print(f"identity-suite: {e}", file=sys.stderr)
-        return 2
+        return None, f"identity-suite: {e}", False
     ok = all(s["pass"] for s in suites.values())
-    suites["pass"] = ok
-    payload = _render(suites)
-    parts = ", ".join(f"{name} {s['cases']}" for name, s in sorted(suites.items())
-                      if isinstance(s, dict))
-    _emit(payload,
-          f"identity-suite ({'ok' if ok else 'FAIL'}): {parts}",
-          args.out)
-    return 0 if ok else 2
+    parts = ", ".join(f"{name} {s['cases']}" for name, s in sorted(suites.items()))
+    return {**suites, "pass": ok}, f"identity-suite ({'ok' if ok else 'FAIL'}): {parts}", ok
 
 
-def _cmd_shifted_conv(args) -> int:
-    with _flags("--D"):
-        psi = RealCharacter(args.D)
+def _cmd_shifted_conv(args) -> tuple[dict, str, bool]:
+    psi = _psi(args.D)
     with _flags("--scales"):
         scales = [float(s) for s in args.scales.split(",") if s]
         if not scales:
@@ -302,22 +270,18 @@ def _cmd_shifted_conv(args) -> int:
         rel = abs(brute - main) / abs(brute) if brute != 0.0 else None
         rows.append({"M": scale, "N": scale, "brute": brute, "main": main,
                      "rel_deviation": rel, "tail": tail})
-    payload = _render({
+    record = {
         "D": args.D, "a": args.a, "b": args.b, "q": args.q,
         "scales": rows, "sign": args.sign,
-    })
+    }
     devs = " ".join("-" if r["rel_deviation"] is None
                     else f"{r['rel_deviation']:.4f}" for r in rows)
-    _emit(payload,
-          f"shifted-conv a={args.a} b={args.b} q={args.q} D={args.D}: "
-          f"deviations {devs}",
-          args.out)
-    return 0
+    return (record, f"shifted-conv a={args.a} b={args.b} q={args.q} D={args.D}: "
+                    f"deviations {devs}", True)
 
 
-def _cmd_voronoi_check(args) -> int:
-    with _flags("--D"):
-        psi = RealCharacter(args.D)
+def _cmd_voronoi_check(args) -> tuple[dict, str, bool]:
+    psi = _psi(args.D)
     with _flags("--c/--a"):
         case = factor_character(psi, args.c, args.a)
     with _flags("--bump-lo/--bump-hi"):
@@ -328,32 +292,25 @@ def _cmd_voronoi_check(args) -> int:
         rhs = voronoi_rhs(case, g, m_max=args.m_max)
     residual = abs(lhs - rhs.value)
     ok = residual < args.tol
-    payload = _render({
+    record = {
         "insufficient": rhs.insufficient,
         "lhs": [lhs.real, lhs.imag],
         "residual": residual,
         "rhs": [rhs.value.real, rhs.value.imag],
         # an inf bound (the sum stopped short of its certified stop) is null
         "tail_bound": rhs.tail_bound if math.isfinite(rhs.tail_bound) else None,
-    })
-    _emit(payload,
-          f"voronoi-check D={args.D} c={args.c} a={args.a}: "
-          f"residual {residual:.3e} ({'ok' if ok else 'FAIL'})",
-          args.out)
-    return 0 if ok else 2
+    }
+    return (record, f"voronoi-check D={args.D} c={args.c} a={args.a}: "
+                    f"residual {residual:.3e} ({'ok' if ok else 'FAIL'})", ok)
 
 
 # ------------------------------------------------------------------ parser
 
 
-def _add_common(p: argparse.ArgumentParser, formats: bool = False) -> None:
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="output file (atomic write)")
     p.add_argument("--threads", type=int, default=1,
                    help="accepted for compatibility; has no effect")
-    if formats:
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-    else:
-        p.set_defaults(format="json")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -368,7 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--D", type=int, required=True)
     p.add_argument("--threshold", type=float, default=1e-8)
-    _add_common(p, formats=True)
+    _add_common(p)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(run=_cmd_census)
 
     p = sub.add_parser("moments", help="mollified first and second moments")
@@ -376,7 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--D", type=int, required=True)
     p.add_argument("--X", type=int, required=True)
     p.add_argument("--threshold", type=float, default=1e-8)
-    _add_common(p, formats=True)
+    _add_common(p)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.set_defaults(run=_cmd_moments)
 
     p = sub.add_parser("afe-check",
@@ -445,7 +404,20 @@ def main(argv: list[str] | None = None) -> int:
                 raise _UsageError(f"--out: {target} is a directory")
             if not os.path.isdir(os.path.dirname(target)):
                 raise _UsageError(f"--out: no directory {os.path.dirname(target)}")
-        return args.run(args)
+        record, summary, ok = args.run(args)
+        if record is None:
+            print(summary, file=sys.stderr)
+            return 2
+        payload = _render(record, getattr(args, "format", "json"))
+        if args.out is not None:
+            try:
+                _write_atomic(target, payload)
+            except OSError as e:
+                raise _UsageError(f"--out: {e}") from e
+        print(summary)
+        if args.out is None:
+            print(payload, end="")
+        return 0 if ok else 2
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1

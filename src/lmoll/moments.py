@@ -436,8 +436,9 @@ def lacunary_divisor_sum(psi: RealCharacter, A: int, k: int = 1) -> Fraction:
     At k = 0 this is the exact difference of the partial sums
     sum_{n<=x} (1*psi)(n)/n at x = D^A and x = D^4.
 
-    Common denominator lcm(1..D^A) keeps every addition integral; the one
-    gcd happens at the end.
+    The terms c/n are summed in a balanced tree, two halves over the lcm of
+    their denominators, so each big-integer step is about as long as its
+    result and no term is scaled to the lcm of the whole range.
     """
     D = psi.D
     if A < 4:
@@ -448,12 +449,16 @@ def lacunary_divisor_sum(psi: RealCharacter, A: int, k: int = 1) -> Fraction:
     lo = D**4
     tau = character_convolution(PrincipalCharacter(), PrincipalCharacter(), hi)
     ospi = one_star_psi_table(psi, hi)
-    lcm = 1
-    for n in range(lo + 1, hi + 1):
-        lcm = math.lcm(lcm, n)
-    num = 0
-    for n in range(lo + 1, hi + 1):
-        c = int(tau[n]) ** k * int(ospi[n])
-        if c:
-            num += c * (lcm // n)
-    return Fraction(num, lcm)
+    terms = [(c, n) for n in range(lo + 1, hi + 1)
+             if (c := int(tau[n]) ** k * int(ospi[n]))]
+
+    def tree_sum(i: int, j: int) -> tuple[int, int]:
+        """(numerator, denominator) of the sum of terms[i:j], j > i."""
+        if j - i == 1:
+            return terms[i]
+        a, m = tree_sum(i, (i + j) // 2)
+        b, n = tree_sum((i + j) // 2, j)
+        lcm = math.lcm(m, n)
+        return a * (lcm // m) + b * (lcm // n), lcm
+
+    return Fraction(*tree_sum(0, len(terms))) if terms else Fraction(0)

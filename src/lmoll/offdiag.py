@@ -38,7 +38,7 @@ from .arith import (
 from .lvalues import oracle_L
 from .quadpack import qags_block as quad
 from .reduction import exact_sum
-from .special import SmoothBump, gamma_many
+from .special import SmoothBump, _is_nonpositive_integer, gamma_many
 
 __all__ = [
     "ShiftedConvParams",
@@ -515,7 +515,7 @@ def main_term(params: ShiftedConvParams, L_max: int = 100000) -> tuple[float, fl
 def _check_kernel_point(u: complex, v: complex) -> tuple[complex, complex]:
     u, v = complex(u), complex(v)
     w = u + v
-    if w.imag == 0.0 and w.real <= 0.0 and w.real == round(w.real):
+    if _is_nonpositive_integer(w):
         raise ValueError(f"pole: u + v = {w.real:g} is a nonpositive integer")
     if u == 0.5 or v == 0.5:
         raise ValueError("pole: u, v = 1/2 excluded")

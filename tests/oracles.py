@@ -263,7 +263,7 @@ def epsilon_consistency_residual(chi: DirichletCharacter, psi: RealCharacter,
     """
     Q = chi.modulus * math.sqrt(psi.D) / math.pi
     num = oracle_products_at(0.5 + alpha, [chi], psi)[0]
-    den = oracle_products_at(0.5 - alpha, [chi.conjugate()], psi)[0]
+    den = oracle_products_at(0.5 - alpha, [chi.group.character(-chi.k)], psi)[0]
     gamma_ratio = (gamma_complex((0.5 + alpha) / 2) / gamma_complex((0.5 - alpha) / 2)) ** 2
     forced = Q ** (2 * alpha) * gamma_ratio * num / den
     eps = epsilon(chi) * epsilon_product_direct(chi, psi)

@@ -38,6 +38,19 @@ GOLDEN_ARGVS = {
                       "--bump-lo", "50", "--bump-hi", "4850"],
 }
 
+# the one-line summary each golden argv prints on stdout, before the payload
+# without --out and alone with it
+GOLDEN_SUMMARIES = {
+    "census": "census q=29 D=5: product 13/13, plain 13/13",
+    "census-csv": "census q=29 D=5: product 13/13, plain 13/13",
+    "moments": "moments q=29 D=5 X=10: ratio=0.721739 census=13/13",
+    "moments-csv": "moments q=29 D=5 X=10: ratio=0.721739 census=13/13",
+    "afe-check": "afe-check q=13 D=5: 5 characters, max residual 1.824e-15 (ok)",
+    "identity-suite": "identity-suite (ok): epsilon 18, h_kernel 7, orthogonality 136, "
+                      "restricted_divisor 27",
+    "shifted-conv": "shifted-conv a=1 b=1 q=101 D=5: deviations 0.0460 0.1410",
+    "voronoi-check": "voronoi-check D=5 c=3 a=2: residual 3.228e-12 (ok)",
+}
 
 _SHIFTED = ["shifted-conv", "--a", "1", "--b", "1", "--q", "101", "--D", "5"]
 _VORONOI = GOLDEN_ARGVS["voronoi-check"]
@@ -308,10 +321,14 @@ class TestGoldenPayloads:
     @pytest.mark.parametrize("name", sorted(GOLDEN_ARGVS))
     def test_payload_bytes(self, name, tmp_path, capsys):
         argv = GOLDEN_ARGVS[name]
-        golden = strict_json(GOLDEN_PAYLOADS.read_text())
+        golden = strict_json(GOLDEN_PAYLOADS.read_text())[" ".join(argv)]
+        summary = GOLDEN_SUMMARIES[name] + "\n"
         rc, got = payload_bytes(argv, tmp_path / "payload")
         assert rc == 0
-        assert got == golden[" ".join(argv)].encode()
+        assert got == golden.encode()
+        assert capsys.readouterr() == (summary, "")
+        assert run_cli(argv) == 0
+        assert capsys.readouterr() == (summary + golden, "")
 
 
 class TestCensus:
@@ -383,13 +400,18 @@ class TestIdentitySuite:
             assert rec[name]["pass"] is True
             assert rec[name]["cases"] > 0
 
-    def test_pair_sum_off_an_integer_exits_2(self, monkeypatch, capsys):
+    def test_pair_sum_off_an_integer_exits_2(self, monkeypatch, tmp_path, capsys):
         # fresh groups, so no pair-sum table cached by an earlier test is read
         plain = CharacterGroup.transform
         monkeypatch.setattr(CharacterGroup, "transform", lambda self, f: plain(self, f) + 2e-9)
         monkeypatch.setattr(cli, "build_group", CharacterGroup)
-        assert run_cli(["identity-suite", "--max-q", "7", "--max-D", "5"]) == 2
-        assert "not within 1e-9 of an integer" in capsys.readouterr().err
+        argv = ["identity-suite", "--max-q", "7", "--max-D", "5"]
+        for out in ([], ["--out", str(tmp_path / "payload")]):
+            assert run_cli(argv + out) == 2
+            assert capsys.readouterr() == (
+                "", "identity-suite: pair sum (-0.9999999979999997+0j) "
+                    "not within 1e-9 of an integer\n")
+            assert list(tmp_path.iterdir()) == []
 
     def test_pair_sum_off_its_closed_form_exits_2(self, monkeypatch, capsys):
         # every entry still an integer, each one above the closed form

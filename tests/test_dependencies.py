@@ -1,9 +1,10 @@
 """The scipy surface of src/lmoll: every import of scipy, read from the
 source with ast, so that a new dependency cannot slip in unnoticed, and
 the commands that load scipy at run time: voronoi-check alone.  Also that
-the CLI's import loads no numpy.polynomial, and that every public function
-and class of src/lmoll has a caller in the library or is a named second
-route: reference forms that only tests call belong in tests/oracles.py."""
+the CLI's import loads no numpy.polynomial, and that every public function,
+class, method and property of src/lmoll has a caller in the library or is a
+named second route: reference forms that only tests call belong in
+tests/oracles.py."""
 from __future__ import annotations
 
 import ast
@@ -12,6 +13,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from collections import Counter
 
 import lmoll
 
@@ -129,15 +131,23 @@ SECOND_ROUTES = (
 )
 
 
+def _attribute_reads(node: ast.AST) -> Counter:
+    return Counter(n.attr for n in ast.walk(node)
+                   if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+
+
 def uncalled_public_names(root: pathlib.Path = SRC) -> set[tuple[str, str]]:
     """(module file, name) of each public top-level function or class of
     root's modules (__init__.py aside) that no other top-level statement of
-    them reads, by name, as an attribute, or under an import alias."""
-    defs, reads = {}, []
+    them reads, by name, as an attribute, or under an import alias; and
+    (module file, "Class.name") of each public method or property of a
+    public class whose name no attribute read outside its own body uses."""
+    defs, reads, methods, attrs = {}, [], {}, Counter()
     for path in sorted(root.glob("*.py")):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(), filename=str(path))
+        attrs += _attribute_reads(tree)
         alias = {a.asname: a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                  for a in node.names if a.asname}
         for stmt in tree.body:
@@ -151,8 +161,13 @@ def uncalled_public_names(root: pathlib.Path = SRC) -> set[tuple[str, str]]:
             if (isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
                     and not stmt.name.startswith("_")):
                 defs[stmt.name] = (path.name, stmt)
-    return {(file, name) for name, (file, stmt) in defs.items()
-            if not any(name in names for other, names in reads if other is not stmt)}
+            if isinstance(stmt, ast.ClassDef) and not stmt.name.startswith("_"):
+                methods |= {f"{stmt.name}.{m.name}": (path.name, m) for m in stmt.body
+                            if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")}
+    return ({(file, name) for name, (file, stmt) in defs.items()
+             if not any(name in names for other, names in reads if other is not stmt)}
+            | {(file, name) for name, (file, m) in methods.items()
+               if attrs[m.name] == _attribute_reads(m)[m.name]})
 
 
 def test_every_public_name_has_a_caller_or_is_a_second_route():
@@ -170,8 +185,21 @@ def test_caller_scan_sees_names_attributes_and_aliases(tmp_path):
         "def used():\n"
         "    return h(mod.attr)\n"
         "class K:\n"
-        "    pass\n"
-        "x = K\n")
-    (tmp_path / "b.py").write_text("def g():\n    return used()\ndef attr():\n    pass\n")
+        "    def read(self):\n"
+        "        return self.recurse\n"
+        "    @property\n"
+        "    def recurse(self):\n"
+        "        return self.recurse\n"
+        "    def stored(self):\n"
+        "        pass\n"
+        "    def _private(self):\n"
+        "        pass\n"
+        "class _Hidden:\n"
+        "    def unread(self):\n"
+        "        pass\n"
+        "x = K\n"
+        "y = _Hidden\n")
+    (tmp_path / "b.py").write_text(
+        "def g():\n    return used().read()\ndef attr(k):\n    k.stored = 1\n")
     (tmp_path / "__init__.py").write_text("from .a import f\n")
-    assert uncalled_public_names(tmp_path) == {("a.py", "f")}
+    assert uncalled_public_names(tmp_path) == {("a.py", "f"), ("a.py", "K.stored")}

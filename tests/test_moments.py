@@ -53,7 +53,7 @@ from lmoll.moments import (
 )
 from lmoll.reduction import fsum_complex
 from lmoll.special import eval_weight
-from oracles import eval_rho, kloosterman, tau4_table
+from oracles import eval_rho, kloosterman, lacunary_partial_sum, tau4_table
 
 PSI5 = RealCharacter(5)
 
@@ -623,6 +623,14 @@ class TestLacunaryDivisorSum:
         assert 0 <= s5 <= s6
         assert abs(float(s5) - 4.001721923729) < 1e-9
         assert abs(float(s6) - 8.667306438784) < 1e-9
+
+    def test_d13_range_against_partial_sums(self):
+        # D^A = 371,293, against the difference of the two exactly rounded
+        # partial sums
+        psi = RealCharacter(13)
+        got = float(lacunary_divisor_sum(psi, 5, 0))
+        want = lacunary_partial_sum(psi, 13**5) - lacunary_partial_sum(psi, 13**4)
+        assert abs(got - want) < 1e-12
 
     def test_guards(self):
         with pytest.raises(ValueError):
