@@ -203,7 +203,7 @@ class RealCharacter(ResidueCharacter):
             raise ValueError("modulus must exceed 1")
         if self.D > 10**6:
             # values() is a D-long table, and the work that reads it (the
-            # Gauss sum, census's (q-1) phi(D) Hurwitz points) grows with D
+            # Gauss sum, the Hurwitz oracle's (q-1) phi(D) points) grows with D
             raise ValueError(f"modulus {self.D} is above the cap 10^6")
         if self.D % 4 != 1:
             raise ValueError(f"modulus {self.D} is not 1 mod 4; even squarefree case only")

@@ -1,10 +1,15 @@
-"""Central values of L(s,chi)L(s,chi psi) two independent ways.
+"""Central values of L(s,chi)L(s,chi psi) by independent routes.
 
-The production route is the approximate functional equation: a coefficient
-sum against the smooth weights of module `special`, truncated at n_max with
-a certified tail bound.  The oracle route is Euler-Maclaurin Hurwitz zeta,
-assembling L(s,chi) = q^{-s} sum_a chi(a) zeta_H(s, a/q); the two routes
-share no code beyond the character tables.  Its shift N is the smallest whose
+afe-check's production route is the product's approximate functional
+equation (afe_central): a coefficient sum against the smooth weights of
+module `special`, truncated at n_max with a certified tail bound.  census's
+route takes each factor by its own short AFE, for the whole even family at
+once (_factor_pass): about 3.8 sqrt(m) terms per factor mod m, a certified
+tail below 1e-20, and one group transform.  The oracle route, afe-check's
+second route and the tests' reference for census's route, is
+Euler-Maclaurin Hurwitz zeta, assembling L(s,chi) = q^{-s} sum_a chi(a)
+zeta_H(s, a/q); it shares no code with the AFE routes beyond the character
+tables and their group transform.  Its shift N is the smallest whose
 remainder bound after the B16 term, 4|(s)_16|/(2 pi)^16 N^{1-sigma-16}/(sigma+15)
 (F. Johansson, Numer. Algorithms 69 (2015); DLMF 2.10), is at most 2^-60:
 N = 13 at s = 1/2.  The bound needs Re s > -15, and N is capped at 10^4.
@@ -28,7 +33,13 @@ import numpy as np
 
 from .arith import RealCharacter, one_star_psi_table
 from .characters import DirichletCharacter, build_group, epsilon, epsilon_product_direct
-from .special import _digamma_arr, eval_weight_many, kernel_abs_moment
+from .special import (
+    GAMMA_QUARTER,
+    _digamma_arr,
+    _upper_gamma_quarter,
+    eval_weight_many,
+    kernel_abs_moment,
+)
 
 # ---------------------------------------------------------------- oracle side
 
@@ -204,6 +215,79 @@ def oracle_products_at(s: complex, family, psi: RealCharacter) -> list[complex]:
         raise ValueError("family mixes moduli")
     plain, twist = _family_L(s, q, psi)
     return [complex(plain[chi.k] * twist[chi.k]) for chi in family]
+
+
+# ------------------------------------------------------------ factor AFE side
+
+# each factor's AFE stops at the first n with pi n^2/m >= 45 (e^{-45} < 3e-20)
+_FACTOR_CUT = 45.0
+
+
+def _factor_length(m: int) -> int:
+    """N = ceil(sqrt(45 m/pi)), the length of a factor's AFE mod m."""
+    return math.ceil(math.sqrt(_FACTOR_CUT * m / math.pi))
+
+
+def _factor_tail_bound(m: int, n: int) -> float:
+    """Bound on |L(1/2, chi) - its AFE cut at n| for even primitive chi mod
+    m, with x_n = pi n^2/m.
+
+    Each side's tail is sum_{j>n} |chi(j)| j^{-1/2} Gamma(1/4, x_j)/Gamma(1/4)
+    with |chi(j)| <= 1, Gamma(a, x) <= x^{a-1} e^{-x} for a <= 1, x_j >= x_n
+    and x_j - x_n >= 2 pi n (j - n)/m, so it is at most
+    n^{-1/2} x_n^{-3/4} e^{-x_n} / (Gamma(1/4) (e^{2 pi n/m} - 1)); the
+    root number has modulus 1, and the bound counts both sides."""
+    x = math.pi * n * n / m
+    return 2 * n**-0.5 * x**-0.75 * math.exp(-x) / (GAMMA_QUARTER * math.expm1(2 * math.pi * n / m))
+
+
+def _factor_coefficients(m: int) -> np.ndarray:
+    """n^{-1/2} V(n) for n = 1..N, V(n) = Gamma(1/4, pi n^2/m)/Gamma(1/4):
+    the coefficients of the AFE of every even primitive character mod m,
+    cut at N = _factor_length(m).  Raises when the certified tail exceeds
+    AFEConfig.tail_budget; at N it is below 1e-20 for every m <= 10^10."""
+    N = _factor_length(m)
+    tail = _factor_tail_bound(m, N)
+    if tail > AFEConfig.tail_budget:
+        raise ValueError(f"certified factor tail {tail:.3e} exceeds budget {AFEConfig.tail_budget:.3e}")
+    n = np.arange(1, N + 1, dtype=np.float64)
+    return _upper_gamma_quarter(np.pi / m * n * n) / (GAMMA_QUARTER * np.sqrt(n))
+
+
+def _factor_pass(q: int, psi: RealCharacter) -> tuple[np.ndarray, np.ndarray]:
+    """L(1/2, chi_k) and L(1/2, chi_k psi) for the even family mod the prime
+    q, k = 2, 4, ..., q-3 in the order of enumerate_even_primitive; q and
+    D coprime.
+
+    Each factor by its own AFE (Iwaniec-Kowalski, Analytic Number Theory,
+    Thm 5.3): for even primitive chi mod m,
+    L(1/2, chi) = sum chi(n) c(n) + eps(chi) sum conj(chi(n)) c(n), with
+    c(n) = n^{-1/2} Gamma(1/4, pi n^2/m)/Gamma(1/4) from
+    _factor_coefficients(m), cut at about 3.8 sqrt(m) terms within a
+    certified tail below 1e-20.  chi psi is even and primitive mod qD.  The
+    coefficients, times psi(n) for the twisted factor, are binned by n mod
+    q; one group transform of the two rows and of e(a/q) gives every sum
+    and every Gauss sum tau(chi_k), and the conjugate sum is the conjugate
+    of the real-coefficient sum.  eps(chi psi) = chi(D) psi(q) eps(chi)
+    eps(psi), with chi_k(D)'s exponent k dlog D reduced mod q-1 in integers.
+    """
+    D = psi.D
+    group = build_group(q)
+
+    def binned(c):  # sum of c(n) over n = a mod q, for a = 1..q-1
+        return np.bincount(np.arange(1, len(c) + 1) % q, weights=c, minlength=q)[1:]
+
+    c_plain = _factor_coefficients(q)
+    c_twist = _factor_coefficients(q * D)
+    c_twist *= psi.values_at(np.arange(1, len(c_twist) + 1))
+    rows = np.stack((binned(c_plain), binned(c_twist), np.exp(2j * np.pi * np.arange(1, q) / q)))
+    k = np.arange(2, q - 2, 2)
+    sums = group.transform(rows)[:, k]
+    eps = sums[2] / math.sqrt(q)
+    chi_D = group.unity[k * group.dlog[D % q] % (q - 1)]
+    eps_twist = chi_D * psi(q) * eps * epsilon(psi)
+    plain, twist = sums[0], sums[1]
+    return plain + eps * np.conj(plain), twist + eps_twist * np.conj(twist)
 
 
 # ------------------------------------------------------------------ AFE side

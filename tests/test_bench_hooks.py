@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -77,16 +78,27 @@ def _hurwitz_points(monkeypatch, run) -> int:
 
 @pytest.mark.parametrize("q,D", [(13, 5), (101, 65), (1009, 13)])
 def test_census_hurwitz_points(q, D, monkeypatch):
-    # (q-1)(1 + phi(D)) per census
+    # census takes no Hurwitz point; each factor's AFE takes
+    # ceil(sqrt(45 m/pi)) terms, m = q for the plain factor and qD for the
+    # twisted one: 121 and 434 at q = 1009, D = 13
+    terms = []
+    original = lvalues._upper_gamma_quarter
+
+    def counting(x):
+        terms.append(x.size)
+        return original(x)
+
+    monkeypatch.setattr(lvalues, "_upper_gamma_quarter", counting)
     points = _hurwitz_points(
         monkeypatch, lambda: moments.census(q, arith.RealCharacter(D), 1e-8))
-    assert points == (q - 1) * (1 + euler_phi(D))
+    assert points == 0
+    assert terms == [math.ceil(math.sqrt(45 * m / math.pi)) for m in (q, q * D)]
 
 
 @pytest.mark.parametrize("q,D", [(13, 5), (101, 5), (101, 65)])
 def test_family_oracle_hurwitz_points(q, D, monkeypatch):
-    # afe-check's oracle over the even family takes the census's
-    # (q-1)(1 + phi(D)) points: 500 at q = 101, D = 5
+    # afe-check's oracle over the even family takes (q-1)(1 + phi(D))
+    # points: 500 at q = 101, D = 5
     family = characters.enumerate_even_primitive(characters.build_group(q))
     points = _hurwitz_points(
         monkeypatch, lambda: lvalues.oracle_products_at(0.5, family, arith.RealCharacter(D)))

@@ -1,7 +1,7 @@
 """High-precision oracle tier: the Hurwitz-zeta route against mpmath at 30
 digits, and the certified Euler-Maclaurin shift behind it; the AFE weight V1
-against its Bessel integral; the bump's closed-form mass and the reciprocal
-gamma of the H kernels."""
+against its Bessel integral; Gamma(1/4, x) of each factor's AFE; the bump's
+closed-form mass and the reciprocal gamma of the H kernels."""
 
 from __future__ import annotations
 
@@ -19,12 +19,20 @@ from lmoll.lvalues import (
     _EM_TOL,
     _em_bound,
     _em_shift,
+    _factor_length,
     hurwitz_zeta_vec,
 )
-from lmoll.special import SmoothBump, eval_weight, gamma_many
+from lmoll.special import (
+    _UPPER_SPLIT,
+    SmoothBump,
+    _upper_gamma_quarter,
+    eval_weight,
+    gamma_many,
+)
 from oracles import gamma_complex, oracle_product, rgamma_complex
 
-# 1/129649 = 1/(9973*13), the smallest x of a census at q = 9973, D = 13
+# 1/129649 = 1/(9973*13), the smallest x of the Hurwitz family route at
+# q = 9973, D = 13
 XS = (1 / 129649, 1e-5, 0.1, 0.5, 1.0)
 SS = (0.5, 0.4, 0.6, 0.3 + 0.2j, 2.0, 0.5 + 30j, 0.5 + 200j)
 
@@ -128,6 +136,24 @@ def test_v1_matches_bessel_integral(x):
                                      [x, mpmath.inf]))
     # eval_weight_many's documented accuracy: absolute, far below 1e-10
     assert abs(eval_weight("V1", 5.0, x) - want) < 1e-10
+
+
+# the largest pi n^2/m at which a factor's AFE evaluates Gamma(1/4, x),
+# n <= ceil(sqrt(45 m/pi)), over the moduli m >= 5: 54.3 at m = 7
+LARGEST_AFE_X = max(math.pi * _factor_length(m) ** 2 / m for m in range(5, 10**4))
+
+
+def test_upper_gamma_quarter_matches_mpmath():
+    # series below the split, continued fraction from it on: points on both
+    # sides of it and right at it, and the largest argument the AFE uses
+    near_split = _UPPER_SPLIT * (1 + np.array([-1e-3, -1e-12, 0.0, 1e-12, 1e-3]))
+    xs = np.concatenate([np.geomspace(1e-8, 60, 241), near_split, [45.0, LARGEST_AFE_X]])
+    assert 54 < LARGEST_AFE_X < 60
+    got = _upper_gamma_quarter(xs)
+    for x, value in zip(xs, got):
+        with mpmath.workdps(30):
+            want = float(mpmath.gammainc(0.25, x))
+        assert abs(value - want) <= 5e-15 * want, x
 
 
 # the bump template's mass per unit width, (1/2) int_{-1}^{1} e^{1 - 1/(1 - v^2)} dv

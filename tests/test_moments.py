@@ -27,6 +27,7 @@ from lmoll.characters import build_group, enumerate_even_primitive, epsilon, phi
 from lmoll.lvalues import (
     AFEConfig,
     _budgeted_tables,
+    _factor_pass,
     _family_L,
     afe_central,
     default_config,
@@ -206,8 +207,8 @@ def census_full_sum(q, psi):
 
 
 def census_values_by_loop(q, psi):
-    """Reference for census's values: the full sum, then one length-q dot
-    product per character."""
+    """Reference for the Hurwitz family route's values (_family_L): the full
+    sum, then one length-q dot product per character."""
     D = psi.D
     z_plain, grouped = census_full_sum(q, psi)
     twisted = grouped[1:]
@@ -278,16 +279,16 @@ class TestCensus:
             assert census(q, psi, threshold) == want
 
     def test_qD_cap_before_any_table(self, monkeypatch):
-        # q D <= 10^8: 9973 * 10021 = 99,939,433 reaches the sum (stubbed
-        # here), 9973 * 10029 = 100,019,217 and 9973 * 999997 do not
-        monkeypatch.setattr("lmoll.moments._family_L",
-                            lambda s, q, psi: (np.ones(q - 1), np.ones(q - 1)))
+        # q D <= 10^8: 9973 * 10021 = 99,939,433 reaches the factor pass
+        # (stubbed here), 9973 * 10029 = 100,019,217 and 9973 * 999997 do not
+        monkeypatch.setattr("lmoll.moments._factor_pass",
+                            lambda q, psi: (np.ones(phi_plus(q)), np.ones(phi_plus(q))))
         assert census(9973, RealCharacter(10021), 1e-8) == (phi_plus(9973),) * 2
 
-        def fail(s, q, psi):
+        def fail(q, psi):
             raise AssertionError("census summed past its cap")
 
-        monkeypatch.setattr("lmoll.moments._family_L", fail)
+        monkeypatch.setattr("lmoll.moments._factor_pass", fail)
         for D in (10029, 999997):
             tracemalloc.start()
             try:
@@ -306,11 +307,12 @@ class TestCensus:
         assert all(np.array_equal(x, y) for x, y in zip(whole, blocked))
 
     def test_memory_bounded_by_block(self):
-        # the modulus-qD range is 52012 long; held at once it peaks near 41 MB
+        # afe-check's oracle: the modulus-qD range is 52012 long; held at
+        # once it peaks near 41 MB
         psi = RealCharacter(13)
         tracemalloc.start()
         try:
-            census(4001, psi, 1e-8)
+            _family_L(0.5, 4001, psi)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -369,6 +371,24 @@ class TestRandomFamilies:
         ref_plain, ref_twist = census_values_by_loop(q, psi)
         assert np.max(np.abs(plain - ref_plain)) < 1e-12
         assert np.max(np.abs(twist - ref_twist)) < 1e-12
+
+    @settings(max_examples=20, deadline=None)
+    @given(FAMILIES)
+    def test_factor_pass_matches_hurwitz(self, qD):
+        # census's values, each factor by its own AFE, against the Hurwitz
+        # route; 1e-13 is frozen (its analysis is in CHANGES.md), and the
+        # worst gap over every (q, D) of FAMILIES is 6.3e-15
+        q, D = qD
+        psi = RealCharacter(D)
+        plain, twist = _factor_pass(q, psi)
+        ref_plain, ref_twist = (v[2:q - 2:2] for v in _family_L(0.5, q, psi))
+        assert plain.shape == twist.shape == (phi_plus(q),)
+        assert np.max(np.abs(plain - ref_plain)) <= 1e-13
+        assert np.max(np.abs(twist - ref_twist)) <= 1e-13
+        for threshold in (1e-8, 0.5, 1.0):
+            want = (int(np.count_nonzero(np.abs(ref_plain * ref_twist) > threshold)),
+                    int(np.count_nonzero(np.abs(ref_plain) > threshold)))
+            assert census(q, psi, threshold) == want, threshold
 
     @settings(max_examples=8, deadline=None)
     @given(FAMILIES, st.data())

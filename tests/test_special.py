@@ -122,6 +122,20 @@ def test_gamma_beyond_the_double_range_raises(s):
     assert rgamma_complex(170.5) == 1 / gamma_complex(170.5)
 
 
+def test_upper_gamma_quarter_matches_scipy():
+    # scipy as an oracle only; test_highprec holds it to mpmath at 5e-15
+    xs = np.geomspace(1e-8, 60, 500)
+    want = scipy.special.gammaincc(0.25, xs) * scipy.special.gamma(0.25)
+    got = special._upper_gamma_quarter(xs)
+    assert np.max(np.abs(got - want) / want) < 5e-14
+
+
+@pytest.mark.parametrize("x", (0.0, -1.0, math.nan, math.inf))
+def test_upper_gamma_quarter_rejects_non_positive_or_non_finite(x):
+    with pytest.raises(ValueError, match="finite and positive"):
+        special._upper_gamma_quarter(np.array([1.0, x]))
+
+
 def test_digamma_matches_reference():
     assert abs(digamma_complex(0.25) - DIGAMMA_QUARTER) < 1e-12
     rng = np.random.default_rng(11)
