@@ -44,15 +44,36 @@ class CharacterGroup:
         j = np.arange(q - 1)
         self.unity = np.exp(2j * np.pi * j / (q - 1))
 
+    def _by_dlog(self, values_by_residue: np.ndarray) -> np.ndarray:
+        """f(g^j) at position j = 0..q-2 along the last axis, from f(a) for
+        a = 1..q-1."""
+        by_dlog = np.empty_like(values_by_residue)
+        by_dlog[..., self.dlog[1:]] = values_by_residue
+        return by_dlog
+
     def transform(self, values_by_residue: np.ndarray) -> np.ndarray:
         """sum_a f(a) chi_k(a) for every index k = 0..q-2, along the last
         axis of f, which holds f(a) for a = 1..q-1.
 
         Read in primitive-root order a = g^j the sum is
         sum_j f(g^j) e(jk/(q-1)): bin f by dlog, then one inverse DFT."""
-        by_dlog = np.empty_like(values_by_residue)
-        by_dlog[..., self.dlog[1:]] = values_by_residue
-        return np.fft.ifft(by_dlog, axis=-1, norm="forward")
+        return np.fft.ifft(self._by_dlog(values_by_residue), axis=-1, norm="forward")
+
+    def even_transform(self, values_by_residue: np.ndarray) -> np.ndarray:
+        """sum_a f(a) chi_k(a) for the even nontrivial k = 2, 4, ..., q-3,
+        along the last axis of a real f, which holds f(a) for a = 1..q-1.
+
+        g^h = -1 for h = (q-1)/2, so for k = 2j the sum is
+        sum_{d<h} [f(g^d) + f(g^{d+h})] e(jd/h): fold the dlog-ordered row
+        in half and take one real DFT of length h, conjugated.  The folded
+        row is real, so index j > h/2 is the conjugate of index h - j."""
+        if np.iscomplexobj(values_by_residue):
+            raise TypeError("even_transform takes a real f; use transform")
+        h = (self.q - 1) // 2
+        by_dlog = self._by_dlog(values_by_residue)
+        half = np.fft.rfft(by_dlog[..., :h] + by_dlog[..., h:], axis=-1)
+        m = h // 2  # j = 1..m read off the DFT, j = m+1..h-1 by symmetry
+        return np.concatenate((np.conj(half[..., 1:m + 1]), half[..., h - m - 1:0:-1]), axis=-1)
 
     @cached_property
     def even_pair_sums(self) -> np.ndarray:

@@ -5,11 +5,12 @@ equation (afe_central): a coefficient sum against the smooth weights of
 module `special`, truncated at n_max with a certified tail bound.  census's
 route takes each factor by its own short AFE, for the whole even family at
 once (_factor_pass): about 3.8 sqrt(m) terms per factor mod m, a certified
-tail below 1e-20, and one group transform.  The oracle route, afe-check's
-second route and the tests' reference for census's route, is
-Euler-Maclaurin Hurwitz zeta, assembling L(s,chi) = q^{-s} sum_a chi(a)
-zeta_H(s, a/q); it shares no code with the AFE routes beyond the character
-tables and their group transform.  Its shift N is the smallest whose
+tail below 1e-20, and one real transform of length (q-1)/2 per row, as
+even characters see a and -a alike.  The oracle route, afe-check's second
+route and the tests' reference for census's route, is Euler-Maclaurin
+Hurwitz zeta, assembling L(s,chi) = q^{-s} sum_a chi(a) zeta_H(s, a/q); it
+shares no code with the AFE routes beyond the character tables and the
+group's binning by discrete log.  Its shift N is the smallest whose
 remainder bound after the B16 term, 4|(s)_16|/(2 pi)^16 N^{1-sigma-16}/(sigma+15)
 (F. Johansson, Numer. Algorithms 69 (2015); DLMF 2.10), is at most 2^-60:
 N = 13 at s = 1/2.  The bound needs Re s > -15, and N is capped at 10^4.
@@ -89,12 +90,13 @@ def hurwitz_zeta_vec(s: complex, x: np.ndarray) -> np.ndarray:
     linearly in |Im s| (478 at 1/2 + 200i).  The head is accumulated one row
     at a time from k = N-1 down (smallest terms first when Re s > 0), so
     memory is O(len(x)); w^{-s} is computed once and the Bernoulli terms
-    summed by Horner in w^{-2}.  At s = 1/2, the central point of every
-    census and afe-check, each (k+x)^{-s} and w^{-s} is 1/sqrt; every other
-    s takes exp(-s log).  A real s gives a real array.  Against mpmath
-    at 30 digits the error is below 1e-13 max(1, |zeta_H|) on Re s in
-    [0.3, 2], |Im s| <= 200 and x in [1e-5, 1]; it is not relative near a
-    zero in x (x = 0.3027 at s = 1/2), where zeta_H itself cancels.
+    summed by Horner in w^{-2}.  At s = 1/2, the central point where
+    afe-check's oracle (_family_L) and oracle_L evaluate it, each (k+x)^{-s}
+    and w^{-s} is 1/sqrt; every other s takes exp(-s log).  A real s gives
+    a real array.  Against mpmath at 30 digits the error is below
+    1e-13 max(1, |zeta_H|) on Re s in [0.3, 2], |Im s| <= 200 and x in
+    [1e-5, 1]; it is not relative near a zero in x (x = 0.3027 at
+    s = 1/2), where zeta_H itself cancels.
 
     Raises ValueError at the pole s = 1, for non-finite s or x, for x <= 0,
     for Re s <= -15 (where the bound does not hold) and when N would exceed
@@ -241,17 +243,16 @@ def _factor_tail_bound(m: int, n: int) -> float:
     return 2 * n**-0.5 * x**-0.75 * math.exp(-x) / (GAMMA_QUARTER * math.expm1(2 * math.pi * n / m))
 
 
-def _factor_coefficients(m: int) -> np.ndarray:
-    """n^{-1/2} V(n) for n = 1..N, V(n) = Gamma(1/4, pi n^2/m)/Gamma(1/4):
-    the coefficients of the AFE of every even primitive character mod m,
-    cut at N = _factor_length(m).  Raises when the certified tail exceeds
-    AFEConfig.tail_budget; at N it is below 1e-20 for every m <= 10^10."""
+def _factor_terms(m: int) -> np.ndarray:
+    """n = 1..N as floats, N = _factor_length(m): the terms of the AFE of
+    every even primitive character mod m.  Raises when the certified tail
+    exceeds AFEConfig.tail_budget; at N it is below 1e-20 for every
+    m <= 10^10."""
     N = _factor_length(m)
     tail = _factor_tail_bound(m, N)
     if tail > AFEConfig.tail_budget:
         raise ValueError(f"certified factor tail {tail:.3e} exceeds budget {AFEConfig.tail_budget:.3e}")
-    n = np.arange(1, N + 1, dtype=np.float64)
-    return _upper_gamma_quarter(np.pi / m * n * n) / (GAMMA_QUARTER * np.sqrt(n))
+    return np.arange(1, N + 1, dtype=np.float64)
 
 
 def _factor_pass(q: int, psi: RealCharacter) -> tuple[np.ndarray, np.ndarray]:
@@ -262,28 +263,33 @@ def _factor_pass(q: int, psi: RealCharacter) -> tuple[np.ndarray, np.ndarray]:
     Each factor by its own AFE (Iwaniec-Kowalski, Analytic Number Theory,
     Thm 5.3): for even primitive chi mod m,
     L(1/2, chi) = sum chi(n) c(n) + eps(chi) sum conj(chi(n)) c(n), with
-    c(n) = n^{-1/2} Gamma(1/4, pi n^2/m)/Gamma(1/4) from
-    _factor_coefficients(m), cut at about 3.8 sqrt(m) terms within a
-    certified tail below 1e-20.  chi psi is even and primitive mod qD.  The
-    coefficients, times psi(n) for the twisted factor, are binned by n mod
-    q; one group transform of the two rows and of e(a/q) gives every sum
-    and every Gauss sum tau(chi_k), and the conjugate sum is the conjugate
-    of the real-coefficient sum.  eps(chi psi) = chi(D) psi(q) eps(chi)
-    eps(psi), with chi_k(D)'s exponent k dlog D reduced mod q-1 in integers.
+    c(n) = n^{-1/2} Gamma(1/4, pi n^2/m)/Gamma(1/4) over the
+    _factor_terms(m), about 3.8 sqrt(m) terms within a certified tail below
+    1e-20; one Gamma(1/4, .) call serves both factors.  chi psi is even and
+    primitive mod qD.  The coefficients, times psi(n) for the twisted
+    factor, are binned by n mod q; one even_transform of the two real rows
+    and of cos(2 pi a/q) gives every sum and every Gauss sum tau(chi_k)
+    (for even chi the sine part of e(a/q) cancels), and the conjugate sum
+    is the conjugate of the real-coefficient sum.
+    eps(chi psi) = chi(D) psi(q) eps(chi) eps(psi), with chi_k(D)'s
+    exponent k dlog D reduced mod q-1 in integers.
     """
     D = psi.D
     group = build_group(q)
+    n_plain, n_twist = _factor_terms(q), _factor_terms(q * D)
+    n = np.concatenate((n_plain, n_twist))
+    x = np.concatenate((np.pi / q * n_plain * n_plain, np.pi / (q * D) * n_twist * n_twist))
+    c = _upper_gamma_quarter(x) / (GAMMA_QUARTER * np.sqrt(n))
+    c_plain, c_twist = c[:len(n_plain)], c[len(n_plain):]
+    c_twist *= psi.values_at(np.arange(1, len(c_twist) + 1))
 
     def binned(c):  # sum of c(n) over n = a mod q, for a = 1..q-1
         return np.bincount(np.arange(1, len(c) + 1) % q, weights=c, minlength=q)[1:]
 
-    c_plain = _factor_coefficients(q)
-    c_twist = _factor_coefficients(q * D)
-    c_twist *= psi.values_at(np.arange(1, len(c_twist) + 1))
-    rows = np.stack((binned(c_plain), binned(c_twist), np.exp(2j * np.pi * np.arange(1, q) / q)))
-    k = np.arange(2, q - 2, 2)
-    sums = group.transform(rows)[:, k]
+    rows = np.stack((binned(c_plain), binned(c_twist), np.cos(2 * np.pi * np.arange(1, q) / q)))
+    sums = group.even_transform(rows)
     eps = sums[2] / math.sqrt(q)
+    k = np.arange(2, q - 2, 2)
     chi_D = group.unity[k * group.dlog[D % q] % (q - 1)]
     eps_twist = chi_D * psi(q) * eps * epsilon(psi)
     plain, twist = sums[0], sums[1]

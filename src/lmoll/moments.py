@@ -220,12 +220,14 @@ def census(q: int, psi: RealCharacter, threshold: float) -> tuple[int, int]:
 
     Values come from each factor's own short AFE for the whole even family
     at once (see lvalues._factor_pass): about 3.8 sqrt(q) + 3.8 sqrt(qD)
-    coefficients binned by n mod q and one FFT over the discrete log, each
-    factor within a certified truncation tail below 1e-20.  The Hurwitz-zeta
-    route, lvalues._family_L, is the oracle that the tests hold it to.
+    coefficients binned by n mod q, folded over a = +-a and read off one
+    real FFT of length (q-1)/2 over the discrete log, each factor within a
+    certified truncation tail below 1e-20.  The Hurwitz-zeta route,
+    lvalues._family_L, is the oracle that the tests hold it to.  q must be
+    a prime in [5, 10^4], checked before any table.
     """
-    if not is_prime(q) or q > 10**4:
-        raise ValueError("census limited to prime q <= 10^4")
+    if not (5 <= q <= 10**4) or not is_prime(q):
+        raise ValueError(f"census limited to prime q in [5, 10^4], got {q}")
     if math.gcd(q, psi.D) != 1:
         raise ValueError("moduli must be coprime")
     if q * psi.D > 10**8:

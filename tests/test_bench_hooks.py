@@ -78,9 +78,9 @@ def _hurwitz_points(monkeypatch, run) -> int:
 
 @pytest.mark.parametrize("q,D", [(13, 5), (101, 65), (1009, 13)])
 def test_census_hurwitz_points(q, D, monkeypatch):
-    # census takes no Hurwitz point; each factor's AFE takes
-    # ceil(sqrt(45 m/pi)) terms, m = q for the plain factor and qD for the
-    # twisted one: 121 and 434 at q = 1009, D = 13
+    # census takes no Hurwitz point; one Gamma(1/4, .) call takes both
+    # factors' AFE terms, ceil(sqrt(45 m/pi)) for m = q and for m = qD:
+    # 121 + 434 at q = 1009, D = 13
     terms = []
     original = lvalues._upper_gamma_quarter
 
@@ -92,7 +92,7 @@ def test_census_hurwitz_points(q, D, monkeypatch):
     points = _hurwitz_points(
         monkeypatch, lambda: moments.census(q, arith.RealCharacter(D), 1e-8))
     assert points == 0
-    assert terms == [math.ceil(math.sqrt(45 * m / math.pi)) for m in (q, q * D)]
+    assert terms == [sum(math.ceil(math.sqrt(45 * m / math.pi)) for m in (q, q * D))]
 
 
 @pytest.mark.parametrize("q,D", [(13, 5), (101, 5), (101, 65)])

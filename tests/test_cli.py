@@ -61,7 +61,9 @@ USAGE_ERRORS = {
     "census-D": (["census", "--q", "29", "--D", "6"],
                  "--D: modulus 6 is not 1 mod 4; even squarefree case only"),
     "census-q": (["census", "--q", "30", "--D", "5"],
-                 "--q/--D/--threshold: census limited to prime q <= 10^4"),
+                 "--q/--D/--threshold: census limited to prime q in [5, 10^4], got 30"),
+    "census-q-small": (["census", "--q", "3", "--D", "5"],
+                       "--q/--D/--threshold: census limited to prime q in [5, 10^4], got 3"),
     "moments-D": (["moments", "--q", "29", "--D", "9", "--X", "10"],
                   "--D: modulus 9 is not squarefree"),
     "moments-X": (["moments", "--q", "29", "--D", "5", "--X", "30"],

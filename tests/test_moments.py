@@ -338,6 +338,9 @@ class TestCensus:
             census(10007 * 2, PSI5, 1e-8)   # composite
         with pytest.raises(ValueError):
             census(10037, PSI5, 1e-8)       # prime but beyond the cap
+        for q in (2, 3):                    # prime but below the group's range
+            with pytest.raises(ValueError, match=r"census limited to prime q in \[5, 10\^4\]"):
+                census(q, PSI5, 1e-8)
 
 
 # random families: prime q < 100 and squarefree D = 1 mod 4, D <= 101, coprime
