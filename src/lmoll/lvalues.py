@@ -35,6 +35,7 @@ import numpy as np
 from .arith import RealCharacter, one_star_psi_table
 from .characters import DirichletCharacter, build_group, epsilon, epsilon_product_direct
 from .special import (
+    DIGAMMA_QUARTER,
     GAMMA_QUARTER,
     _digamma_arr,
     _upper_gamma_quarter,
@@ -355,16 +356,22 @@ def afe_tail_bound(kind: str, cfg: AFEConfig) -> float:
     """
     best = math.inf
     for sigma in _TAIL_SIGMAS:
-        m = kernel_abs_moment(kind, cfg.logQ, sigma)
+        m = kernel_abs_moment(kind, sigma)
         bound = 2 * m * cfg.Q**sigma * cfg.n_max ** (1 - sigma) / (sigma - 1)
         best = min(best, bound)
     return best
 
 
+def _combo(v, u, L: float):
+    """((1 - c/L) v + u/L)/2, c = digamma(1/4): a side of L_combo from its V1
+    and U parts (W1, W2 = ((1 - c/L)/2) V1 +- U/(2L)), or its tail bound."""
+    return ((1 - DIGAMMA_QUARTER / L) * v + u / L) / 2
+
+
 @lru_cache(maxsize=32)
 def _afe_tables(q: int, D: int, n_max: int, Q: float):
-    """Shared per-(q,D) arrays: the coefficients times each weight, all three
-    weights from one quadrature pass.  V1 serves both sides of the AFE.
+    """Shared per-(q,D) arrays: the coefficients times V1 and times U, from
+    one quadrature pass.  V1 serves both sides of the AFE.
 
     (1*psi)(n) vanishes whenever a prime with psi(p) = -1 divides n to an odd
     power, so the weights are evaluated only where the coefficient is nonzero
@@ -372,22 +379,24 @@ def _afe_tables(q: int, D: int, n_max: int, Q: float):
     that count.  The other entries are +0.0; the columns keep their full
     length, so every dot product over them sums in the same order.
 
-    "tails" holds the certified tail bound of each weight.  The bounds
-    depend only on Q and n_max, so they are computed here once per entry;
+    "tails" holds the certified tail bound of each weight and, as "L_combo",
+    the bound _combo(t_V1, t_U, L) on each side of afe_central's
+    combination, above both when L = log Q < 1 - c.  The bounds depend only
+    on Q and n_max, so they are computed here once per entry;
     _budgeted_tables compares them with the budget."""
     psi = RealCharacter(D)
     coeff = one_star_psi_table(psi, n_max)[1:].astype(np.float64)
     n = np.arange(1, n_max + 1, dtype=np.float64)
     coeff /= np.sqrt(n)
-    logQ = math.log(Q)
     xs = n / Q
     nonzero = np.flatnonzero(coeff)
-    weights = np.zeros((3, n_max))
-    weights[:, nonzero] = eval_weight_many(("V1", "W1", "W2"), logQ, xs[nonzero])
-    v, w1, w2 = weights
+    cols = np.zeros((2, n_max))
+    cols[:, nonzero] = eval_weight_many(("V1", "U"), xs[nonzero])
+    cols *= coeff
     cfg = AFEConfig(Q=Q, n_max=n_max)
-    tails = {kind: afe_tail_bound(kind, cfg) for kind in ("V1", "W1", "W2")}
-    return {"V": coeff * v, "W1": coeff * w1, "W2": coeff * w2, "tails": tails}
+    t_v, t_u = (afe_tail_bound(kind, cfg) for kind in ("V1", "U"))
+    return {"V": cols[0], "U": cols[1],
+            "tails": {"V1": t_v, "U": t_u, "L_combo": _combo(t_v, t_u, cfg.logQ)}}
 
 
 def _budgeted_tables(q: int, D: int):
@@ -407,9 +416,10 @@ def _budgeted_tables(q: int, D: int):
 def afe_central(chi: DirichletCharacter, psi: RealCharacter) -> CentralValuePair:
     """Central value and derivative combination for L(s,chi)L(s,chi psi).
 
-    Truncation at n_max carries a certified tail bound; if the bound
-    exceeds AFEConfig.tail_budget this raises rather than return a doubtful
-    value.
+    L_combo is the AFE of L(1/2) + L'(1/2)/(2 log Q), each side _combo of
+    its V1 and U sums.  Each column and each side of L_combo carries a
+    certified tail bound; one above AFEConfig.tail_budget raises, rather
+    than return a doubtful value.
     """
     if chi.is_trivial:
         raise ValueError("principal character rejected")
@@ -423,10 +433,11 @@ def afe_central(chi: DirichletCharacter, psi: RealCharacter) -> CentralValuePair
     eps = epsilon(chi) * epsilon_product_direct(chi, psi)
     s_v1 = complex(np.dot(cols["V"], chivals))
     s_v2 = complex(np.dot(cols["V"], np.conj(chivals)))
-    s_w1 = complex(np.dot(cols["W1"], chivals))
-    s_w2 = complex(np.dot(cols["W2"], np.conj(chivals)))
+    s_u1 = complex(np.dot(cols["U"], chivals))
+    s_u2 = complex(np.dot(cols["U"], np.conj(chivals)))
+    L_central = s_v1 + eps * s_v2
     return CentralValuePair(
-        L_central=s_v1 + eps * s_v2,
-        L_combo=s_w1 + eps * s_w2,
+        L_central=L_central,
+        L_combo=_combo(L_central, s_u1 - eps * s_u2, cfg.logQ),
         epsilon_product=eps,
     )

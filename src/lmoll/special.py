@@ -3,26 +3,26 @@
 Gamma and digamma by a fixed Lanczos approximation with reflection, one
 array implementation each; the reciprocal gamma is 1/Gamma, set to exactly
 0 at the poles, and gamma_many takes a kernel's Gamma and 1/Gamma values
-from one array call.  The three smooth weights V1, W1, W2 of the
-approximate functional equation are inverse Mellin transforms
+from one array call.  The two smooth weights of the approximate functional
+equation, V1 and U, are inverse Mellin transforms
 
     weight(x) = (1/2 pi i) int K(s) x^{-s} ds
 
-whose kernels K are explicit in terms of B(s) = Gamma(1/4+s/2)^2/Gamma(1/4)^2:
+of kernels in B(s) = Gamma(1/4+s/2)^2/Gamma(1/4)^2, neither depending on
+the conductor:
 
     V1:       B(s)/s
-    W1:       (B(s)/2) [ (1 - c/logQ)/s + 1/(logQ s^2) ]
-    W2:       (B(s)/2) [ (1 - c/logQ)/s - 1/(logQ s^2) ]
+    U:        B(s)/s^2
 
-with c = digamma(1/4).  V1 serves both sides of the functional equation.
-The W kernels combine V1, d/ds acting on x^{-s} and the kernels
-(+-digamma(1/4+s/2) - c) B(s)/s; the 1/s^2 sign is the only difference.
+V1 serves both sides of the functional equation; the derivative
+combination's weights are W1, W2 = ((1 - c/L)/2) V1 +- U/(2L), with
+c = digamma(1/4) and L = log Q, assembled where lvalues forms L_combo.
 Quadrature runs on a vertical line: Re(s) = 1 for x > 1, and Re(s) = -1/4
 plus the residue at s = 0 for x <= 1, which keeps the line integral
 O(x^{1/4}) and leaves the constant term to the exactly-known residue.
 Kernels decay like e^{-pi|t|/4}, so |t| <= 60 at step 1/64 is far below
-double precision.  B on a line is computed once per sigma, for every kind
-and logQ.  One routine, eval_weight_many, evaluates any set of kinds: per x
+double precision.  B on a line is computed once per sigma, for every kind.
+One routine, eval_weight_many, evaluates any set of kinds: per x
 it computes the rotation row x^{-it} on the t-grid once, the remaining
 per-point cost, and takes one product with the kinds' stacked kernel rows.
 The t-grid is symmetric about 0, so only the t <= 0 half of the row goes
@@ -153,14 +153,7 @@ def _upper_gamma_quarter(x: np.ndarray) -> np.ndarray:
     return out
 
 
-WEIGHT_KINDS = ("V1", "W1", "W2")
-
-
-def _check_weight(kind: str, logQ: float) -> None:
-    if kind not in WEIGHT_KINDS:
-        raise ValueError(f"unknown weight kind {kind!r}")
-    if not logQ > 0:
-        raise ValueError("logQ must be positive")
+WEIGHT_KINDS = ("V1", "U")
 
 
 def _b_arr(s: np.ndarray) -> np.ndarray:
@@ -168,27 +161,22 @@ def _b_arr(s: np.ndarray) -> np.ndarray:
     return (_gamma_arr(0.25 + s / 2) / GAMMA_QUARTER) ** 2
 
 
-def _kernel_arr(kind: str, logQ: float, s: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _kernel_arr(kind: str, s: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The kernel K(s) of one weight, from b = B(s)."""
     if kind == "V1":
         return b / s
-    c_over = DIGAMMA_QUARTER / logQ
-    if kind == "W1":
-        return b / 2 * ((1 - c_over) / s + 1 / (logQ * s * s))
-    if kind == "W2":
-        return b / 2 * ((1 - c_over) / s - 1 / (logQ * s * s))
+    if kind == "U":
+        return b / (s * s)
     raise ValueError(kind)
 
 
-def mellin_principal_part(kind: str, logQ: float) -> tuple[float, float]:
+def mellin_principal_part(kind: str) -> tuple[float, float]:
     """(c2, c1): the coefficients of 1/s^2 and 1/s at s=0 of a weight's
-    Mellin transform."""
-    _check_weight(kind, logQ)
-    if kind == "V1":
-        return 0, 1
-    if kind == "W1":
-        return 1 / (2 * logQ), 0.5
-    return -1 / (2 * logQ), 0.5 - DIGAMMA_QUARTER / logQ
+    Mellin transform.  B(s) = 1 + digamma(1/4) s + O(s^2), so U's residue
+    against x^{-s} is digamma(1/4) - log x."""
+    if kind not in WEIGHT_KINDS:
+        raise ValueError(f"unknown weight kind {kind!r}")
+    return (0, 1) if kind == "V1" else (1, DIGAMMA_QUARTER)
 
 
 _QUAD_T_MAX = 60.0
@@ -200,18 +188,18 @@ _MID = len(_QUAD_T) // 2
 
 @lru_cache(maxsize=16)  # 123 kB per sigma
 def _line_b(sigma: float) -> np.ndarray:
-    """B(sigma + it) on the fixed t-grid _QUAD_T, for every kind and logQ."""
+    """B(sigma + it) on the fixed t-grid _QUAD_T, for every kind."""
     b = _b_arr(sigma + 1j * _QUAD_T)
     b.flags.writeable = False
     return b
 
 
-def _line_kernel(kind: str, logQ: float, sigma: float) -> np.ndarray:
+def _line_kernel(kind: str, sigma: float) -> np.ndarray:
     """Kernel samples K(sigma + it) on the fixed t-grid _QUAD_T."""
-    return _kernel_arr(kind, logQ, sigma + 1j * _QUAD_T, _line_b(sigma))
+    return _kernel_arr(kind, sigma + 1j * _QUAD_T, _line_b(sigma))
 
 
-def eval_weight_many(kinds: tuple[str, ...], logQ: float, xs: np.ndarray) -> np.ndarray:
+def eval_weight_many(kinds: tuple[str, ...], xs: np.ndarray) -> np.ndarray:
     """weight(x) for each kind at each x, one row per kind; absolute accuracy
     far below 1e-10 on [1e-8, 1e3].
 
@@ -229,7 +217,7 @@ def eval_weight_many(kinds: tuple[str, ...], logQ: float, xs: np.ndarray) -> np.
     to the bit.  The row therefore equals the full-grid exp bit for bit
     (test_special checks it against that formula), at half its cost.
     """
-    pps = [mellin_principal_part(kind, logQ) for kind in kinds]  # checks kinds, logQ
+    pps = [mellin_principal_part(kind) for kind in kinds]  # checks kinds
     xs = np.asarray(xs, dtype=np.float64)
     if not np.all(xs > 0):
         raise ValueError("x must be positive")
@@ -241,7 +229,7 @@ def eval_weight_many(kinds: tuple[str, ...], logQ: float, xs: np.ndarray) -> np.
     for i, x in enumerate(xs.ravel().tolist()):
         sigma = 1.0 if x > 1 else -0.25
         if sigma not in kerns:
-            kerns[sigma] = np.array([_line_kernel(kind, logQ, sigma) for kind in kinds])
+            kerns[sigma] = np.array([_line_kernel(kind, sigma) for kind in kinds])
         lx = math.log(x)
         np.exp(neg_it_half * lx, out=rot[: _MID + 1])
         np.conj(rot[_MID - 1 :: -1], out=rot[_MID + 1 :])
@@ -254,15 +242,15 @@ def eval_weight_many(kinds: tuple[str, ...], logQ: float, xs: np.ndarray) -> np.
     return out
 
 
-def eval_weight(kind: str, logQ: float, x: float) -> float:
+def eval_weight(kind: str, x: float) -> float:
     """weight(x) of one weight at one point: eval_weight_many on one element."""
-    return float(eval_weight_many((kind,), logQ, [x])[0, 0])
+    return float(eval_weight_many((kind,), [x])[0, 0])
 
 
-def kernel_abs_moment(kind: str, logQ: float, sigma: float) -> float:
+def kernel_abs_moment(kind: str, sigma: float) -> float:
     """(1/2pi) int |K(sigma+it)| dt, so |weight(x)| <= moment * x^{-sigma}
     for x > 1 and any sigma > 0 (no pole crossed)."""
-    kern = _line_kernel(kind, logQ, sigma)
+    kern = _line_kernel(kind, sigma)
     return _QUAD_STEP / (2 * math.pi) * float(np.sum(np.abs(kern)))
 
 

@@ -36,11 +36,11 @@ from lmoll.offdiag import _check_pair, _series_coeff, _series_terms
 from lmoll.reduction import exact_sum
 from lmoll.special import (
     _b_arr,
-    _check_weight,
     _digamma_arr,
     _is_nonpositive_integer,
     _kernel_arr,
     gamma_many,
+    mellin_principal_part,
 )
 
 # ------------------------------------------------------------------ arith
@@ -224,13 +224,13 @@ def digamma_complex(s: complex) -> complex:
     return complex(_digamma_arr(np.array([s], dtype=np.complex128))[0])
 
 
-def mellin_weight(kind: str, logQ: float, s: complex) -> complex:
-    """Closed-form Mellin transform of any of the three weights."""
-    _check_weight(kind, logQ)
+def mellin_weight(kind: str, s: complex) -> complex:
+    """Closed-form Mellin transform of either weight."""
+    mellin_principal_part(kind)  # checks the kind
     if s == 0:
         raise ValueError("pole at s=0")
     s_arr = np.array([s], dtype=complex)
-    return complex(_kernel_arr(kind, logQ, s_arr, _b_arr(s_arr))[0])
+    return complex(_kernel_arr(kind, s_arr, _b_arr(s_arr))[0])
 
 
 # ------------------------------------------------------------------ lvalues

@@ -1,10 +1,13 @@
 """High-precision oracle tier: the Hurwitz-zeta route against mpmath at 30
-digits, and the certified Euler-Maclaurin shift behind it; the AFE weight V1
-against its Bessel integral; Gamma(1/4, x) of each factor's AFE; the bump's
-closed-form mass and the reciprocal gamma of the H kernels."""
+digits, and the certified Euler-Maclaurin shift behind it; the AFE weights
+V1 and U against their Bessel integrals, and afe_central's derivative
+combination against mpmath's derivative of the product; Gamma(1/4, x) of
+each factor's AFE; the bump's closed-form mass and the reciprocal gamma of
+the H kernels."""
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 
@@ -12,18 +15,22 @@ import mpmath
 import numpy as np
 import pytest
 
-from lmoll.arith import RealCharacter
+from lmoll.arith import RealCharacter, one_star_psi_table
 from lmoll.cli import _H_POINTS
 from lmoll.characters import build_group, product_values
 from lmoll.lvalues import (
     _EM_TOL,
+    _afe_tables,
     _em_bound,
     _em_shift,
     _factor_length,
+    afe_central,
+    default_config,
     hurwitz_zeta_vec,
 )
 from lmoll.special import (
     _UPPER_SPLIT,
+    DIGAMMA_QUARTER,
     SmoothBump,
     _upper_gamma_quarter,
     eval_weight,
@@ -128,14 +135,85 @@ def test_rejections(s, x, match):
 def test_v1_matches_bessel_integral(x):
     # V1(x) = C int_x^inf y^{-1/2} K0(2y) dy with C = 4/Gamma(1/4)^2 (DLMF
     # 10.43.19 gives V1(0) = 1); an independent route to the Mellin
-    # quadrature, on both of its contours (x <= 1 and x > 1).  V1 does not
-    # depend on logQ.
+    # quadrature, on both of its contours (x <= 1 and x > 1)
     with mpmath.workdps(20):
         c = 4 / mpmath.gamma(0.25) ** 2
         want = float(c * mpmath.quad(lambda y: y**-0.5 * mpmath.besselk(0, 2 * y),
                                      [x, mpmath.inf]))
     # eval_weight_many's documented accuracy: absolute, far below 1e-10
-    assert abs(eval_weight("V1", 5.0, x) - want) < 1e-10
+    assert abs(eval_weight("V1", x) - want) < 1e-10
+
+
+U_XS = (0.01, 0.5, 2.0, 10.0)
+
+
+@functools.lru_cache(maxsize=1)
+def _u_bessel_integrals() -> dict:
+    """U(x) = int_x^inf V1(y) dy/y = C int_x^inf y^{-1/2} K0(2y) log(y/x) dy
+    at each x of U_XS, 30 digits, as B(s)/s^2 is B(s)/s divided by s.
+
+    The range splits at the points themselves, so each piece takes
+    int g log y and int g, g = y^{-1/2} K0(2y), once for every x at or
+    below it, with each K0 value computed once; past y = 45 the integrand
+    is below e^{-90}."""
+    with mpmath.workdps(30):
+        g = functools.lru_cache(maxsize=None)(lambda y: y**-0.5 * mpmath.besselk(0, 2 * y))
+        edges = [mpmath.mpf(x) for x in U_XS] + [45]
+        parts = [(mpmath.quad(lambda y: g(y) * mpmath.log(y), [lo, hi]), mpmath.quad(g, [lo, hi]))
+                 for lo, hi in zip(edges, edges[1:])]
+        c = 4 / mpmath.gamma(0.25) ** 2
+        return {x: float(c * sum(a - mpmath.log(x) * b for a, b in parts[i:]))
+                for i, x in enumerate(U_XS)}
+
+
+@pytest.mark.parametrize("x", U_XS)
+def test_u_matches_bessel_integral(x):
+    # both contours again; the same absolute bound as V1's
+    assert abs(eval_weight("U", x) - _u_bessel_integrals()[x]) < 1e-10
+
+
+def _mp_L_and_derivative(values) -> tuple:
+    """L(1/2, chi) and L'(1/2, chi) for chi mod m given by its table, from
+    mpmath's Hurwitz zeta and its s-derivative:
+    L(s) = m^{-s} sum_a chi(a) zeta(s, a/m)."""
+    m = len(values)
+    s = mpmath.mpf(1) / 2
+    total = dtotal = mpmath.mpf(0)
+    for a in range(1, m):
+        if values[a] != 0:
+            v = mpmath.mpc(complex(values[a]))
+            total += v * mpmath.zeta(s, mpmath.mpf(a) / m)
+            dtotal += v * mpmath.zeta(s, mpmath.mpf(a) / m, derivative=1)
+    scale = mpmath.power(m, -s)
+    return scale * total, scale * (dtotal - mpmath.log(m) * total)
+
+
+@pytest.mark.parametrize("q,k", [(13, 2), (29, 4)])
+def test_combo_matches_mpmath_derivative(q, k):
+    # P(s) = L(s, chi) L(s, chi psi); L_combo is the AFE of
+    # P(1/2) + P'(1/2)/(2 log Q).  Its error is each side's certified tail
+    # ((1 - c/L) t_V1 + t_U/L)/2, plus roundoff: each dot sums n_max terms,
+    # at most n_max 2^-53 times the sum of their moduli (recursive
+    # summation), and each weight value is within 1e-14 absolute (U and V1
+    # sit within 3e-15 of their Bessel integrals above), weighted by
+    # sum |c(n)| and the combination's coefficients.  Two sides (|eps| = 1).
+    psi = RealCharacter(5)
+    chi = build_group(q).character(k)
+    cfg = default_config(q, 5)
+    L = cfg.logQ
+    with mpmath.workdps(30):
+        first, dfirst = _mp_L_and_derivative(chi.values())
+        second, dsecond = _mp_L_and_derivative(product_values(chi, psi))
+        want = complex(first * second + (dfirst * second + first * dsecond) / (2 * L))
+    cols = _afe_tables(q, 5, cfg.n_max, cfg.Q)
+    a, b = (1 - DIGAMMA_QUARTER / L) / 2, 1 / (2 * L)
+    terms = a * np.abs(cols["V"]) + b * np.abs(cols["U"])
+    n = np.arange(1, cfg.n_max + 1)
+    c_sum = float(np.sum(one_star_psi_table(psi, cfg.n_max)[1:] / np.sqrt(n)))
+    roundoff = cfg.n_max * 2.0**-53 * float(np.sum(terms)) + 1e-14 * (a + b) * c_sum
+    tol = 2 * (cols["tails"]["L_combo"] + roundoff)
+    assert tol < 1e-12
+    assert abs(afe_central(chi, psi).L_combo - want) <= tol
 
 
 # the largest pi n^2/m at which a factor's AFE evaluates Gamma(1/4, x),

@@ -26,7 +26,7 @@ from lmoll.lvalues import (
     oracle_products_at,
 )
 from lmoll.moments import mollified_moments
-from lmoll.special import eval_weight_many
+from lmoll.special import DIGAMMA_QUARTER, eval_weight_many
 from oracles import epsilon_consistency_residual, oracle_product, oracle_product_derivative
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "central_values.csv"
@@ -206,8 +206,8 @@ def test_afe_tables_equal_coefficients_times_every_weight(q, D):
     coeff /= np.sqrt(n)
     nonzero = coeff != 0
     assert 0 < np.count_nonzero(nonzero) < cfg.n_max
-    full = eval_weight_many(("V1", "W1", "W2"), math.log(cfg.Q), n / cfg.Q)
-    for key, weight in zip(("V", "W1", "W2"), full):
+    full = eval_weight_many(("V1", "U"), n / cfg.Q)
+    for key, weight in zip(("V", "U"), full):
         want = coeff * weight
         assert cols[key].shape == (cfg.n_max,)
         assert np.array_equal(cols[key], want)
@@ -228,9 +228,17 @@ def test_afe_tail_certificate_blocks_short_truncation(monkeypatch):
             afe_central(build_group(13).character(2), RealCharacter(5))
 
 
+def _combo_tail(cfg: AFEConfig) -> float:
+    """The bound each side of L_combo inherits from the V1 and U tails:
+    W1, W2 = ((1 - c/L)/2) V1 +- U/(2L) with c = digamma(1/4), L = log Q."""
+    c, L = DIGAMMA_QUARTER, cfg.logQ
+    return ((1 - c / L) * afe_tail_bound("V1", cfg) + afe_tail_bound("U", cfg) / L) / 2
+
+
 def test_afe_tail_bounds_computed_once_per_config(monkeypatch):
-    # the three certified tails depend on Q and n_max alone, so a whole
-    # moments run (every character of the family) computes them once
+    # the two certified weight tails depend on Q and n_max alone, so a whole
+    # moments run (every character of the family) computes them once, and
+    # L_combo's bound with them
     calls = []
     real = lvalues.afe_tail_bound
 
@@ -242,9 +250,9 @@ def test_afe_tail_bounds_computed_once_per_config(monkeypatch):
     _afe_tables.cache_clear()
     cfg = default_config(29, 5)
     mollified_moments(29, RealCharacter(5), 10)
-    assert sorted(calls) == [(kind, cfg.Q, cfg.n_max) for kind in ("V1", "W1", "W2")]
+    assert sorted(calls) == [(kind, cfg.Q, cfg.n_max) for kind in ("U", "V1")]
     tails = _afe_tables(29, 5, cfg.n_max, cfg.Q)["tails"]
-    assert tails == {kind: real(kind, cfg) for kind in ("V1", "W1", "W2")}
+    assert tails == {"V1": real("V1", cfg), "U": real("U", cfg), "L_combo": _combo_tail(cfg)}
 
 
 def test_afe_tail_budget_checked_against_cached_tails(monkeypatch):
@@ -254,9 +262,24 @@ def test_afe_tail_budget_checked_against_cached_tails(monkeypatch):
     chi = build_group(13).character(2)
     cfg = default_config(13, 5)
     afe_central(chi, psi)
-    worst = max(afe_tail_bound(kind, cfg) for kind in ("V1", "W1", "W2"))
+    worst = max(afe_tail_bound("V1", cfg), afe_tail_bound("U", cfg), _combo_tail(cfg))
     monkeypatch.setattr(AFEConfig, "tail_budget", worst / 2)
     with pytest.raises(ValueError, match="exceeds budget"):
+        afe_central(chi, psi)
+
+
+def test_afe_combo_tail_checked_against_budget(monkeypatch):
+    # at q = 13, D = 5, log Q = 2.22 < 1 - c, and L_combo's inherited bound
+    # exceeds both weight tails: a budget between them must still raise
+    psi = RealCharacter(5)
+    chi = build_group(13).character(2)
+    cfg = default_config(13, 5)
+    weights = max(afe_tail_bound("V1", cfg), afe_tail_bound("U", cfg))
+    combo = _combo_tail(cfg)
+    assert cfg.logQ < 1 - DIGAMMA_QUARTER and combo > 1.4 * weights
+    afe_central(chi, psi)
+    monkeypatch.setattr(AFEConfig, "tail_budget", (weights + combo) / 2)
+    with pytest.raises(ValueError, match="certified L_combo tail .* exceeds budget"):
         afe_central(chi, psi)
 
 

@@ -448,7 +448,7 @@ class TestFirstMomentParts:
         assert abs(sum(parts.values()) - whole) <= 1e-12 * max(1.0, abs(whole))
         # the a = n = 1 term is (q-1)/2 V(1/Q), real
         cfg = default_config(q, 5)
-        v1 = eval_weight("V1", math.log(cfg.Q), 1.0 / cfg.Q)
+        v1 = eval_weight("V1", 1.0 / cfg.Q)
         assert parts["a = n = 1"] == pytest.approx(0.5 * (q - 1) * v1, rel=1e-10)
 
 

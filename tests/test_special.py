@@ -5,6 +5,7 @@ bump template."""
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -150,94 +151,120 @@ def test_digamma_matches_reference():
 
 def test_mellin_V_closed_values():
     g34 = gamma_complex(0.75)
-    assert abs(mellin_weight("V1", LOGQ, 1) - g34**2 / GAMMA_QUARTER**2) < 1e-13
-    assert abs(mellin_weight("V1", LOGQ, 0.5) - 2 * math.pi / GAMMA_QUARTER**2) < 1e-13
+    assert abs(mellin_weight("V1", 1) - g34**2 / GAMMA_QUARTER**2) < 1e-13
+    assert abs(mellin_weight("V1", 0.5) - 2 * math.pi / GAMMA_QUARTER**2) < 1e-13
     # s*transform(s) = B(s) = 1 + digamma(1/4) s + O(s^2), so the limit is 1
     # but the approach is linear in s
-    assert abs(1e-9 * mellin_weight("V1", LOGQ, 1e-9) - 1) < 1e-8
+    assert abs(1e-9 * mellin_weight("V1", 1e-9) - 1) < 1e-8
     s = 1e-4
-    assert abs(s * mellin_weight("V1", LOGQ, s) - 1) < 2 * abs(DIGAMMA_QUARTER) * s
+    assert abs(s * mellin_weight("V1", s) - 1) < 2 * abs(DIGAMMA_QUARTER) * s
     with pytest.raises(ValueError):
-        mellin_weight("V1", LOGQ, 0)
+        mellin_weight("V1", 0)
 
 
 def test_weight_function_validation():
+    for kind in ("V3", "W1"):
+        with pytest.raises(ValueError, match="unknown weight kind"):
+            eval_weight(kind, 0.5)
     with pytest.raises(ValueError):
-        eval_weight("V3", 1.0, 0.5)
-    with pytest.raises(ValueError):
-        eval_weight("V1", 0.0, 0.5)
-    with pytest.raises(ValueError):
-        eval_weight("V1", LOGQ, -1.0)
+        eval_weight("V1", -1.0)
 
 
 def test_v_small_x_limit():
     # the sqrt(x) log x error term comes with constant 8/Gamma(1/4)^2; the
     # plain 2 x^0.4 envelope only holds once x^0.1 beats the log
-    assert abs(eval_weight("V1", LOGQ, 1e-8) - 1.0) <= 2 * (1e-8) ** 0.4
+    assert abs(eval_weight("V1", 1e-8) - 1.0) <= 2 * (1e-8) ** 0.4
     euler = 0.5772156649015329
     for x in (1e-6, 1e-8):
         sharp = -8 * math.sqrt(x) * (2 - euler - math.log(x)) / GAMMA_QUARTER**2
-        assert abs(eval_weight("V1", LOGQ, x) - 1.0 - sharp) < 1e-12
+        assert abs(eval_weight("V1", x) - 1.0 - sharp) < 1e-12
+
+
+def _w_from_v_and_u(sign: int, L: float, v: complex, u: complex) -> complex:
+    """W1 (sign +1) or W2 (sign -1) as afe_central assembles it:
+    ((1 - c/L)/2) V1 +- U/(2L), c = digamma(1/4); on weights or kernels."""
+    return (1 - DIGAMMA_QUARTER / L) / 2 * v + sign * u / (2 * L)
 
 
 def test_w_small_x_asymptotes():
+    # W1 and W2 as afe_central assembles them from V1 and U
     for x in (1e-6, 1e-8):
         env = math.sqrt(x) * math.log(x) ** 2 / (2 * LOGQ)
-        w1 = eval_weight("W1", LOGQ, x)
+        v, u = eval_weight("V1", x), eval_weight("U", x)
+        w1 = _w_from_v_and_u(1, LOGQ, v, u)
         assert abs(w1 - (0.5 - math.log(x) / (2 * LOGQ))) <= env
-        w2 = eval_weight("W2", LOGQ, x)
+        w2 = _w_from_v_and_u(-1, LOGQ, v, u)
         want = 0.5 + math.log(x) / (2 * LOGQ) - DIGAMMA_QUARTER / LOGQ
         assert abs(w2 - want) <= env
 
 
+def test_u_small_x_asymptote():
+    # U(x) = digamma(1/4) - log x + O(x^{1/4}): the residue at s = 0, and
+    # the line integral on Re(s) = -1/4; the double pole at s = -1/2 gives
+    # the leading correction 16 sqrt(x) (4 - euler - log x)/Gamma(1/4)^2,
+    # which the plain x^{1/4} envelope only bounds once x^{1/4} beats the log
+    euler = 0.5772156649015329
+    for x in (1e-6, 1e-8):
+        rest = eval_weight("U", x) - (DIGAMMA_QUARTER - math.log(x))
+        assert abs(rest) <= x**0.25
+        sharp = 16 * math.sqrt(x) * (4 - euler - math.log(x)) / GAMMA_QUARTER**2
+        assert abs(rest - sharp) < 1e-12
+
+
 def test_mellin_inversion_consistency_shifted_line():
     # independent quadrature of the closed-form transform on Re(s) = -0.45,
-    # residue 1 added, against the production evaluation
+    # the residue at s = 0 added, against the production evaluation
     sigma = -0.45
-    for x in (1e-4, 1e-2, 0.5, 1.0, 3.0, 10.0):
+    for kind, x in itertools.product(WEIGHT_KINDS, (1e-4, 1e-2, 0.5, 1.0, 3.0, 10.0)):
+        c2, c1 = mellin_principal_part(kind)
 
         def integrand(t, x=x):
             s = sigma + 1j * t
-            return (mellin_weight("V1", LOGQ, s) * x ** (-s)).real / (2 * math.pi)
+            return (mellin_weight(kind, s) * x ** (-s)).real / (2 * math.pi)
 
         val, err = scipy.integrate.quad(
             integrand, -60, 60, limit=400, epsabs=1e-11, epsrel=1e-11
         )
         assert err < 1e-9
-        assert abs((val + 1.0) - eval_weight("V1", LOGQ, x)) < 1e-8, x
+        assert abs((val + c1 - c2 * math.log(x)) - eval_weight(kind, x)) < 1e-8, (kind, x)
 
 
 def test_weight_decay():
     for x in (1.0, 5.0, 20.0, 100.0, 1000.0):
-        assert abs(eval_weight("V1", LOGQ, x)) * (1 + x) ** 3 <= 10.0
+        assert abs(eval_weight("V1", x)) * (1 + x) ** 3 <= 10.0
 
 
 def test_kernel_abs_moment_bounds_weight():
-    for sigma in (2.0, 4.0):
-        m = kernel_abs_moment("W1", LOGQ, sigma)
-        for x in (2.0, 10.0, 50.0):
-            assert abs(eval_weight("W1", LOGQ, x)) <= m * x**-sigma + 1e-15
+    for kind in WEIGHT_KINDS:
+        for sigma in (2.0, 4.0):
+            m = kernel_abs_moment(kind, sigma)
+            for x in (2.0, 10.0, 50.0):
+                assert abs(eval_weight(kind, x)) <= m * x**-sigma + 1e-15
 
 
 def test_principal_parts():
-    assert mellin_principal_part("V1", LOGQ) == (0, 1)
-    c2, c1 = mellin_principal_part("W1", LOGQ)
-    assert abs(c2 - 1 / (2 * LOGQ)) < 1e-15 and c1 == 0.5
-    # subtracting the principal part leaves a bounded function near s=0
-    c2, c1 = mellin_principal_part("W2", LOGQ)
+    assert mellin_principal_part("V1") == (0, 1)
+    c2, c1 = mellin_principal_part("U")
+    assert c2 == 1 and c1 == DIGAMMA_QUARTER
+    # subtracting the principal part leaves a bounded function near s=0,
+    # B''(0)/2 = digamma(1/4)^2/2 + trigamma(1/4)/4 at s = 0, with
+    # trigamma(1/4) = pi^2 + 8 Catalan
+    catalan = 0.915965594177219
+    limit = DIGAMMA_QUARTER**2 / 2 + (math.pi**2 + 8 * catalan) / 4
     vals = []
     for s in (1e-3, 1e-4, 1e-5):
-        h = mellin_weight("W2", LOGQ, s) - c2 / s**2 - c1 / s
+        h = mellin_weight("U", s) - c2 / s**2 - c1 / s
         vals.append(h)
     assert abs(vals[1] - vals[2]) < 1e-2
-    assert all(abs(v) < 10 for v in vals)
+    assert all(abs(v - limit) < 0.1 for v in vals)
 
 
 def _dv_weight(sign: int, x: float) -> float:
     """dV1 (sign +1) or dV2 (sign -1), the weights of the kernels
-    (sign digamma(1/4+s/2) - digamma(1/4)) B(s)/s that the W kernels combine
-    with V1: eval_weight_many's line quadrature on the full rotation row,
-    plus the residue at s = 0 for x <= 1 (0 for dV1, -2 digamma(1/4) for dV2)."""
+    (sign digamma(1/4+s/2) - digamma(1/4)) B(s)/s that d/ds of the AFE's
+    gamma factors contributes to the derivative combination: eval_weight_many's
+    line quadrature on the full rotation row, plus the residue at s = 0 for
+    x <= 1 (0 for dV1, -2 digamma(1/4) for dV2)."""
     sigma = 1.0 if x > 1 else -0.25
     s = sigma + 1j * _QUAD_T
     kern = (sign * _digamma_arr(0.25 + s / 2) - DIGAMMA_QUARTER) * _line_b(sigma) / s
@@ -247,12 +274,13 @@ def _dv_weight(sign: int, x: float) -> float:
 
 
 def test_w1_transform_closed_form_vs_numerical_mellin():
-    # Mellin-transform the compositional W1 numerically and compare with the
-    # closed form at two points
+    # Mellin-transform the compositional W1 (V1 and the digamma kernel that
+    # the derivative brings) numerically and compare with its closed form,
+    # the combination of the V1 and U kernels, at two points
     L = LOGQ
 
     def w1_def(x: float) -> float:
-        return (0.5 - math.log(x) / (2 * L)) * eval_weight("V1", L, x) + _dv_weight(
+        return (0.5 - math.log(x) / (2 * L)) * eval_weight("V1", x) + _dv_weight(
             1, x
         ) / (2 * L)
 
@@ -265,44 +293,60 @@ def test_w1_transform_closed_form_vs_numerical_mellin():
             lambda x: w1_def(x) * x ** (s - 1), 1, 40, limit=400, epsabs=1e-13
         )
         assert elo + ehi < 1e-8  # conservative quad estimates
-        closed = mellin_weight("W1", L, s)
+        closed = _w_from_v_and_u(1, L, mellin_weight("V1", s), mellin_weight("U", s))
+        assert abs((lo + hi) - closed) < 1e-10, s
+
+
+def test_u_transform_closed_form_vs_numerical_mellin():
+    # the production U, Mellin-transformed numerically, against B(s)/s^2
+    for s in (0.8, 1.5):
+        lo, elo = scipy.integrate.quad(
+            lambda u: eval_weight("U", math.exp(-u)) * math.exp(-s * u),
+            0, 60, limit=400, epsabs=1e-13,
+        )
+        hi, ehi = scipy.integrate.quad(
+            lambda x: eval_weight("U", x) * x ** (s - 1), 1, 40, limit=400, epsabs=1e-13
+        )
+        assert elo + ehi < 1e-8  # conservative quad estimates
+        closed = complex(_b_arr(np.array([s], dtype=complex))[0]) / s**2
         assert abs((lo + hi) - closed) < 1e-10, s
 
 
 def test_w2_production_matches_composition():
+    # W2 as afe_central assembles it from the production V1 and U, against
+    # its composition from V1 and the digamma kernel
     L = LOGQ
     for x in (0.01, 0.5, 1.0, 2.0, 30.0):
-        composed = (0.5 + math.log(x) / (2 * L)) * eval_weight("V1", L, x) + _dv_weight(
+        composed = (0.5 + math.log(x) / (2 * L)) * eval_weight("V1", x) + _dv_weight(
             -1, x
         ) / (2 * L)
-        assert abs(eval_weight("W2", L, x) - composed) < 1e-11, x
+        w2 = _w_from_v_and_u(-1, L, eval_weight("V1", x), eval_weight("U", x))
+        assert abs(w2 - composed) < 1e-11, x
 
 
 def test_eval_weight_many_matches_scalar():
     # both contour branches: Re(s) = -1/4 with the residue for x <= 1,
     # Re(s) = 1 beyond
     xs = np.array([1e-6, 0.1, 1.0, 7.0, 300.0])
-    many = eval_weight_many(WEIGHT_KINDS, LOGQ, xs)
+    many = eval_weight_many(WEIGHT_KINDS, xs)
     assert many.shape == (len(WEIGHT_KINDS), len(xs))
     for kind, row in zip(WEIGHT_KINDS, many):
         for x, v in zip(xs, row):
-            assert v == eval_weight(kind, LOGQ, float(x))
-    assert eval_weight_many(("W2",), LOGQ, xs.reshape(5, 1)).shape == (1, 5, 1)
+            assert v == eval_weight(kind, float(x))
+    assert eval_weight_many(("U",), xs.reshape(5, 1)).shape == (1, 5, 1)
 
 
-# the three AFE rows at q = 101, D = 5, over the x = n/Q where _afe_tables
+# the two AFE rows at q = 101, D = 5, over the x = n/Q where _afe_tables
 # evaluates them ((1*psi)(n) != 0): sha256 of each row's bytes, and the
-# principal parts (c2, c1) as hex; W1 and W2 reach no payload directly, so
-# their bits are frozen here
+# principal parts (c2, c1) as hex; U reaches no payload directly, so its
+# bits are frozen here
 AFE_ROW_SHA256 = {
     "V1": "aad8e85fb492822d99d93b3b253e35b940e71e7f3598099e3b2987a0efbdf636",
-    "W1": "4bb893f66521e30158e71c110dcc622e043f2b9a74b60a89e4a20599a3b96b1c",
-    "W2": "40d5afefe33f27125718e9b9ce3b3ff1e010730c2d486916d43c584fedb20f1c",
+    "U": "e9b34fcd32bdb627a84923e6b2310a58fbaac7fc2a6383efe52e4adaaadc040e",
 }
 AFE_PRINCIPAL_PARTS = {
     "V1": ("0x0.0p+0", "0x1.0000000000000p+0"),
-    "W1": ("0x1.df0d52f812340p-4", "0x1.0000000000000p-1"),
-    "W2": ("-0x1.df0d52f812340p-4", "0x1.7d2572d9c032fp+0"),
+    "U": ("0x1.0000000000000p+0", "-0x1.0e8e9943cd7c2p+2"),
 }
 
 
@@ -310,7 +354,7 @@ def test_afe_weight_rows_bits_frozen():
     cfg = default_config(101, 5)
     coeff = one_star_psi_table(RealCharacter(5), cfg.n_max)[1:]
     xs = (np.arange(1, cfg.n_max + 1, dtype=np.float64) / cfg.Q)[coeff != 0]
-    rows = eval_weight_many(tuple(AFE_ROW_SHA256), cfg.logQ, xs)
+    rows = eval_weight_many(tuple(AFE_ROW_SHA256), xs)
     got = {kind: hashlib.sha256(row.tobytes()).hexdigest()
            for kind, row in zip(AFE_ROW_SHA256, rows)}
     assert got == AFE_ROW_SHA256
@@ -318,7 +362,7 @@ def test_afe_weight_rows_bits_frozen():
 
 @pytest.mark.parametrize("kind", sorted(AFE_PRINCIPAL_PARTS))
 def test_afe_principal_parts_bits_frozen(kind):
-    pp = mellin_principal_part(kind, default_config(101, 5).logQ)
+    pp = mellin_principal_part(kind)
     assert tuple(float(v).hex() for v in pp) == AFE_PRINCIPAL_PARTS[kind]
 
 
@@ -326,10 +370,10 @@ def test_eval_weight_many_shared_rotation_is_bit_identical():
     # the AFE columns share one rotation row per x; each row must carry the
     # bits of its kind evaluated alone
     xs = np.array([3e-7, 0.02, 0.5, 1.0, 1.5, 13.0, 80.0, 900.0])
-    kinds = ("V1", "W1", "W2")
-    rows = eval_weight_many(kinds, LOGQ, xs)
+    kinds = ("V1", "U")
+    rows = eval_weight_many(kinds, xs)
     for kind, row in zip(kinds, rows):
-        assert row.tobytes() == eval_weight_many((kind,), LOGQ, xs)[0].tobytes()
+        assert row.tobytes() == eval_weight_many((kind,), xs)[0].tobytes()
 
 
 def test_quad_grid_is_mirror_symmetric():
@@ -338,7 +382,7 @@ def test_quad_grid_is_mirror_symmetric():
     assert _QUAD_T[_MID] == 0.0 and len(_QUAD_T) == 2 * _MID + 1
 
 
-def _full_row_weights(kinds, logQ: float, x: float) -> list[float]:
+def _full_row_weights(kinds, x: float) -> list[float]:
     """eval_weight_many as written before the half rotation row: np.exp over
     the whole t-grid.  The oracle the half row must match bit for bit."""
     sigma = 1.0 if x > 1 else -0.25
@@ -346,8 +390,8 @@ def _full_row_weights(kinds, logQ: float, x: float) -> list[float]:
     rot = np.exp(-1j * _QUAD_T * lx)
     vals = []
     for kind in kinds:
-        c2, c1 = mellin_principal_part(kind, logQ)
-        kern = _line_kernel(kind, logQ, sigma)
+        c2, c1 = mellin_principal_part(kind)
+        kern = _line_kernel(kind, sigma)
         val = _QUAD_STEP / (2 * math.pi) * float(np.sum(kern * rot).real) * x**-sigma
         if x <= 1:
             val += float((c1 - c2 * lx).real)
@@ -356,28 +400,27 @@ def _full_row_weights(kinds, logQ: float, x: float) -> list[float]:
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.floats(1e-8, 1e3),
-       st.sampled_from([LOGQ, math.log(101 * math.sqrt(5) / math.pi)]))
-@example(1.0, LOGQ)
-@example(math.nextafter(1.0, 0.0), LOGQ)
-@example(math.nextafter(1.0, 2.0), LOGQ)
-@example(1e-8, LOGQ)
-@example(1e3, LOGQ)
-def test_half_rotation_row_is_bit_identical_to_full_row(x, logQ):
-    got = eval_weight_many(WEIGHT_KINDS, logQ, np.array([x]))[:, 0].tolist()
-    want = _full_row_weights(WEIGHT_KINDS, logQ, x)
+@given(st.floats(1e-8, 1e3))
+@example(1.0)
+@example(math.nextafter(1.0, 0.0))
+@example(math.nextafter(1.0, 2.0))
+@example(1e-8)
+@example(1e3)
+def test_half_rotation_row_is_bit_identical_to_full_row(x):
+    got = eval_weight_many(WEIGHT_KINDS, np.array([x]))[:, 0].tolist()
+    want = _full_row_weights(WEIGHT_KINDS, x)
     assert [v.hex() for v in got] == [v.hex() for v in want], x
 
 
-def _per_kind_weights(kind: str, logQ: float, xs) -> list[float]:
+def _per_kind_weights(kind: str, xs) -> list[float]:
     """eval_weight_many as written before the stacked kernel matrix: one
     _kernel_arr row computed afresh for the kind and one np.sum(kern * rot)
     per x, over the full-grid rotation row."""
     kerns = {}
     for sigma in (1.0, -0.25):
         s = sigma + 1j * _QUAD_T
-        kerns[sigma] = _kernel_arr(kind, logQ, s, _b_arr(s))
-    c2, c1 = mellin_principal_part(kind, logQ)
+        kerns[sigma] = _kernel_arr(kind, s, _b_arr(s))
+    c2, c1 = mellin_principal_part(kind)
     vals = []
     for x in xs:
         sigma = 1.0 if x > 1 else -0.25
@@ -391,13 +434,12 @@ def _per_kind_weights(kind: str, logQ: float, xs) -> list[float]:
     return vals
 
 
-@pytest.mark.parametrize("logQ", [LOGQ, math.log(101 * math.sqrt(5) / math.pi)])
-def test_stacked_kinds_are_bit_identical_to_per_kind_rows(logQ):
+def test_stacked_kinds_are_bit_identical_to_per_kind_rows():
     # 120 x on each contour, the boundary x = 1 among them
     xs = np.concatenate([np.geomspace(1e-8, 1.0, 120), np.geomspace(1.001, 1e3, 120)])
-    got = eval_weight_many(WEIGHT_KINDS, logQ, xs)
+    got = eval_weight_many(WEIGHT_KINDS, xs)
     for kind, row in zip(WEIGHT_KINDS, got):
-        want = _per_kind_weights(kind, logQ, xs.tolist())
+        want = _per_kind_weights(kind, xs.tolist())
         assert [v.hex() for v in row.tolist()] == [v.hex() for v in want], kind
 
 
@@ -413,11 +455,11 @@ def test_gamma_row_computed_once_per_sigma(monkeypatch):
     special._line_b.cache_clear()
     try:
         xs = np.geomspace(1e-3, 1e3, 40)  # both contours, sigma = 1 and -1/4
-        for logQ in (LOGQ, 2 * LOGQ):
-            eval_weight_many(WEIGHT_KINDS, logQ, xs)
+        for _ in range(2):
+            eval_weight_many(WEIGHT_KINDS, xs)
             for kind in WEIGHT_KINDS:
                 for sigma in (4.0, 6.0, 8.0):
-                    kernel_abs_moment(kind, logQ, sigma)
+                    kernel_abs_moment(kind, sigma)
     finally:
         special._line_b.cache_clear()
     assert calls == [len(_QUAD_T)] * 5
