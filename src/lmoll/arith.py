@@ -255,8 +255,7 @@ class PrincipalCharacter(ResidueCharacter):
         return (np.gcd(np.arange(m), m) == 1).astype(np.int8)
 
 
-def dirichlet_convolution(f: np.ndarray, g: np.ndarray,
-                          out: np.ndarray | None = None) -> np.ndarray:
+def dirichlet_convolution(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """(f*g)(n) = sum_{d|n} f(d) g(n/d) for n = 0..limit by a divisor sieve.
 
     g is a table over 0..limit and f a table from 0 that counts as zero past
@@ -265,14 +264,9 @@ def dirichlet_convolution(f: np.ndarray, g: np.ndarray,
     increasing d.  Integer sums do not depend on the order, so they split
     the pairs d*k <= limit at s = isqrt(limit): one row per d <= s, then one
     column per k <= limit/(s+1) over the d > s, in O(sqrt(limit)) steps.
-    out (length limit + 1, that dtype, any contents) is zeroed and filled.
     """
     limit = len(g) - 1
-    dtype = np.result_type(f, g)
-    out = np.empty(limit + 1, dtype=dtype) if out is None else out
-    if out.shape != (limit + 1,) or out.dtype != dtype:
-        raise ValueError(f"out must be a length-{limit + 1} {dtype} array")
-    out.fill(0)
+    out = np.zeros(limit + 1, dtype=np.result_type(f, g))
     s = math.isqrt(limit) if np.issubdtype(out.dtype, np.integer) else limit
     for d in range(1, min(len(f), s + 1)):
         if f[d]:

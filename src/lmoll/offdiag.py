@@ -13,15 +13,15 @@ at a time with one array integrand, each integral the double that
 scipy.integrate.quad returns.
 
 Truncated quantities always travel with a computed tail bound.  The shift
-series is only conditionally convergent, so partial sums are taken in
-increasing modulus order and never reordered.
+series is only conditionally convergent, but its truncation to L_max terms
+is exactly rounded, so it does not matter that _series_sums groups those
+terms by gcd class rather than taking them in increasing modulus order.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .arith import (
 )
 from .lvalues import oracle_L
 from .quadpack import qags_block as quad
-from .reduction import exact_sum
+from .reduction import exact_parts, exact_sum
 from .special import SmoothBump, _is_nonpositive_integer, gamma_many
 
 __all__ = [
@@ -201,15 +201,6 @@ def shifted_conv_r_decomposed(params: ShiftedConvParams) -> float:
 # ------------------------------------------------------------------ series
 
 
-def _ramanujan_column(r: int, limit: int, out: np.ndarray | None = None) -> np.ndarray:
-    """c_ell(r) for ell = 1..limit via sum_{d | (r,ell)} mu(ell/d) d, sieved
-    into out (int64, length limit + 1) when given; the column is out[1:]."""
-    divs = divisors(abs(r))
-    f = np.zeros(divs[-1] + 1, dtype=np.int64)
-    f[divs] = divs
-    return dirichlet_convolution(f, _mobius_table(limit), out)[1:]
-
-
 def _check_pair(a: int, b: int, r: int = 1) -> None:
     """(a, b) coprime and positive, and the shift r nonzero."""
     if a < 1 or b < 1 or math.gcd(a, b) != 1:
@@ -245,25 +236,56 @@ def _series_coeff(a: int, b: int, psi: RealCharacter,
     deep = np.gcd(ell_a, ell_b) % D == 0
     # int64 before the product: D * chi_red overflows int8 once D >= 128
     coeff = chi_ell + np.where(deep, D * chi_red.astype(np.int64), 0)
+    copies = -(-limit // len(ell))
     denom = np.arange(1, limit + 1, dtype=np.int64) ** 2
-    denom //= np.resize(ga * gb, limit)
-    return np.resize(coeff, limit), denom.astype(np.float64)
+    denom //= np.tile(ga * gb, copies)[:limit]
+    return np.tile(coeff, copies)[:limit], denom.astype(np.float64)
 
 
-def _series_terms(coeff: np.ndarray, denom: np.ndarray, r: int,
-                  work: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
-    """Series terms coeff(ell) c_ell(r)/(ell_a ell_b) for ell = 1..len(coeff),
-    in increasing-ell order, from the shift-free parts of _series_coeff.
-    work = (int64 column, term row, exact_sum scratch) holds them in place."""
-    col, terms = (None, None) if work is None else work[:2]
-    col = _ramanujan_column(r, len(coeff), col)
-    return np.divide(np.multiply(coeff, col, out=col), denom, out=terms)
+def _gcd_classes(r: int, limit: int) -> list[tuple[int, int, int]]:
+    """(g, e, mu(e)) for every g | r and squarefree e | r/g with ge <= limit,
+    the classes of _series_sums that hold a term."""
+    out = [(1, 1, 1)]
+    for p, k in factor(r).factors:
+        out = [(g * p**i, e * p**j, -m if j else m)
+               for g, e, m in out for i in range(k + 1) for j in range(1 + (i < k))]
+    return [(g, e, m) for g, e, m in out if g * e <= limit]
 
 
-def _series_sum(coeff: np.ndarray, denom: np.ndarray, r: int,
-                work: tuple[np.ndarray, ...] | None = None) -> float:
-    """exact_sum of _series_terms: math.fsum's double for every r."""
-    return exact_sum(_series_terms(coeff, denom, r, work), None if work is None else work[2])
+def _series_sums(coeff: np.ndarray, denom: np.ndarray,
+                 rs: Iterable[int]) -> dict[int, float]:
+    """{|r|: S(r)} for every r of rs, S(r) the exactly rounded sum of the
+    series terms coeff(ell) c_ell(r)/(ell_a ell_b), ell = 1..len(coeff).
+
+    c_ell(r) depends on r only through g = (ell, r), and the ell = gk with
+    (ell, r) = g are the k prime to r/g, so by Mobius inversion
+    S(r) = sum_{g | r} sum_{e | r/g} mu(e) P_g(e), P_g(e) the sum of
+    row_g[e-1::e].  row_g[k-1] = coeff(gk) c_gk(g)/denom(gk) is the very
+    double of the term ell = gk, and each P_g(e) is kept as its exact_parts,
+    so math.fsum of the signed parts is math.fsum of the terms, bit for bit.
+    The rows are built one g at a time, from strided views of the Mobius
+    table, so the arrays held at once are O(len(coeff)) however many shifts
+    there are; what stays per class (g, e) is its few parts.
+    """
+    limit = len(coeff)
+    mu = _mobius_table(limit)
+    shifts = {abs(r) for r in rs}
+    need: dict[int, set[int]] = {}  # g -> the e its P_g(e) is needed for
+    for r in shifts:
+        for g, e, _ in _gcd_classes(r, limit):
+            need.setdefault(g, set()).add(e)
+    parts: dict[tuple[int, int], tuple[float, ...]] = {}
+    for g in sorted(need):
+        es = need.pop(g)
+        k_max = limit // g
+        col = np.zeros(k_max, dtype=np.int64)  # c_gk(g) = sum_{d | g} d mu(gk/d)
+        for d in divisors(g):
+            col += d * mu[g // d :: g // d][:k_max]
+        row = np.divide(coeff[g - 1 :: g] * col, denom[g - 1 :: g])
+        for e in es:
+            parts[g, e] = exact_parts(row[e - 1 :: e])
+    return {r: math.fsum(m * x for g, e, m in _gcd_classes(r, limit) for x in parts[g, e])
+            for r in shifts}
 
 
 def _series_tail(a: int, b: int, r: int, D: int, limit: int) -> float:
@@ -280,7 +302,7 @@ def singular_series(a: int, b: int, r: int, psi: RealCharacter,
     """(value, tail): the shift series summed to L_max terms, and a bound on the rest."""
     _check_pair(a, b, r)
     _check_L_max(L_max)
-    value = _series_sum(*_series_coeff(a, b, psi, L_max), r)
+    value = _series_sums(*_series_coeff(a, b, psi, L_max), [r])[abs(r)]
     return value, _series_tail(a, b, r, psi.D, L_max)
 
 
@@ -461,14 +483,12 @@ def main_term(params: ShiftedConvParams, L_max: int = 100000) -> tuple[float, fl
     _OVERLAP_BLOCK shifts per call: one array integrand evaluates the
     pending nodes of every shift of a block, each node with its own r and
     branch, and each integral is the double scipy's quad returns.  The
-    series and its tail piece are computed once per |r| and reused for
-    -r and across both branches: c_ell(r) is built from the divisors of
-    |r|, so r and -r give the same doubles.  Every series is formed and
-    summed in one set of length-L_max buffers, allocated once per call.
-    Each series and the final sum are exactly rounded (exact_sum), so they
-    are math.fsum's doubles whatever the order of summation inside.  Terms
-    are still appended per (branch, r) in the same order, so the tail is
-    the same floating-point operations as a per-r loop.
+    series of every |r| comes from one _series_sums call, and each series
+    and its tail piece serve r and -r and both branches.  Each series and
+    the final sum are exactly rounded, so they are math.fsum's doubles
+    whatever the order of summation inside.  Terms are still appended per
+    (branch, r) in the same order, so the tail is the same floating-point
+    operations as a per-r loop.
     """
     _check_L_max(L_max)
     p = params
@@ -477,14 +497,13 @@ def main_term(params: ShiftedConvParams, L_max: int = 100000) -> tuple[float, fl
     L1 = oracle_L(1.0, p.psi).real
     pref = L1 * L1 / (a * b)
     r_cap = int(4 * (aM + bN) / q) + 1
-    coeff, denom = _series_coeff(a, b, p.psi, L_max)
-    work = (np.empty(L_max + 1, dtype=np.int64), np.empty(L_max), np.empty((2, L_max)))
-    series: dict[int, tuple[float, float]] = {}  # |r| -> (value, tail piece)
+    shifts = list(_overlaps(p, aM, bN, r_cap))
+    series = _series_sums(*_series_coeff(a, b, p.psi, L_max), [r for r, *_ in shifts])
+    tails = {r: _series_tail(a, b, r, p.psi.D, L_max) for r in series}
     terms: list[float] = []
     tail = 0.0
-    shifts = _overlaps(p, aM, bN, r_cap)
-    while block := list(islice(shifts, _OVERLAP_BLOCK)):
-        rs, sgns, los, his = zip(*block)
+    for start in range(0, len(shifts), _OVERLAP_BLOCK):
+        rs, sgns, los, his = zip(*shifts[start : start + _OVERLAP_BLOCK])
         qr = q * np.array(rs, dtype=np.float64)  # exact: |qr| < 2^53
         plus = np.array(sgns) == 1
 
@@ -500,12 +519,8 @@ def main_term(params: ShiftedConvParams, L_max: int = 100000) -> tuple[float, fl
             # density argument is r, not the lattice offset q*r: the two agree
             # only as q grows, so at fixed q this choice floors the relative
             # deviation from the brute sum near 1/q
-            if abs(r) not in series:
-                series[abs(r)] = (_series_sum(coeff, denom, r, work),
-                                  _series_tail(a, b, r, p.psi.D, L_max))
-            ss, ss_tail = series[abs(r)]
-            terms.append(pref * ss * integral)
-            tail += pref * ss_tail * abs(integral)
+            terms.append(pref * series[abs(r)] * integral)
+            tail += pref * tails[abs(r)] * abs(integral)
     return exact_sum(terms), tail
 
 

@@ -3,11 +3,12 @@
 All reductions in this package must be reproducible bit-for-bit across runs,
 so floating sums are exactly rounded, which also makes them independent of
 the order of their terms.  exact_sum is the one real sum: it returns the
-same double as math.fsum, and on long arrays it gets there by vectorised
-error-free extraction (Rump, Ogita & Oishi, "Accurate floating-point
-summation, Part I", SIAM J. Sci. Comput. 31(1), 2008), certified against the
-gaps around the rounded result, with math.fsum as the fallback whenever the
-certificate fails.  Complex sums go through fsum_complex.
+same double as math.fsum.  On long arrays it hands math.fsum not the terms
+but their exact_parts, a few doubles with the same exact sum, taken by
+vectorised error-free extraction (Rump, Ogita & Oishi, "Accurate
+floating-point summation, Part I", SIAM J. Sci. Comput. 31(1), 2008); the
+exact sum is the same, so the rounding is too.  Complex sums go through
+fsum_complex.
 """
 
 from __future__ import annotations
@@ -18,28 +19,52 @@ from typing import Sequence
 import numpy as np
 
 # Shorter inputs go straight to math.fsum: below a few hundred terms the
-# fixed cost of the array passes exceeds fsum's per-term cost.  Inputs of
-# 2^26 terms or more would break the exactness of the extracted sums (which
-# needs n(n+2) < 2^54), so they go to math.fsum as well.
+# fixed cost of the array passes exceeds fsum's per-term cost.
 _CUTOFF = 512
-_MAX_LEN = 2 ** 26
-_WIDE = 2.0 ** -51  # 4u, u = 2^-53 the unit roundoff
+# Rounds of _extract before exact_parts hands over what is left: each round
+# reaches 53 - log2(n + 2) binary orders further below the largest term, so
+# six cover every sum in this package, the shift series at L_max = 10^7
+# (about 100 orders, four rounds) included.
+_ROUNDS = 6
+_EMIN = -1022  # exponent of the smallest normal double
 
 
-def exact_sum(values: Sequence[float] | np.ndarray, scratch: np.ndarray | None = None) -> float:
+def exact_sum(values: Sequence[float] | np.ndarray) -> float:
     """The exactly rounded sum of values: math.fsum's double, bit for bit.
 
-    Non-finite inputs, and every input the certificate of _certified_sum
-    cannot settle, go to math.fsum itself, so its results and the errors it
-    raises stay the same.  values is not modified.  scratch, float64 of shape
-    (2, >= len(values)), holds the certified path's two working rows.
+    Long inputs are summed as math.fsum(exact_parts(values)); a zero total
+    goes back to math.fsum(values), which decides its sign.  Non-finite
+    inputs reach math.fsum unchanged, so its results and the errors it
+    raises stay the same.  values is not modified.
     """
-    if not _CUTOFF <= len(values) < _MAX_LEN:
+    if len(values) < _CUTOFF:
         return math.fsum(values)
-    p, q = np.empty((2, len(values))) if scratch is None else scratch[:, :len(values)]
-    np.copyto(p, np.asarray(values, dtype=np.float64))
-    total = _certified_sum(p, q)
-    return math.fsum(values) if total is None else total
+    total = math.fsum(exact_parts(values))
+    return math.fsum(values) if total == 0.0 else total
+
+
+def exact_parts(values: Sequence[float] | np.ndarray) -> tuple[float, ...]:
+    """A few doubles whose exact sum is the exact sum of values.
+
+    Each round of _extract splits off the sum of what is left on a finer
+    grid, until nothing is left.  Where the rounds run out (_ROUNDS), or the
+    grid would leave the range of normal doubles, the nonzero entries of
+    what is left are parts themselves, so the split is always exact.
+    Non-finite values are handed over whole, in order, so math.fsum of the
+    parts returns or raises as math.fsum of values.  values is not modified.
+    """
+    p = np.array(values, dtype=np.float64)
+    q = np.empty_like(p)
+    parts: list[float] = []
+    big = float(np.abs(p, out=q).max()) if p.size else 0.0
+    if big < math.inf:
+        bits = (p.size + 1).bit_length()  # 2^bits >= n + 2
+        k = max(math.frexp(big)[1] + bits, _EMIN)
+        while k <= 1023 and len(parts) < _ROUNDS and p.any():
+            parts.append(_extract(p, q, math.ldexp(1.0, k)))
+            # what is left is at most 2^(k - 53); at k = _EMIN it is zero
+            k = max(k + bits - 53, _EMIN)
+    return (*parts, *p[p != 0.0].tolist())
 
 
 def _extract(p: np.ndarray, q: np.ndarray, sigma: float) -> float:
@@ -53,47 +78,6 @@ def _extract(p: np.ndarray, q: np.ndarray, sigma: float) -> float:
     q -= sigma
     p -= q
     return float(q.sum())
-
-
-def _certified_sum(p: np.ndarray, q: np.ndarray) -> float | None:
-    """The exactly rounded sum of p, or None where it is not certified.
-
-    Two rounds of _extract take the sum exactly into tau1 + tau2 plus a
-    residual p'' of size about u^2 n^2 max|p|.  approx = np.sum(p'') errs by
-    at most gamma_{n-1} sum|p''| <= err, inflated for the rounding in the
-    sum of |p''| and in err itself (the smallest subnormal covers its
-    underflow).  F is the double nearest tau1 + tau2 + approx and rho the
-    rounded remainder of that sum, so the exact sum lies within
-    |rho|(1 + 4u) + err of F; when that is below half
-    the smaller gap from F to its neighbours, F is the nearest double to
-    the exact sum and no tie, which is what math.fsum returns.  None for
-    non-finite values, F = 0 (whose sign fsum decides), and sigma too large
-    or too small for the grids to be exact.  p is overwritten, and q (p's
-    shape) takes |p| and the extraction grids.
-    """
-    n = p.size
-    np.abs(p, out=q)
-    big = float(q.max())
-    if not big < math.inf:
-        return None
-    bits = (n + 1).bit_length()  # 2^bits >= n + 2
-    k = math.frexp(big)[1] + bits
-    # sigma2 = 2^(k + bits - 53) covers the residual |p'| <= 2^-53 sigma1
-    if not (k <= 1023 and k + bits - 53 >= -1021):
-        return None
-    tau1 = _extract(p, q, math.ldexp(1.0, k))
-    tau2 = _extract(p, q, math.ldexp(1.0, k + bits - 53))
-    approx = float(p.sum())
-    err = float(np.abs(p, out=q).sum()) * (n * _WIDE) + math.ulp(0.0)
-    total = math.fsum((tau1, tau2, approx))
-    if total == 0.0:
-        return None
-    rho = math.fsum((tau1, tau2, approx, -total))
-    gap = min(total - math.nextafter(total, -math.inf),
-              math.nextafter(total, math.inf) - total)
-    if abs(rho) * (1 + _WIDE) + err < gap / 2:
-        return total
-    return None
 
 
 def fsum_complex(values: Sequence[complex] | np.ndarray) -> complex:

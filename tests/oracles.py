@@ -4,7 +4,8 @@ No command of the library and none of its cross-checks calls these: each is
 a direct or scalar form of something lmoll computes another way (the
 Kronecker symbol behind psi's residue table, rho one a at a time behind
 its sieved table, Kloosterman and Ramanujan sums behind the orthogonality
-expansions, scalar gamma and digamma behind the array Lanczos
+expansions, the shift series summed one r at a time behind its sums over
+gcd classes, scalar gamma and digamma behind the array Lanczos
 evaluation), or a closed form that a test holds a library route to.  Test
 modules import them as `from oracles import ...`.
 """
@@ -18,6 +19,7 @@ import numpy as np
 from lmoll.arith import (
     PrincipalCharacter,
     RealCharacter,
+    _mobius_table,
     character_convolution,
     dirichlet_convolution,
     divisors,
@@ -32,7 +34,7 @@ from lmoll.characters import (
     epsilon_product_direct,
 )
 from lmoll.lvalues import oracle_products_at
-from lmoll.offdiag import _check_pair, _series_coeff, _series_terms
+from lmoll.offdiag import _check_pair, _series_coeff
 from lmoll.reduction import exact_sum
 from lmoll.special import (
     _b_arr,
@@ -282,12 +284,33 @@ def tau4_table(limit: int) -> np.ndarray:
 # ------------------------------------------------------------------ offdiag
 
 
+def ramanujan_column(r: int, limit: int) -> np.ndarray:
+    """c_ell(r) for ell = 1..limit via sum_{d | (r,ell)} mu(ell/d) d, by one
+    divisor sieve over the divisors of |r|."""
+    divs = divisors(abs(r))
+    f = np.zeros(divs[-1] + 1, dtype=np.int64)
+    f[divs] = divs
+    return dirichlet_convolution(f, _mobius_table(limit))[1:]
+
+
+def series_terms(coeff: np.ndarray, denom: np.ndarray, r: int) -> np.ndarray:
+    """The shift-series terms coeff(ell) c_ell(r)/(ell_a ell_b), ell = 1..len(coeff),
+    from the shift-free parts of offdiag._series_coeff, one r at a time."""
+    return coeff * ramanujan_column(r, len(coeff)) / denom
+
+
+def series_sum(coeff: np.ndarray, denom: np.ndarray, r: int) -> float:
+    """math.fsum of series_terms: the bit oracle of offdiag._series_sums,
+    which takes every |r| at once from partial sums over gcd classes."""
+    return math.fsum(memoryview(series_terms(coeff, denom, r)))
+
+
 def singular_series_term(a: int, b: int, r: int, psi: RealCharacter, ell: int) -> float:
     """Single ell-term of the shift series, for hand cross-checks."""
     _check_pair(a, b, r)
     if ell < 1:
         raise ValueError("ell must be positive")
-    return float(_series_terms(*_series_coeff(a, b, psi, ell), r)[-1])
+    return float(series_terms(*_series_coeff(a, b, psi, ell), r)[-1])
 
 
 def power_overlap_closed(T: float, u: float, v: float) -> float:

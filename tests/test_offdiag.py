@@ -7,6 +7,7 @@ independent dense outer-product oracle before being written down.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,9 +22,8 @@ from lmoll.lvalues import oracle_L
 from lmoll.offdiag import (
     _BUMP,
     ShiftedConvParams,
-    _ramanujan_column,
     _series_coeff,
-    _series_sum,
+    _series_sums,
     _series_tail,
     brute_shifted_conv,
     dirichlet_series_G,
@@ -35,8 +35,14 @@ from lmoll.offdiag import (
     singular_series_factored,
     singular_series_r_sum,
 )
-from lmoll.reduction import exact_sum
-from oracles import power_overlap_closed, ramanujan_sum, singular_series_term
+from oracles import (
+    power_overlap_closed,
+    ramanujan_column,
+    ramanujan_sum,
+    series_sum,
+    series_terms,
+    singular_series_term,
+)
 
 PSI5 = RealCharacter(5)
 # squarefree D = 1 mod 4 below 200
@@ -93,7 +99,7 @@ def per_r_main_term(params: ShiftedConvParams, L_max: int) -> tuple[float, float
                 return float(first) * float(second)
 
             integral = quad(integrand, lo, hi, epsabs=1e-10, epsrel=1e-10, limit=200)[0]
-            ss = math.fsum(memoryview(coeff * _ramanujan_column(r, L_max) / denom))
+            ss = math.fsum(memoryview(series_terms(coeff, denom, r)))
             terms.append(pref * ss * integral)
             tail += pref * _series_tail(a, b, r, p.psi.D, L_max) * abs(integral)
     return math.fsum(terms), tail
@@ -199,7 +205,7 @@ class TestSingularSeries:
         assert singular_series_term(2, 3, 1, PSI5, 6) == 1.0 / 6.0
 
     def test_ramanujan_column_matches_scalar(self):
-        col = _ramanujan_column(12, 50)
+        col = ramanujan_column(12, 50)
         for ell in range(1, 51):
             assert col[ell - 1] == ramanujan_sum(12, ell)
 
@@ -262,13 +268,29 @@ class TestSingularSeries:
 
     @pytest.mark.parametrize("a,b,D", [(1, 1, 5), (2, 3, 13)])
     def test_series_sum_equals_fsum_over_all_terms(self, a, b, D):
-        # the vectorised exact sum must be the fsum over every term, for r
-        # and -r
+        # the sums over gcd classes must be the fsum over every term of the
+        # per-r route, for r and -r
         coeff, denom = _series_coeff(a, b, RealCharacter(D), 100000)
-        for r in (1, 2, 7, 12, 36, 60, 97, 120, 210, 240, 243, 360, 384, 400):
-            want = math.fsum(coeff * _ramanujan_column(r, len(coeff)) / denom)
-            assert _series_sum(coeff, denom, r).hex() == want.hex()
-            assert _series_sum(coeff, denom, -r).hex() == want.hex()
+        rs = (1, 2, 7, 12, 36, 60, 97, 120, 210, 240, 243, 360, 384, 400)
+        got = _series_sums(coeff, denom, rs)
+        assert sorted(got) == sorted(rs)
+        assert _series_sums(coeff, denom, [-r for r in rs]) == got
+        for r in rs:
+            assert got[r].hex() == series_sum(coeff, denom, r).hex()
+
+    @pytest.mark.parametrize("a,b,D,limit", [(1, 1, 5, 1000), (1, 1, 5, 100000),
+                                             (2, 3, 13, 1000), (4, 9, 5, 100000),
+                                             (12, 35, 13, 1000), (7, 4, 21, 1000)])
+    def test_series_sums_match_per_r_route(self, a, b, D, limit):
+        # shifts past L_max, with many divisors, prime powers (of a prime
+        # that divides D, a or b too) and their products, all in one call
+        rs = (1, 210, 2310, 2 * 3 * 5 * 7 * 11 * 13, 16, 243, 625, 2**10, 3**7, 5**6,
+              7**3, 101, 2 * limit, limit + 1, 3 * limit + 7, 2**4 * 3**3 * 5**2,
+              D, D * D, a * b * D, -(limit - 1))
+        coeff, denom = _series_coeff(a, b, RealCharacter(D), limit)
+        got = _series_sums(coeff, denom, rs)
+        for r in rs:
+            assert got[abs(r)].hex() == series_sum(coeff, denom, r).hex(), r
 
     @pytest.mark.parametrize("a,b,D,limit", [(1, 1, 5, 100000), (2, 3, 13, 100000),
                                              (7, 4, 21, 1000), (9, 10, 5, 449),
@@ -289,31 +311,48 @@ class TestSingularSeries:
         assert np.array_equal(denom, (ell_a * ell_b).astype(np.float64))
 
     def test_workspace_series_is_bit_identical_for_every_r_of_main_term(self, monkeypatch):
-        # the seed-0 shifted-conv case: each |r| main_term visits, summed in
-        # its one workspace, against the series built and summed fresh
+        # the seed-0 shifted-conv case: the one _series_sums call of
+        # main_term, against each series built and summed on its own
         coeff, denom = _series_coeff(1, 1, PSI5, 100000)
         seen = []
 
-        def checked(c, d, r, work=None):
-            got = _series_sum(c, d, r, work)
-            want = exact_sum(coeff * _ramanujan_column(r, len(coeff)) / denom)
-            assert work is not None and got.hex() == want.hex()
-            seen.append(abs(r))
+        def checked(c, d, rs):
+            got = _series_sums(c, d, rs)
+            for r in rs:
+                assert got[abs(r)].hex() == series_sum(coeff, denom, r).hex()
+            seen.append(sorted(got))
             return got
 
-        monkeypatch.setattr(offdiag, "_series_sum", checked)
+        monkeypatch.setattr(offdiag, "_series_sums", checked)
         main_term(ShiftedConvParams(a=1, b=1, q=101, M=2500.0, N=2500.0, psi=PSI5))
-        assert sorted(seen) == [*range(1, 25), *range(50, 100)]
+        assert seen == [[*range(1, 25), *range(50, 100)]]
 
     def test_workspace_series_at_large_shifts(self):
         # |r| up to r_cap = 793 of M = N = 10^4, q = 101, across the sieve's
-        # split at isqrt(L_max) = 316; one workspace holds a stale column
-        # from the shift before each
+        # split at isqrt(L_max) = 316
         coeff, denom = _series_coeff(1, 1, PSI5, 100000)
-        work = (np.empty(100001, dtype=np.int64), np.empty(100000), np.empty((2, 100000)))
-        for r in (793, 1, 720, 316, -317, 792, 510):
-            want = exact_sum(coeff * _ramanujan_column(r, len(coeff)) / denom)
-            assert _series_sum(coeff, denom, r, work).hex() == want.hex()
+        rs = (793, 1, 720, 316, -317, 792, 510)
+        got = _series_sums(coeff, denom, rs)
+        for r in rs:
+            assert got[abs(r)].hex() == series_sum(coeff, denom, r).hex()
+
+    def test_main_term_series_memory_is_linear_in_L_max(self, monkeypatch):
+        # 1,188 distinct |r| up to 1,584, their series summed one row of a
+        # gcd class at a time: the peak (6.1 MB) is a few length-L_max
+        # arrays, not one per shift, nor one per class g (12 MB).  The
+        # integrals are stubbed: quad holds O(_OVERLAP_BLOCK) whatever L_max
+        # is, and tracing its Python loop takes seconds
+        monkeypatch.setattr(offdiag, "quad", lambda f, los, his, **kw: [(1.0, 0.0)] * len(los))
+        p = ShiftedConvParams(a=1, b=1, q=101, M=40000.0, N=40000.0, psi=PSI5)
+        L_max = 100000
+        _mobius_table(L_max)  # the sieve's lru cache holds it either way
+        tracemalloc.start()
+        try:
+            main_term(p, L_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 8 * L_max
 
     def test_guards(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,5 @@
-"""Exact sums: exact_sum is math.fsum's double, and fsum_complex is the
-correctly rounded sum of each part."""
+"""Exact sums: exact_parts keeps the exact sum, exact_sum is math.fsum's
+double, and fsum_complex is the correctly rounded sum of each part."""
 
 from __future__ import annotations
 
@@ -12,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lmoll.arith import RealCharacter
-from lmoll.offdiag import _series_coeff, _series_terms
-from lmoll.reduction import _CUTOFF, _certified_sum, exact_sum, fsum_complex
+from lmoll.offdiag import _series_coeff
+from lmoll.reduction import _CUTOFF, _ROUNDS, exact_parts, exact_sum, fsum_complex
+from oracles import series_terms
 
 FINITE = st.floats(-1e200, 1e200)
 
@@ -31,21 +32,25 @@ def test_fsum_complex_is_exact_sum_rounded(values):
     assert fsum_complex(np.array(values, dtype=np.complex128)) == got
 
 
+def _exact(values) -> Fraction:
+    return sum(map(Fraction, values), Fraction(0))
+
+
 def _check(values: np.ndarray) -> None:
-    """exact_sum and the certified path against math.fsum and the exact
-    rational sum, bit for bit; the input must come back untouched."""
+    """exact_sum against math.fsum and the exact rational sum, bit for bit,
+    and exact_parts against the exact rational sum; the input must come
+    back untouched."""
     before = values.copy()
     want = math.fsum(values)
-    assert want == float(sum(map(Fraction, values.tolist()), Fraction(0)))
+    exact = _exact(values.tolist())
+    assert want == float(exact)
     assert exact_sum(values).hex() == want.hex()
     assert exact_sum(values.tolist()).hex() == want.hex()
-    # the caller's scratch, wider than needed and holding garbage
-    scratch = np.full((2, values.size + 3), np.nan)
-    assert exact_sum(values, scratch).hex() == want.hex()
+    parts = exact_parts(values)
+    assert _exact(parts) == exact
+    assert math.fsum(parts).hex() == want.hex()
+    assert exact_parts(values.tolist()) == parts
     assert np.array_equal(values, before)
-    if values.size:
-        certified = _certified_sum(values.copy(), np.empty_like(values))
-        assert certified is None or certified.hex() == want.hex()
 
 
 def _shuffled(rng, parts) -> np.ndarray:
@@ -151,28 +156,61 @@ def test_non_finite_and_overflow_as_fsum(n, specials):
     assert _outcome(exact_sum, values.tolist()) == want
 
 
+@pytest.mark.parametrize("n", [3, _CUTOFF, 2000])
+@pytest.mark.parametrize("specials", [
+    [math.inf], [-math.inf], [math.nan], [math.inf, -math.inf],
+    [math.inf, math.nan], [1e308, 1e308], [-1e308, -1e308, 1e308],
+    [math.ldexp(1.0, 1023), math.ldexp(1.0, 1023), -1e308],
+])
+def test_non_finite_and_overflow_parts_as_fsum(n, specials):
+    # parts past the range of the extraction grids are the values
+    # themselves, so math.fsum of them raises or returns as on the values
+    values = np.zeros(n)
+    values[:len(specials)] = specials
+    np.random.default_rng(n).shuffle(values)
+    values[values == 0.0] = np.random.default_rng(1).standard_normal(int(np.sum(values == 0.0)))
+    before = values.copy()
+    want = _outcome(math.fsum, values)
+    assert _outcome(lambda v: math.fsum(exact_parts(v)), values) == want
+    assert np.array_equal(values, before, equal_nan=True)
+
+
 @pytest.mark.parametrize("n", [_CUTOFF, 3000])
-def test_scratch_fallback_sums_the_original_terms(n):
-    # an exact tie the certificate cannot settle: math.fsum must see the
-    # caller's values, not the scratch the certified path worked on
+def test_exact_tie_parts_keep_the_original_sum(n):
+    # an exact tie between two doubles, which a rounded estimate of the
+    # residual cannot settle: the parts carry it exactly, so math.fsum of
+    # them breaks it as math.fsum of the values does
     rng = np.random.default_rng(n)
     half = (n - 2) // 2
     x = np.ldexp(rng.uniform(-1.0, 1.0, size=half), rng.integers(-20, 20, size=half))
     values = _shuffled(rng, (x, -x, [1.0, 3 * 2.0**-53]))
-    assert _certified_sum(values.copy(), np.empty_like(values)) is None
     before = values.copy()
-    scratch = np.empty((2, n))
-    assert exact_sum(values, scratch).hex() == math.fsum(before).hex()
+    parts = exact_parts(values)
+    assert len(parts) <= _ROUNDS
+    assert _exact(parts) == _exact(values.tolist()) == 1 + Fraction(3, 2**53)
+    assert exact_sum(values).hex() == math.fsum(before).hex() == (1 + 2.0**-51).hex()
     assert np.array_equal(values, before)
-    assert not np.array_equal(scratch[0], before)
+
+
+def test_parts_hand_over_what_the_rounds_leave():
+    # terms 2^-1000 .. 2^1000 apart need more rounds than _ROUNDS: what is
+    # left is handed over entry by entry, and the split stays exact
+    rng = np.random.default_rng(7)
+    values = np.ldexp(rng.uniform(0.5, 1.0, size=600), rng.integers(-1000, 1000, size=600))
+    parts = exact_parts(values)
+    assert len(parts) > _ROUNDS
+    assert _exact(parts) == _exact(values.tolist())
 
 
 @pytest.mark.parametrize("r", range(1, 51))
 def test_certified_path_takes_main_term_series(r):
     # the shift series that main_term sums (D = 5, its default L_max) are
-    # settled by the certificate, not by the math.fsum fallback
+    # taken apart in full by extraction rounds, none of their terms handed
+    # over, and the parts keep the exact sum of the terms
     coeff, denom = _series_coeff(1, 1, RealCharacter(5), 100000)
-    terms = _series_terms(coeff, denom, r)
-    got = _certified_sum(terms.copy(), np.empty_like(terms))
-    assert got is not None
-    assert got.hex() == math.fsum(terms).hex()
+    terms = series_terms(coeff, denom, r)
+    parts = exact_parts(terms)
+    assert len(parts) <= _ROUNDS  # one part per round, no term handed over
+    assert math.fsum(parts).hex() == math.fsum(terms).hex()
+    if r <= 5:
+        assert _exact(parts) == _exact(terms.tolist())
