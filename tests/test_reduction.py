@@ -176,7 +176,7 @@ def test_non_finite_and_overflow_parts_as_fsum(n, specials):
 
 
 @pytest.mark.parametrize("n", [_CUTOFF, 3000])
-def test_exact_tie_parts_keep_the_original_sum(n):
+def test_scratch_fallback_sums_the_original_terms(n):
     # an exact tie between two doubles, which a rounded estimate of the
     # residual cannot settle: the parts carry it exactly, so math.fsum of
     # them breaks it as math.fsum of the values does
