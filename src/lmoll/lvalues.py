@@ -2,7 +2,9 @@
 
 afe-check's production route is the product's approximate functional
 equation (afe_central): a coefficient sum against the smooth weights of
-module `special`, truncated at n_max with a certified tail bound.  census's
+module `special`, cut where the weights' closed-form Bessel bound
+certifies that all they could still add is at most 2^-64 (_afe_cut),
+well inside the interface length n_max.  census's
 route takes each factor by its own short AFE, for the whole even family at
 once (_factor_pass): about 3.8 sqrt(m) terms per factor mod m, a certified
 tail below 1e-20, and one real transform of length (q-1)/2 per row, as
@@ -40,7 +42,6 @@ from .special import (
     _digamma_arr,
     _upper_gamma_quarter,
     eval_weight_many,
-    kernel_abs_moment,
 )
 
 # ---------------------------------------------------------------- oracle side
@@ -300,7 +301,8 @@ def _factor_pass(q: int, psi: RealCharacter) -> tuple[np.ndarray, np.ndarray]:
 # ------------------------------------------------------------------ AFE side
 
 # the largest AFE length: at n_max = 1,997,758 (q = 28319, D = 5) _afe_tables
-# took 49 s and 152 MB above the import on a 2-vCPU Xeon VM
+# takes 7.8 s (33 s when it evaluated the weights at every nonzero n) and
+# raises the peak RSS from 30 to 113 MB, on a 2-vCPU Xeon VM
 _AFE_MAX_N = 2 * 10**6
 # the largest q D: epsilon_product_direct builds a modulus-qD table per
 # character, 48 B an entry: 197 MB at q = 41, D = 100,001, 480 MB here
@@ -344,22 +346,54 @@ class CentralValuePair:
     epsilon_product: complex
 
 
-_TAIL_SIGMAS = (4.0, 6.0, 8.0, 10.0, 12.0)
+# the most the entries _afe_tables leaves out may add up to, V1's and U's
+# together: 2^-12 of an ulp of 1, and below the roundoff of about 1e-19
+# that the quadrature would return for them
+_AFE_CUT_TOL = 2.0**-64
+
+
+def _weight_tails(Q: float, n: int) -> tuple[float, float]:
+    """Certified bounds on sum_{m>n} |(1*psi)(m)| m^{-1/2} weight(m/Q) for V1
+    and U, every n >= 0.
+
+    V1(x) = (4/Gamma(1/4)^2) int_x^inf u^{-1/2} K0(2u) du and
+    U(x) = int_x^inf V1(u) du/u (DLMF 10.43.19), and
+    K0(z) <= sqrt(pi/2z) e^{-z} (DLMF 10.37), so for every x > 0
+    V1(x) <= C e^{-2x}/x and U(x) <= C e^{-2x}/(2x^2), C = sqrt(pi)/Gamma(1/4)^2.
+    With |(1*psi)(m)| <= d(m) <= 2 sqrt(m) and x = (n+1)/Q the least m/Q,
+    the tails are at most 2C/x G and C/x^2 G, G = sum_{m>n} e^{-2m/Q}
+    = e^{-2x}/(1 - e^{-2/Q})."""
+    x = (n + 1) / Q
+    c = 2 * math.sqrt(math.pi) / GAMMA_QUARTER**2 * math.exp(-2 * x) / -math.expm1(-2 / Q)
+    return c / x, c / (2 * x * x)
+
+
+def _afe_cut(Q: float, n_max: int) -> int:
+    """n_cut: the least n <= n_max whose _weight_tails add up to at most
+    _AFE_CUT_TOL = 2^-64, or n_max if none does; by bisection, as the tails
+    fall with n.  At the family's Q = 72, 2848 and 20156 (q = 101, 4001 and
+    28319, D = 5) it sits at n/Q = 21.8, 23.6 and 24.5, under n_max/Q = 42.8
+    to 99."""
+    lo, hi = 0, n_max  # the tails exceed the tolerance at lo
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if sum(_weight_tails(Q, mid)) <= _AFE_CUT_TOL:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def afe_tail_bound(kind: str, cfg: AFEConfig) -> float:
-    """Certified bound on |sum_{n>n_max} (1*psi)(n) n^{-1/2} weight(n/Q)|.
-
-    |weight(x)| <= moment(sigma) x^{-sigma} for x>1, and (1*psi)(n) <= d(n)
-    <= 2 sqrt(n), so the tail is at most
-    2 moment(sigma) Q^sigma n_max^{1-sigma}/(sigma-1), minimized over sigma.
-    """
-    best = math.inf
-    for sigma in _TAIL_SIGMAS:
-        m = kernel_abs_moment(kind, sigma)
-        bound = 2 * m * cfg.Q**sigma * cfg.n_max ** (1 - sigma) / (sigma - 1)
-        best = min(best, bound)
-    return best
+    """Certified bound on |sum_{n>n_cut} (1*psi)(n) n^{-1/2} weight(n/Q)|,
+    everything the AFE table of cfg leaves out, n_cut = _afe_cut(Q, n_max):
+    _weight_tails at n_cut."""
+    t_v, t_u = _weight_tails(cfg.Q, _afe_cut(cfg.Q, cfg.n_max))
+    if kind == "V1":
+        return t_v
+    if kind == "U":
+        return t_u
+    raise ValueError(f"unknown weight kind {kind!r}")
 
 
 def _combo(v, u, L: float):
@@ -373,25 +407,29 @@ def _afe_tables(q: int, D: int, n_max: int, Q: float):
     """Shared per-(q,D) arrays: the coefficients times V1 and times U, from
     one quadrature pass.  V1 serves both sides of the AFE.
 
-    (1*psi)(n) vanishes whenever a prime with psi(p) = -1 divides n to an odd
-    power, so the weights are evaluated only where the coefficient is nonzero
-    (about a fifth of n <= n_max at D = 5) and the cost is proportional to
-    that count.  The other entries are +0.0; the columns keep their full
-    length, so every dot product over them sums in the same order.
+    The weights are evaluated only at the n <= n_cut = _afe_cut(Q, n_max)
+    where the coefficient is nonzero.  (1*psi)(n) vanishes whenever a prime
+    with psi(p) = -1 divides n to an odd power (about four fifths of n at
+    D = 5), and past n_cut the weights' certified tail, V1's and U's
+    together, is at most 2^-64, while the quadrature returns only roundoff
+    of about 1e-19 there.  The cut keeps 54% of the nonzero n at q = 101
+    and 26% at q = 28319, D = 5.  The other entries are +0.0; the columns
+    keep their full length n_max, so every dot product over them sums the
+    same entries in the same order.
 
-    "tails" holds the certified tail bound of each weight and, as "L_combo",
-    the bound _combo(t_V1, t_U, L) on each side of afe_central's
-    combination, above both when L = log Q < 1 - c.  The bounds depend only
-    on Q and n_max, so they are computed here once per entry;
-    _budgeted_tables compares them with the budget."""
+    "tails" holds the certified tail bound of each weight past n_cut and,
+    as "L_combo", the bound _combo(t_V1, t_U, L) on each side of
+    afe_central's combination, above both when L = log Q < 1 - c.  The
+    bounds depend only on Q and n_max, so they are computed here once per
+    entry; _budgeted_tables compares them with the budget."""
     psi = RealCharacter(D)
     coeff = one_star_psi_table(psi, n_max)[1:].astype(np.float64)
     n = np.arange(1, n_max + 1, dtype=np.float64)
     coeff /= np.sqrt(n)
     xs = n / Q
-    nonzero = np.flatnonzero(coeff)
+    kept = np.flatnonzero(coeff[:_afe_cut(Q, n_max)])
     cols = np.zeros((2, n_max))
-    cols[:, nonzero] = eval_weight_many(("V1", "U"), xs[nonzero])
+    cols[:, kept] = eval_weight_many(("V1", "U"), xs[kept])
     cols *= coeff
     cfg = AFEConfig(Q=Q, n_max=n_max)
     t_v, t_u = (afe_tail_bound(kind, cfg) for kind in ("V1", "U"))

@@ -21,7 +21,11 @@ Quadrature runs on a vertical line: Re(s) = 1 for x > 1, and Re(s) = -1/4
 plus the residue at s = 0 for x <= 1, which keeps the line integral
 O(x^{1/4}) and leaves the constant term to the exactly-known residue.
 Kernels decay like e^{-pi|t|/4}, so |t| <= 60 at step 1/64 is far below
-double precision.  B on a line is computed once per sigma, for every kind.
+double precision.  B on a line is computed once per contour, for every
+kind: two rows of 7681 points in all.  Both weights decay like e^{-2x}
+(they are Bessel integrals, DLMF 10.43.19), so past x of about 20 the
+quadrature returns only its roundoff floor; lvalues bounds what lies
+beyond in closed form and evaluates no weight there.
 One routine, eval_weight_many, evaluates any set of kinds: per x
 it computes the rotation row x^{-it} on the t-grid once, the remaining
 per-point cost, and takes one product with the kinds' stacked kernel rows.
@@ -200,8 +204,13 @@ def _line_kernel(kind: str, sigma: float) -> np.ndarray:
 
 
 def eval_weight_many(kinds: tuple[str, ...], xs: np.ndarray) -> np.ndarray:
-    """weight(x) for each kind at each x, one row per kind; absolute accuracy
-    far below 1e-10 on [1e-8, 1e3].
+    """weight(x) for each kind at each x, one row per kind, on [1e-8, 1e3].
+
+    The error is absolute, not relative: a roundoff floor of about 1e-19
+    (1.3e-19 the most seen for x >= 12, a few 1e-20 past x = 25).  Past
+    x of about 20, where both weights are below it (V1(30) is 3.9e-29),
+    the value is that roundoff alone and either kind can come out
+    negative: V1(30) computes as 7.5e-21 and U(30) as -1.4e-20.
 
     For x <= 1 the contour sits at Re(s) = -1/4 (staying right of the
     Gamma^2 poles at s = -1/2) and the s=0 residue is added exactly.  Per
@@ -245,13 +254,6 @@ def eval_weight_many(kinds: tuple[str, ...], xs: np.ndarray) -> np.ndarray:
 def eval_weight(kind: str, x: float) -> float:
     """weight(x) of one weight at one point: eval_weight_many on one element."""
     return float(eval_weight_many((kind,), [x])[0, 0])
-
-
-def kernel_abs_moment(kind: str, sigma: float) -> float:
-    """(1/2pi) int |K(sigma+it)| dt, so |weight(x)| <= moment * x^{-sigma}
-    for x > 1 and any sigma > 0 (no pole crossed)."""
-    kern = _line_kernel(kind, sigma)
-    return _QUAD_STEP / (2 * math.pi) * float(np.sum(np.abs(kern)))
 
 
 # (1/2) int_{-1}^{1} exp(1 - 1/(1 - v^2)) dv, the template's mass per unit

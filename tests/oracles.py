@@ -33,14 +33,16 @@ from lmoll.characters import (
     epsilon,
     epsilon_product_direct,
 )
-from lmoll.lvalues import oracle_products_at
+from lmoll.lvalues import AFEConfig, oracle_products_at
 from lmoll.offdiag import _check_pair, _series_coeff
 from lmoll.reduction import exact_sum
 from lmoll.special import (
+    _QUAD_STEP,
     _b_arr,
     _digamma_arr,
     _is_nonpositive_integer,
     _kernel_arr,
+    _line_kernel,
     gamma_many,
     mellin_principal_part,
 )
@@ -236,6 +238,20 @@ def mellin_weight(kind: str, s: complex) -> complex:
 
 
 # ------------------------------------------------------------------ lvalues
+
+
+def mellin_moment_tail_bound(kind: str, cfg: AFEConfig) -> float:
+    """The AFE weight tail past n_max by Mellin moments, the bound lvalues
+    certified before its closed form: |weight(x)| <= m(sigma) x^{-sigma}
+    for x > 1 with m(sigma) = (1/2 pi) int |K(sigma+it)| dt, and
+    (1*psi)(n) <= d(n) <= 2 sqrt(n), so the tail is at most
+    2 m(sigma) Q^sigma n_max^{1-sigma}/(sigma-1), the least over
+    sigma = 4, 6, ..., 12."""
+    best = math.inf
+    for sigma in (4.0, 6.0, 8.0, 10.0, 12.0):
+        m = _QUAD_STEP / (2 * math.pi) * float(np.sum(np.abs(_line_kernel(kind, sigma))))
+        best = min(best, 2 * m * cfg.Q**sigma * cfg.n_max ** (1 - sigma) / (sigma - 1))
+    return best
 
 
 def oracle_product(chi: DirichletCharacter, psi: RealCharacter) -> complex:

@@ -36,6 +36,10 @@ GOLDEN_ARGVS = {
                      "--D", "5", "--scales", "200,300"],
     "voronoi-check": ["voronoi-check", "--D", "5", "--c", "3", "--a", "2",
                       "--bump-lo", "50", "--bump-hi", "4850"],
+    # AFE tables long enough that their weights decay to nothing before n_max
+    "moments-q101": ["moments", "--q", "101", "--D", "5", "--X", "25"],
+    "afe-check-q101": ["afe-check", "--q", "101", "--D", "5"],
+    "moments-q401": ["moments", "--q", "401", "--D", "5", "--X", "100"],
 }
 
 # the one-line summary each golden argv prints on stdout, before the payload
@@ -50,6 +54,9 @@ GOLDEN_SUMMARIES = {
                       "restricted_divisor 27",
     "shifted-conv": "shifted-conv a=1 b=1 q=101 D=5: deviations 0.0460 0.1410",
     "voronoi-check": "voronoi-check D=5 c=3 a=2: residual 3.228e-12 (ok)",
+    "moments-q101": "moments q=101 D=5 X=25: ratio=0.440747 census=49/49",
+    "afe-check-q101": "afe-check q=101 D=5: 49 characters, max residual 3.055e-15 (ok)",
+    "moments-q401": "moments q=401 D=5 X=100: ratio=0.308268 census=199/199",
 }
 
 _SHIFTED = ["shifted-conv", "--a", "1", "--b", "1", "--q", "101", "--D", "5"]

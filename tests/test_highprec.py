@@ -1,6 +1,7 @@
 """High-precision oracle tier: the Hurwitz-zeta route against mpmath at 30
 digits, and the certified Euler-Maclaurin shift behind it; the AFE weights
-V1 and U against their Bessel integrals, and afe_central's derivative
+V1 and U against their Bessel integrals and under the closed-form bounds
+that certify the AFE tables' cut, and afe_central's derivative
 combination against mpmath's derivative of the product; Gamma(1/4, x) of
 each factor's AFE; the bump's closed-form mass and the reciprocal gamma of
 the H kernels."""
@@ -131,45 +132,63 @@ def test_rejections(s, x, match):
         hurwitz_zeta_vec(s, np.array(x))
 
 
+# every x at which a test reads V1 or U off its Bessel integral
+BESSEL_XS = (0.01, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 30.0)
+
+
+@functools.lru_cache(maxsize=1)
+def _bessel_weights() -> dict:
+    """(V1(x), U(x)) at each x of BESSEL_XS, as mpf at 30 digits:
+    V1(x) = C int_x^inf g and U(x) = int_x^inf V1(y) dy/y = C int_x^inf g(y) log(y/x) dy,
+    with g(y) = y^{-1/2} K0(2y) and C = 4/Gamma(1/4)^2 (DLMF 10.43.19
+    gives V1(0) = 1), as B(s)/s^2 is B(s)/s divided by s.
+
+    The range splits at the points themselves, so each piece takes
+    int g log y and int g once for every x at or below it, and each K0
+    value is computed once for both.  Past y = 60 the integrand is below
+    e^{-120}, under 1e-26 of g's integral from 30."""
+    with mpmath.workdps(30):
+        g = functools.lru_cache(maxsize=None)(lambda y: y**-0.5 * mpmath.besselk(0, 2 * y))
+        edges = [mpmath.mpf(x) for x in BESSEL_XS] + [60]
+        parts = [(mpmath.quad(lambda y: g(y) * mpmath.log(y), [lo, hi]), mpmath.quad(g, [lo, hi]))
+                 for lo, hi in zip(edges, edges[1:])]
+        c = 4 / mpmath.gamma(0.25) ** 2
+        return {x: (c * sum(b for _, b in parts[i:]),
+                    c * sum(a - mpmath.log(x) * b for a, b in parts[i:]))
+                for i, x in enumerate(BESSEL_XS)}
+
+
 @pytest.mark.parametrize("x", (0.01, 0.5, 2.0))
 def test_v1_matches_bessel_integral(x):
-    # V1(x) = C int_x^inf y^{-1/2} K0(2y) dy with C = 4/Gamma(1/4)^2 (DLMF
-    # 10.43.19 gives V1(0) = 1); an independent route to the Mellin
-    # quadrature, on both of its contours (x <= 1 and x > 1)
-    with mpmath.workdps(20):
-        c = 4 / mpmath.gamma(0.25) ** 2
-        want = float(c * mpmath.quad(lambda y: y**-0.5 * mpmath.besselk(0, 2 * y),
-                                     [x, mpmath.inf]))
-    # eval_weight_many's documented accuracy: absolute, far below 1e-10
-    assert abs(eval_weight("V1", x) - want) < 1e-10
+    # an independent route to the Mellin quadrature, on both of its
+    # contours (x <= 1 and x > 1); eval_weight_many's accuracy is absolute
+    assert abs(eval_weight("V1", x) - float(_bessel_weights()[x][0])) < 1e-10
 
 
 U_XS = (0.01, 0.5, 2.0, 10.0)
 
 
-@functools.lru_cache(maxsize=1)
-def _u_bessel_integrals() -> dict:
-    """U(x) = int_x^inf V1(y) dy/y = C int_x^inf y^{-1/2} K0(2y) log(y/x) dy
-    at each x of U_XS, 30 digits, as B(s)/s^2 is B(s)/s divided by s.
-
-    The range splits at the points themselves, so each piece takes
-    int g log y and int g, g = y^{-1/2} K0(2y), once for every x at or
-    below it, with each K0 value computed once; past y = 45 the integrand
-    is below e^{-90}."""
-    with mpmath.workdps(30):
-        g = functools.lru_cache(maxsize=None)(lambda y: y**-0.5 * mpmath.besselk(0, 2 * y))
-        edges = [mpmath.mpf(x) for x in U_XS] + [45]
-        parts = [(mpmath.quad(lambda y: g(y) * mpmath.log(y), [lo, hi]), mpmath.quad(g, [lo, hi]))
-                 for lo, hi in zip(edges, edges[1:])]
-        c = 4 / mpmath.gamma(0.25) ** 2
-        return {x: float(c * sum(a - mpmath.log(x) * b for a, b in parts[i:]))
-                for i, x in enumerate(U_XS)}
-
-
 @pytest.mark.parametrize("x", U_XS)
 def test_u_matches_bessel_integral(x):
     # both contours again; the same absolute bound as V1's
-    assert abs(eval_weight("U", x) - _u_bessel_integrals()[x]) < 1e-10
+    assert abs(eval_weight("U", x) - float(_bessel_weights()[x][1])) < 1e-10
+
+
+@pytest.mark.parametrize("x", (0.5, 1.0, 5.0, 10.0, 20.0, 30.0))
+def test_weights_under_their_closed_form_bounds(x):
+    # V1(x) <= sqrt(pi) e^{-2x}/(Gamma(1/4)^2 x) and
+    # U(x) <= sqrt(pi) e^{-2x}/(2 Gamma(1/4)^2 x^2) for every x > 0, from
+    # K0(z) <= sqrt(pi/2z) e^{-z}; lvalues sums them into the certified
+    # tail of the AFE tables.  From x = 5 on they are within 1.5 times the
+    # weights, so the cut they place is not far out.
+    with mpmath.workdps(30):
+        v1, u = _bessel_weights()[x]
+        base = mpmath.sqrt(mpmath.pi) * mpmath.exp(-2 * mpmath.mpf(x)) / mpmath.gamma(0.25) ** 2
+        bounds = (base / x, base / (2 * x * x))
+        for weight, bound in zip((v1, u), bounds):
+            assert 0 < weight <= bound
+            if x >= 5:
+                assert bound <= 1.5 * weight
 
 
 def _mp_L_and_derivative(values) -> tuple:

@@ -16,8 +16,11 @@ from lmoll import lvalues
 from lmoll.arith import PrincipalCharacter, RealCharacter, one_star_psi_table
 from lmoll.characters import build_group, enumerate_even_primitive, product_values
 from lmoll.lvalues import (
+    _AFE_CUT_TOL,
     AFEConfig,
+    _afe_cut,
     _afe_tables,
+    _weight_tails,
     afe_central,
     afe_tail_bound,
     default_config,
@@ -27,7 +30,12 @@ from lmoll.lvalues import (
 )
 from lmoll.moments import mollified_moments
 from lmoll.special import DIGAMMA_QUARTER, eval_weight_many
-from oracles import epsilon_consistency_residual, oracle_product, oracle_product_derivative
+from oracles import (
+    epsilon_consistency_residual,
+    mellin_moment_tail_bound,
+    oracle_product,
+    oracle_product_derivative,
+)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "central_values.csv"
 
@@ -195,23 +203,78 @@ def test_afe_rejects_bad_characters():
         afe_central(build_group(5).character(2), RealCharacter(5))  # shared modulus
 
 
+# the most eval_weight_many's roundoff floor was seen to reach for x >= 12
+# is 1.3e-19; past n_cut the quadrature returns nothing else
+QUAD_FLOOR = 2e-19
+# the pointwise bounds V1(x) <= C e^{-2x}/x and U(x) <= C e^{-2x}/(2x^2)
+BESSEL_C = math.sqrt(math.pi) / math.gamma(0.25) ** 2
+
+
 @pytest.mark.parametrize("q,D", [(13, 5), (29, 5), (101, 5), (101, 13)])
 def test_afe_tables_equal_coefficients_times_every_weight(q, D):
-    # the weights are evaluated only where (1*psi)(n) != 0; the columns must
-    # still equal coeff * weight at every n, to the bit where coeff != 0
+    # the weights are evaluated only where (1*psi)(n) != 0 and n <= n_cut;
+    # up to n_cut the columns equal coeff * weight, to the bit where
+    # coeff != 0, and past it they are +0.0, where coeff * weight is only
+    # roundoff under the pointwise bound
     cfg = default_config(q, D)
+    cut = _afe_cut(cfg.Q, cfg.n_max)
+    assert cut < cfg.n_max
     cols = _afe_tables(q, D, cfg.n_max, cfg.Q)
     coeff = one_star_psi_table(RealCharacter(D), cfg.n_max)[1:].astype(np.float64)
     n = np.arange(1, cfg.n_max + 1, dtype=np.float64)
     coeff /= np.sqrt(n)
-    nonzero = coeff != 0
-    assert 0 < np.count_nonzero(nonzero) < cfg.n_max
-    full = eval_weight_many(("V1", "U"), n / cfg.Q)
-    for key, weight in zip(("V", "U"), full):
+    nonzero = coeff[:cut] != 0
+    assert 0 < np.count_nonzero(nonzero) < cut
+    x = n / cfg.Q
+    full = eval_weight_many(("V1", "U"), x)
+    bounds = (BESSEL_C * np.exp(-2 * x) / x, BESSEL_C * np.exp(-2 * x) / (2 * x * x))
+    for key, weight, bound in zip(("V", "U"), full, bounds):
         want = coeff * weight
         assert cols[key].shape == (cfg.n_max,)
-        assert np.array_equal(cols[key], want)
-        assert cols[key][nonzero].tobytes() == want[nonzero].tobytes()
+        assert np.array_equal(cols[key][:cut], want[:cut])
+        assert cols[key][:cut][nonzero].tobytes() == want[:cut][nonzero].tobytes()
+        assert cols[key][cut:].tobytes() == bytes(8 * (cfg.n_max - cut))
+        assert np.all(np.abs(want[cut:]) <= coeff[cut:] * (bound[cut:] + QUAD_FLOOR))
+
+
+# the family's setups: the benchmark's q = 101, the golden payloads' and
+# the largest admitted q at D = 5
+CUT_CONFIGS = [(13, 5), (29, 5), (101, 5), (101, 13), (401, 5), (4001, 5), (28319, 5)]
+
+
+@pytest.mark.parametrize("q,D", CUT_CONFIGS)
+def test_afe_cut_is_minimal(q, D):
+    cfg = default_config(q, D)
+    cut = _afe_cut(cfg.Q, cfg.n_max)
+    assert 20 < cut / cfg.Q < 25 and cut < cfg.n_max
+    assert sum(_weight_tails(cfg.Q, cut)) <= _AFE_CUT_TOL
+    assert sum(_weight_tails(cfg.Q, cut - 1)) > _AFE_CUT_TOL
+    # a table too short to reach the tolerance keeps every n
+    assert _afe_cut(cfg.Q, cut - 1) == cut - 1
+
+
+@pytest.mark.parametrize("q,D", CUT_CONFIGS[:4])
+def test_afe_tails_at_the_cut(q, D):
+    # the tails each table reports are the closed form at its cut, V1's and
+    # U's together at most 2^-64, and every one under the budget
+    cfg = default_config(q, D)
+    tails = _afe_tables(q, D, cfg.n_max, cfg.Q)["tails"]
+    assert (tails["V1"], tails["U"]) == _weight_tails(cfg.Q, _afe_cut(cfg.Q, cfg.n_max))
+    assert tails["V1"] + tails["U"] <= 2.0**-64
+    assert max(tails.values()) <= cfg.tail_budget
+
+
+@pytest.mark.parametrize("q,D", CUT_CONFIGS)
+def test_closed_form_tail_under_mellin_moment_bound(q, D):
+    # the closed form at the cut is below the Mellin-moment bound that the
+    # full length n_max certified before, for both weights
+    cfg = default_config(q, D)
+    for kind in ("V1", "U"):
+        assert afe_tail_bound(kind, cfg) <= mellin_moment_tail_bound(kind, cfg), kind
+    # and at one common length too, for the closed form as such
+    short = AFEConfig(Q=cfg.Q, n_max=math.ceil(15 * cfg.Q))
+    for kind, t in zip(("V1", "U"), _weight_tails(short.Q, short.n_max)):
+        assert t <= mellin_moment_tail_bound(kind, short), kind
 
 
 def _setup_as(monkeypatch, cfg: AFEConfig) -> None:
