@@ -36,8 +36,13 @@ from .characters import (
     epsilon_product_factored,
     phi_plus,
 )
-from .lvalues import afe_central, default_config, oracle_products_at
-from .moments import census, mollified_moments, restricted_divisor_product_residuals
+from .lvalues import default_config, oracle_products_at
+from .moments import (
+    census,
+    family_centrals,
+    mollified_moments,
+    restricted_divisor_product_residuals,
+)
 from .offdiag import (
     H_kernel,
     H_kernel_product_form,
@@ -155,7 +160,7 @@ def _cmd_afe_check(args) -> tuple[dict, str, bool]:
     with _flags("--q/--D"):
         default_config(args.q, args.D)  # the AFE caps, before any table
         family = enumerate_even_primitive(build_group(args.q))
-        centrals = [afe_central(chi, psi).L_central for chi in family]
+        centrals = family_centrals(args.q, args.D).tolist()
         oracles = oracle_products_at(0.5, family, psi)
         residuals = [abs(c - o) for c, o in zip(centrals, oracles)]
     worst = max(residuals, default=0.0)

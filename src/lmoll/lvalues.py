@@ -301,7 +301,7 @@ def _factor_pass(q: int, psi: RealCharacter) -> tuple[np.ndarray, np.ndarray]:
 # ------------------------------------------------------------------ AFE side
 
 # the largest AFE length: at n_max = 1,997,758 (q = 28319, D = 5) _afe_tables
-# takes 7.8 s (33 s when it evaluated the weights at every nonzero n) and
+# takes 8.1-8.4 s (33 s when it evaluated the weights at every nonzero n) and
 # raises the peak RSS from 30 to 113 MB, on a 2-vCPU Xeon VM
 _AFE_MAX_N = 2 * 10**6
 # the largest q D: epsilon_product_direct builds a modulus-qD table per

@@ -29,8 +29,9 @@ beyond in closed form and evaluates no weight there.
 One routine, eval_weight_many, evaluates any set of kinds: per x
 it computes the rotation row x^{-it} on the t-grid once, the remaining
 per-point cost, and takes one product with the kinds' stacked kernel rows.
-The t-grid is symmetric about 0, so only the t <= 0 half of the row goes
-through exp; the t > 0 half is its mirror image conjugated, exactly (below).
+The t-grid is symmetric about 0, so only the t <= 0 half of the row is
+computed, as cos and sin of its angles; the t > 0 half is its mirror image
+conjugated, exactly (below).
 
 Also here: a C-infinity bump template, with its mass in closed form.
 """
@@ -217,14 +218,18 @@ def eval_weight_many(kinds: tuple[str, ...], xs: np.ndarray) -> np.ndarray:
     x, one product of the rotation row x^{-it} with the kinds' kernel rows,
     stacked per contour, and one row-wise sum give every kind; numpy sums a
     contiguous row pairwise, as it sums a 1-D array, so each kind keeps the
-    bits it has alone.  Only the row's t <= 0 half (3841 exponentials, the
-    floor of the cost) is exponentiated; each t > 0 entry is the conjugate
-    of the entry at -t.  That is exact, not just close: every node is a
-    multiple of 2^-6, so -t is exactly on the grid and -t*log(x) is exactly
-    the negated product; exp of a purely imaginary i*theta is
-    cos(theta) + i*sin(theta), and the library cos and sin are even and odd
-    to the bit.  The row therefore equals the full-grid exp bit for bit
-    (test_special checks it against that formula), at half its cost.
+    bits it has alone.  Only the row's t <= 0 half is computed, the floor
+    of the cost: 3841 angles theta = -t log x, whose cos and sin go straight
+    into the row's real and imaginary parts; each t > 0 entry is the
+    conjugate of the entry at -t.  Both steps are exact.  The library's
+    complex exp of i*theta (real part 0) is exp(0) (cos(theta) +
+    i sin(theta)) with exp(0) = 1, so cos and sin give np.exp's bits
+    without its complex product and temporary; only the zero sin(theta) at
+    t = 0 may differ in sign, which changes no real part.  Every node is a
+    multiple of 2^-6, so -t is exactly on the grid and its angle is exactly
+    the negated one, and the library cos and sin are even and odd to the
+    bit.  The weights are therefore those of np.exp over the whole grid,
+    bit for bit (test_special checks them against that formula).
     """
     pps = [mellin_principal_part(kind) for kind in kinds]  # checks kinds
     xs = np.asarray(xs, dtype=np.float64)
@@ -232,7 +237,8 @@ def eval_weight_many(kinds: tuple[str, ...], xs: np.ndarray) -> np.ndarray:
         raise ValueError("x must be positive")
     out = np.empty((len(kinds),) + xs.shape, dtype=np.float64)
     rows = out.reshape(len(kinds), -1)
-    neg_it_half = -1j * _QUAD_T[: _MID + 1]
+    neg_t_half = -_QUAD_T[: _MID + 1]
+    theta = np.empty_like(neg_t_half)
     rot = np.empty(len(_QUAD_T), dtype=np.complex128)
     kerns = {}  # contour sigma -> kinds x t-grid
     for i, x in enumerate(xs.ravel().tolist()):
@@ -240,7 +246,9 @@ def eval_weight_many(kinds: tuple[str, ...], xs: np.ndarray) -> np.ndarray:
         if sigma not in kerns:
             kerns[sigma] = np.array([_line_kernel(kind, sigma) for kind in kinds])
         lx = math.log(x)
-        np.exp(neg_it_half * lx, out=rot[: _MID + 1])
+        np.multiply(neg_t_half, lx, out=theta)
+        np.cos(theta, out=rot.real[: _MID + 1])
+        np.sin(theta, out=rot.imag[: _MID + 1])
         np.conj(rot[_MID - 1 :: -1], out=rot[_MID + 1 :])
         sums = (kerns[sigma] * rot).sum(axis=1).real.tolist()
         for row, (c2, c1), total in zip(rows, pps, sums):

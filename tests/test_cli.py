@@ -10,7 +10,9 @@ from __future__ import annotations
 import importlib
 import json
 import math
+import os
 import pathlib
+import subprocess
 import sys
 import tempfile
 import tracemalloc
@@ -20,6 +22,7 @@ import pytest
 from lmoll import cli
 from lmoll.characters import CharacterGroup
 from lmoll.cli import main
+from lmoll.moments import family_centrals
 
 GOLDEN_PAYLOADS = pathlib.Path(__file__).parent / "golden" / "cli_payloads.json"
 
@@ -338,6 +341,31 @@ class TestGoldenPayloads:
         assert capsys.readouterr() == (summary, "")
         assert run_cli(argv) == 0
         assert capsys.readouterr() == (summary + golden, "")
+
+
+def test_family_commands_in_one_interpreter_give_fresh_process_bytes(capsys):
+    # moments at two X and afe-check share one family of central values per
+    # (q, D); each prints what it prints alone in a fresh process, and a
+    # non-prime q is the same usage error before and after the values are cached
+    errors = [["moments", "--q", "100", "--D", "5", "--X", "10"],
+              USAGE_ERRORS["afe-check-q"][0]]
+    family = [GOLDEN_ARGVS["moments-q101"],
+              ["moments", "--q", "101", "--D", "5", "--X", "10"],
+              GOLDEN_ARGVS["afe-check-q101"]]
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parent.parent)}
+    fresh = []
+    for argv in errors + family:
+        run = subprocess.run([sys.executable, "-m", "lmoll.cli", *argv],
+                             capture_output=True, text=True, env=env)
+        fresh.append((run.returncode, run.stdout, run.stderr))
+    family_centrals.cache_clear()
+    got = []
+    for argv in errors + family + errors:
+        rc = run_cli(argv)
+        got.append((rc, *capsys.readouterr()))
+    assert family_centrals.cache_info().misses == 1
+    assert got == fresh + fresh[:len(errors)]
+    assert [rc for rc, _, _ in got] == [1, 1, 0, 0, 0, 1, 1]
 
 
 class TestCensus:

@@ -28,7 +28,7 @@ from lmoll.lvalues import (
     oracle_L,
     oracle_products_at,
 )
-from lmoll.moments import mollified_moments
+from lmoll.moments import family_centrals, mollified_moments
 from lmoll.special import DIGAMMA_QUARTER, eval_weight_many
 from oracles import (
     epsilon_consistency_residual,
@@ -301,7 +301,8 @@ def _combo_tail(cfg: AFEConfig) -> float:
 def test_afe_tail_bounds_computed_once_per_config(monkeypatch):
     # the two certified weight tails depend on Q and n_max alone, so a whole
     # moments run (every character of the family) computes them once, and
-    # L_combo's bound with them
+    # L_combo's bound with them; the family's values are cleared too, so
+    # that the run takes its product AFEs
     calls = []
     real = lvalues.afe_tail_bound
 
@@ -311,6 +312,7 @@ def test_afe_tail_bounds_computed_once_per_config(monkeypatch):
 
     monkeypatch.setattr(lvalues, "afe_tail_bound", counting)
     _afe_tables.cache_clear()
+    family_centrals.cache_clear()
     cfg = default_config(29, 5)
     mollified_moments(29, RealCharacter(5), 10)
     assert sorted(calls) == [(kind, cfg.Q, cfg.n_max) for kind in ("U", "V1")]

@@ -45,6 +45,7 @@ from lmoll.moments import (
     census,
     eval_mollifier,
     euler_product,
+    family_centrals,
     first_moment_by_orthogonality,
     g_family_eval,
     lacunary_divisor_sum,
@@ -142,6 +143,22 @@ class TestMoments:
             for chi in enumerate_even_primitive(build_group(13))
         ])
         assert abs(rep.s1 - direct) < 1e-12
+
+    @pytest.mark.parametrize("q", [101, 401])
+    @pytest.mark.parametrize("D", [5, 13])
+    def test_family_centrals_are_the_per_character_values(self, q, D):
+        # the cached row is the loop over the family it replaced, bit for bit
+        psi = RealCharacter(D)
+        want = [afe_central(chi, psi).L_central
+                for chi in enumerate_even_primitive(build_group(q))]
+        got = family_centrals(q, D)
+        assert got.dtype == np.complex128 and got.shape == (phi_plus(q),)
+        assert [(z.real.hex(), z.imag.hex()) for z in got.tolist()] == \
+            [(z.real.hex(), z.imag.hex()) for z in want]
+        assert family_centrals(q, D) is got
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0] = 0.0
 
     @pytest.mark.parametrize("q", [29, 53])
     def test_ratio_in_unit_interval(self, q):
